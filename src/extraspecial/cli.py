@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import counting, orbits
@@ -55,6 +56,30 @@ def _parse_int_list(text: str, what: str) -> list:
         except ValueError:
             raise ParseError(f"{what} has a non-integer entry {tok!r}", text.find(tok))
     return out
+
+
+def _parse_csv_ints(text: str, what: str) -> list:
+    out = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ParseError(f"{what} has a non-integer entry {tok!r}", text.find(tok)) from None
+    return out
+
+
+def _jobs_arg(text: str) -> int:
+    """--jobs: a positive integer, clamped to the machine's CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _parse_endo_params(g, tokens: list) -> dict:
@@ -255,8 +280,8 @@ def _partial_order_row(kind, p, n, oracle):
 
 
 def cmd_census(args) -> int:
-    p_list = [int(t) for t in args.p_list.split(",") if t.strip()]
-    n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
+    p_list = _parse_csv_ints(args.p_list, "--p-list")
+    n_list = _parse_csv_ints(args.n_list, "--n-list")
     if args.quantities == "all":
         quantities = list(counting.QUANTITIES) + ["partial_order"]
     else:
@@ -346,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("-k", "--k", type=int, default=None)
     pq.add_argument("--group", choices=(ES1, ES2), default=None)
     pq.add_argument("--oracle", action="store_true")
-    pq.add_argument("--jobs", type=int, default=1)
+    pq.add_argument("--jobs", type=_jobs_arg, default=1)
     pq.set_defaults(fn=cmd_count)
 
     ps = sub.add_parser("census", help="counting table over a (p, n) grid")
@@ -357,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--oracle", action="store_true")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default=None)
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_jobs_arg, default=1)
     ps.set_defaults(fn=cmd_census)
 
     pv = sub.add_parser("verify", help="run the invariant battery")

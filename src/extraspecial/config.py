@@ -13,6 +13,8 @@ Environment overrides (integers):
 
 import os
 
+from .errors import ParseError
+
 _DEFAULTS = {
     "ELEMENT_CAP": 10**7,
     "MORPHISM_CAP": 10**6,
@@ -23,10 +25,16 @@ _DEFAULTS = {
 
 
 def cap(name):
-    """Return the configured cap, honoring EXTRASPECIAL_<name> overrides."""
+    """Return the configured cap, honoring EXTRASPECIAL_<name> overrides.
+
+    A malformed override raises ParseError (CLI exit code 2).
+    """
     if name not in _DEFAULTS:
         raise KeyError(name)
     raw = os.environ.get(f"EXTRASPECIAL_{name}")
     if raw is None:
         return _DEFAULTS[name]
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"EXTRASPECIAL_{name} wants an integer, got {raw!r}") from None

@@ -341,59 +341,81 @@ def enumerate_sigma(g: Group, invertible_only: bool = False):
                     stack.append((new, rest if es2 else vectors))
 
 
-def _functional_space(g: Group):
+def _central_params(g: Group) -> list:
+    """The p^2n (alpha, beta, t) triples that share one quotient matrix.
+
+    Listed in enumeration order: alpha outermost, then beta, then (es2 only)
+    the lift index t of a = s + p t; es1 has t = 0 throughout.
+    """
     p, n = g.p, g.n
     alphas = list(product(range(p), repeat=(n if g.kind == ES1 else n - 1)))
     betas = list(product(range(p), repeat=n))
-    return alphas, betas
+    ts = range(p) if g.kind == ES2 else (0,)
+    return list(product(alphas, betas, ts))
+
+
+def _families(g: Group, invertible_only: bool, limit: int | None):
+    """Yield, per quotient matrix, its member with alpha = beta = 0 and t = 0.
+
+    The cap is charged the whole family of p^2n morphisms before the family
+    is yielded, so the enumeration raises exactly when its total would
+    exceed the limit and never hands out a member past it.
+    """
+    limit = cap("MORPHISM_CAP") if limit is None else limit
+    what = "automorphism" if invertible_only else "endomorphism"
+    size = g.p ** (2 * g.n)
+    zero_alpha = (0,) * (g.n if g.kind == ES1 else g.n - 1)
+    count = 0
+    for sigma, s in enumerate_sigma(g, invertible_only):
+        count += size
+        if count > limit:
+            raise CapExceeded(f"{what} enumeration of {g.gid} exceeds cap {limit}")
+        yield Morphism(g, *split_sigma(g, sigma), zero_alpha, (0,) * g.n, s)
+
+
+def _enumerate(g: Group, invertible_only: bool, limit: int | None):
+    params = _central_params(g)
+    for base in _families(g, invertible_only, limit):
+        aux = base.aux()
+        for alpha, beta, t in params:
+            yield Morphism(g, base.A, base.B, base.C, base.D, alpha, beta,
+                           base.scalar + g.p * t, aux)
 
 
 def enumerate_endomorphisms(g: Group, limit: int | None = None):
     """Yield every endomorphism exactly once (the parametrization is injective)."""
-    limit = cap("MORPHISM_CAP") if limit is None else limit
-    p = g.p
-    alphas, betas = _functional_space(g)
-    count = 0
-    for sigma, s in enumerate_sigma(g, invertible_only=False):
-        A, B, C, D = split_sigma(g, sigma)
-        aux = (A.transpose() * D, C.transpose() * B, C.transpose() * D)
-        for alpha in alphas:
-            for beta in betas:
-                if g.kind == ES1:
-                    count += 1
-                    if count > limit:
-                        raise CapExceeded(f"endomorphism enumeration of {g.gid} exceeds cap {limit}")
-                    yield Morphism(g, A, B, C, D, alpha, beta, s, aux)
-                else:
-                    for t in range(p):
-                        count += 1
-                        if count > limit:
-                            raise CapExceeded(f"endomorphism enumeration of {g.gid} exceeds cap {limit}")
-                        yield Morphism(g, A, B, C, D, alpha, beta, (s + p * t) % (p * p), aux)
+    yield from _enumerate(g, False, limit)
 
 
 def enumerate_automorphisms(g: Group, limit: int | None = None):
     """Yield every automorphism exactly once (scalar restricted to units)."""
-    limit = cap("MORPHISM_CAP") if limit is None else limit
-    p = g.p
-    alphas, betas = _functional_space(g)
-    count = 0
-    for sigma, s in enumerate_sigma(g, invertible_only=True):
-        A, B, C, D = split_sigma(g, sigma)
-        aux = (A.transpose() * D, C.transpose() * B, C.transpose() * D)
-        for alpha in alphas:
-            for beta in betas:
-                if g.kind == ES1:
-                    count += 1
-                    if count > limit:
-                        raise CapExceeded(f"automorphism enumeration of {g.gid} exceeds cap {limit}")
-                    yield Morphism(g, A, B, C, D, alpha, beta, s, aux)
-                else:
-                    for t in range(p):
-                        count += 1
-                        if count > limit:
-                            raise CapExceeded(f"automorphism enumeration of {g.gid} exceeds cap {limit}")
-                        yield Morphism(g, A, B, C, D, alpha, beta, (s + p * t) % (p * p), aux)
+    yield from _enumerate(g, True, limit)
+
+
+def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
+    """Image indices of the coordinate rows E under every morphism, per sigma.
+
+    Members of one quotient matrix's family differ from its base member
+    (alpha = beta = 0, t = 0) only by the central factor z^f(e bar), f the
+    functional t u_1 bar + alpha(u) + beta(w) on G/Z.  So each family costs
+    one base application plus a (rows x p^2n) shift of the central
+    coordinate.  Yields one int64 block per sigma of enumerate_sigma; column
+    j is the j-th member in enumerate_endomorphisms (or, with
+    invertible_only, enumerate_automorphisms) order.  The cap is counted as
+    in those enumerations.
+    """
+    import numpy as np
+
+    p, n = g.p, g.n
+    c = 0 if g.kind == ES2 else 2 * n  # the coordinate the shift moves
+    radix, mod = g.radices[c], g.ranges[c]
+    coeffs = np.array([((t,) if g.kind == ES2 else ()) + alpha + beta
+                       for alpha, beta, t in _central_params(g)], dtype=np.int64)
+    shift = (mod // p) * (((E[:, :2 * n] % p) @ coeffs.T) % p)
+    for base in _families(g, invertible_only, limit):
+        idx = _apply_all(base, E)
+        z = (idx // radix) % mod
+        yield (idx - radix * z)[:, None] + radix * ((z[:, None] + shift) % mod)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -429,13 +451,14 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 # -- whole-group application and the scalar action law ----------------------
 
 
-def _apply_all(m: Morphism):
-    """Vectorized application to every element; returns image indices."""
+def _apply_all(m: Morphism, rows=None):
+    """Vectorized application to every element (or to the coordinate rows
+    given); returns image indices."""
     import numpy as np
 
     g = m.group
     p, n, h = g.p, g.n, g.half
-    E = g.coords_matrix()
+    E = g.coords_matrix() if rows is None else rows
     A = np.array(m.A.rows, dtype=np.int64)
     B = np.array(m.B.rows, dtype=np.int64)
     C = np.array(m.C.rows, dtype=np.int64)

@@ -14,7 +14,9 @@ O_b orbits degenerate onto each other without being automorphic.
 
 orbits_bruteforce recomputes the partition by applying every automorphism
 to every element, so the closed-form classifier above can be checked
-against it wholesale.
+against it wholesale.  It and the partial-order checks take the morphisms
+one quotient-matrix family at a time (morphisms.family_images): one base
+application per sigma plus a central shift per member.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, Element, Group
 from .modp import Mat, inv_mod
-from .morphisms import (build_endo_es2, enumerate_automorphisms,
-                        enumerate_endomorphisms)
+from .morphisms import (build_endo_es2, enumerate_endomorphisms,
+                        family_images)
 
 IDENTITY = "IDENTITY"
 CENTRAL_NONID = "CENTRAL_NONID"
@@ -179,12 +181,26 @@ def degeneration(a: Element, b: Element) -> bool:
     return image_contains(a.group, endo_image_class(a), b.coords)
 
 
+def _reach(g: Group, invertible_only: bool, limit: int | None):
+    """reach[i, j]: some automorphism (endomorphism) sends element i to j."""
+    import numpy as np
+
+    N = g.size
+    reach = np.zeros((N, N), dtype=bool)
+    rows = np.arange(N)[:, None]
+    for block in family_images(g, g.coords_matrix(), invertible_only, limit):
+        reach[rows, block] = True
+    return reach
+
+
 def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     """The exact orbit partition under the full automorphism group.
 
-    Each automorphism contributes its whole image row per element; since the
-    automorphisms form a group, the accumulated image sets are precisely the
-    orbits.  Rows of members are asserted identical before returning.
+    Every automorphism is applied to every element, one quotient-matrix
+    family at a time: each sigma's (elements x p^2n) block of image indices
+    is marked in a dense reachability matrix.  Since the automorphisms form
+    a group, the accumulated image sets are precisely the orbits.  Rows of
+    members are asserted identical before returning.
     """
     import numpy as np
 
@@ -192,10 +208,7 @@ def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     if g.size > 1024:
         raise CapExceeded(f"orbit brute force on {g.gid} with {g.size} elements")
     N = g.size
-    reach = np.zeros((N, N), dtype=bool)
-    rows = np.arange(N)
-    for m in enumerate_automorphisms(g, limit):
-        reach[rows, m.table()] = True
+    reach = _reach(g, True, limit)
     partition: dict[bytes, list] = {}
     for i in range(N):
         partition.setdefault(reach[i].tobytes(), []).append(i)
@@ -254,7 +267,9 @@ def partial_order_report(g: Group, verify: bool = True,
     With verify=True the verdict is checked at desk scale: for es1 the brute
     orbit partition and brute image sets must realize the stated total chain;
     for es2 the witness pair must be exchanged by the exhibited endomorphisms
-    yet lie in different orbits of the full automorphism group.
+    yet lie in different orbits of the full automorphism group.  Both checks
+    apply every morphism through morphisms.family_images; the es2 one feeds
+    it only the first witness's row, so each sigma's block is 1 x p^2n.
     """
     _plain_only(g)
     if g.kind == ES1:
@@ -268,10 +283,14 @@ def partial_order_report(g: Group, verify: bool = True,
     g1, g2, fwd, back = _es2_witness(g)
     verified = False
     if verify:
+        import numpy as np
+
         if fwd.apply(g1) != g2 or back.apply(g2) != g1:
             raise AssertionError("witness endomorphisms do not exchange the witness pair")
-        for m in enumerate_automorphisms(g, limit):
-            if m.apply_coords(g1.coords) == g2.coords:
+        row = np.array([g1.coords], dtype=np.int64)
+        target = g.index(g2.coords)
+        for block in family_images(g, row, True, limit):
+            if (block == target).any():
                 raise AssertionError("witness pair unexpectedly automorphic")
         verified = True
     return DegenerationReport(str(g.gid), NO_PARTIAL_ORDER, (), (g1, g2), (fwd, back), verified)
@@ -281,22 +300,20 @@ def _verify_es1_total_order(g: Group, limit: int | None):
     """Exhaustively confirm the degeneration chain on a desk-scale es1 group."""
     if g.size > 128:
         raise CapExceeded(f"es1 partial-order verification on {g.gid} with {g.size} elements")
-    endos = list(enumerate_endomorphisms(g, limit))
+    reach = _reach(g, False, limit)
     elems = [Element(g, c) for c in g.elements()]
-    images = {e.coords: {m.apply_coords(e.coords) for m in endos} for e in elems}
     # brute degeneration must agree with the closed form everywhere
-    for a in elems:
-        for b in elems:
-            if (b.coords in images[a.coords]) != degeneration(a, b):
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            if reach[i, j] != degeneration(a, b):
                 raise AssertionError("brute degeneration disagrees with image classes")
     # on orbits: reflexive, antisymmetric, total
     partition = orbits_bruteforce(g, limit)
-    reps = [next(iter(sorted(c))) for c in partition]
-    orbit_of = {c: i for i, cls in enumerate(partition) for c in cls}
+    reps = [g.index(min(c)) for c in partition]
     for i, r in enumerate(reps):
         for j, s in enumerate(reps):
-            fwd = s in images[r]
-            bwd = r in images[s]
+            fwd = reach[r, s]
+            bwd = reach[s, r]
             if i == j and not fwd:
                 raise AssertionError("degeneration not reflexive on an orbit")
             if i != j and fwd and bwd:
@@ -304,8 +321,6 @@ def _verify_es1_total_order(g: Group, limit: int | None):
             if not fwd and not bwd:
                 raise AssertionError("two orbits are incomparable; no total order")
     # membership in an orbit never depends on the chosen representative
-    for a in elems:
-        for b in elems:
-            if orbit_of[a.coords] == orbit_of[b.coords]:
-                if images[a.coords] != images[b.coords]:
-                    raise AssertionError("image set varies inside an orbit")
+    for cls, r in zip(partition, reps):
+        if not (reach[[g.index(c) for c in cls]] == reach[r]).all():
+            raise AssertionError("image set varies inside an orbit")

@@ -1,6 +1,7 @@
 """Command-line surface: output conventions, exit codes, census determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -209,3 +210,34 @@ def test_verify_quick(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(l.startswith("PASS ") for l in lines)
+
+
+@pytest.mark.parametrize("flag,value", [("--p-list", "3,x"), ("--n-list", "1,y")])
+def test_census_bad_list_is_a_parse_error(capsys, flag, value):
+    code, _, err = run(capsys, "census", flag, value)
+    assert code == 2
+    assert "non-integer entry" in err
+
+
+def test_malformed_cap_override_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "abc")
+    code, _, err = run(capsys, "census", "--quantities", "sp_order", "--oracle")
+    assert code == 2
+    assert "EXTRASPECIAL_SCAN_CAP" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--quantity", "sp_order", "--p", "3", "--n", "1"],
+    ["census"],
+])
+def test_jobs_is_validated_and_clamped(capsys, command):
+    parser = cli.build_parser()
+    # parsing alone starts no worker processes
+    args = parser.parse_args(command + ["--jobs", str(10 ** 6)])
+    assert args.jobs == (os.cpu_count() or 1)
+    assert parser.parse_args(command + ["--jobs", "1"]).jobs == 1
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + ["--jobs", bad])
+        assert exc.value.code == 2
+    capsys.readouterr()

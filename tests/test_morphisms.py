@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from extraspecial.errors import (ContextError, DimensionError,
+from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat
 from extraspecial.morphisms import (build_endo_es1, build_endo_es2, compose,
-                                    enumerate_sigma, induced_quotient_matrix,
+                                    enumerate_automorphisms,
+                                    enumerate_endomorphisms, enumerate_sigma,
+                                    family_images, induced_quotient_matrix,
                                     inner_automorphism, is_im_phi2_matrix,
                                     params_from_generator_images,
                                     scalar_action_check)
@@ -107,6 +109,41 @@ def test_table_matches_apply(endos_es2_31):
         t = m.table()
         for c in g.elements():
             assert t[g.index(c)] == g.index(m.apply_coords(c))
+
+
+@pytest.mark.parametrize("kind,p", [(ES1, 3), (ES2, 3), (ES2, 5)])
+@pytest.mark.parametrize("invertible_only", [False, True])
+def test_family_images_match_morphism_tables(kind, p, invertible_only):
+    g = group(kind, p, 1)
+    E = g.coords_matrix()
+    enum = enumerate_automorphisms(g) if invertible_only else enumerate_endomorphisms(g)
+    blocks = list(family_images(g, E, invertible_only))
+    assert len(blocks) == len(list(enumerate_sigma(g, invertible_only)))
+    for block in blocks:
+        assert block.shape == (g.size, p ** 2)
+        for col in block.T:
+            assert np.array_equal(col, next(enum).table())
+    assert next(enum, None) is None
+
+
+def test_family_images_one_row_is_a_row_of_the_full_block(es2_31):
+    g = es2_31
+    i = g.index((4, 2))
+    full = family_images(g, g.coords_matrix())
+    one = family_images(g, g.coords_matrix()[i:i + 1])
+    for a, b in zip(full, one, strict=True):
+        assert b.shape == (1, 9)
+        assert np.array_equal(a[i], b[0])
+
+
+def test_family_images_cap_counts_whole_families(es2_31):
+    # es2(3,1) has 54 automorphisms: 6 quotient matrices of 9 members each
+    E = es2_31.coords_matrix()
+    assert len(list(family_images(es2_31, E, True, limit=54))) == 6
+    with pytest.raises(CapExceeded):
+        list(family_images(es2_31, E, True, limit=53))
+    with pytest.raises(CapExceeded):
+        list(enumerate_automorphisms(es2_31, limit=53))
 
 
 def test_enumeration_counts(endos_es1_31, endos_es2_31, autos_es1_31, autos_es2_31):
