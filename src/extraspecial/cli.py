@@ -24,7 +24,7 @@ from . import counting, orbits
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
 from .groups import (ES1, ES2, Element, format_element, group,
-                     parse_element, parse_group_spec)
+                     parse_element, parse_group_spec, validate_p_n)
 from .modp import Mat
 from .morphisms import build_endo_es1, build_endo_es2, scalar_action_check
 
@@ -69,6 +69,14 @@ def _parse_csv_ints(text: str, what: str) -> list:
         except ValueError:
             raise ParseError(f"{what} has a non-integer entry {tok!r}", text.find(tok)) from None
     return out
+
+
+def _check_p_n(p: int, n: int):
+    """Reject an invalid (p, n) as a usage error, as group specs are."""
+    try:
+        validate_p_n(p, n)
+    except ContextError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _jobs_arg(text: str) -> int:
@@ -207,6 +215,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_p_n(args.p, args.n)
     rep = counting.compute_report(args.quantity, args.p, args.n, k=args.k,
                                   group_kind=args.group, oracle=args.oracle,
                                   jobs=args.jobs)
@@ -236,52 +245,55 @@ def _census_rows(p_list, n_list, quantities, kinds, oracle, jobs):
     return rows
 
 
+_NO_ORACLE = "oracle not requested"
+
+
+def _skipped(row, reason):
+    row.update(oracle="skipped", match="n/a", reason=reason)
+    return row
+
+
 def _count_row(q, p, n, k, kind, oracle, jobs):
     rep = counting.compute_report(q, p, n, k=k, group_kind=kind, oracle=False)
     row = rep.to_json_dict()
-    if oracle:
-        try:
-            ov = counting.oracle_value(q, p, n, k=k, group_kind=kind, jobs=jobs)
-            row["oracle"] = ov
-            row["match"] = (ov == row["formula"])
-        except CapExceeded:
-            row["oracle"] = "skipped"
-            row["match"] = "n/a"
-    else:
-        row["oracle"] = "skipped"
-        row["match"] = "n/a"
+    if not oracle:
+        return _skipped(row, _NO_ORACLE)
+    try:
+        ov = counting.oracle_value(q, p, n, k=k, group_kind=kind, jobs=jobs)
+    except (CapExceeded, ContextError) as exc:
+        # out of the cap, or a size no oracle route covers (n >= 3 matrix scans)
+        return _skipped(row, str(exc))
+    row.update(oracle=ov, match=(ov == row["formula"]), reason=None)
     return row
 
 
 def _partial_order_row(kind, p, n, oracle):
     g = group(kind, p, n)
     row = {"quantity": "partial_order", "group": kind, "p": p, "n": n, "k": None}
-    if oracle:
-        try:
-            rep = orbits.partial_order_report(g, verify=True)
-            row["formula"] = rep.verdict
-            if rep.witness is not None:
-                row["oracle"] = "witness " + " <-> ".join(str(w) for w in rep.witness)
-            else:
-                row["oracle"] = "chain " + " < ".join(
-                    c for c in ("IDENTITY", "CENTRAL_NONID", "ES1_NONCENTRAL"))
-            row["match"] = "yes"
-        except CapExceeded:
-            rep = orbits.partial_order_report(g, verify=False)
-            row["formula"] = rep.verdict
-            row["oracle"] = "skipped"
-            row["match"] = "n/a"
+    if not oracle:
+        row["formula"] = orbits.partial_order_report(g, verify=False).verdict
+        return _skipped(row, _NO_ORACLE)
+    try:
+        rep = orbits.partial_order_report(g, verify=True)
+    except CapExceeded as exc:
+        row["formula"] = orbits.partial_order_report(g, verify=False).verdict
+        return _skipped(row, str(exc))
+    row["formula"] = rep.verdict
+    if rep.witness is not None:
+        row["oracle"] = "witness " + " <-> ".join(str(w) for w in rep.witness)
     else:
-        rep = orbits.partial_order_report(g, verify=False)
-        row["formula"] = rep.verdict
-        row["oracle"] = "skipped"
-        row["match"] = "n/a"
+        row["oracle"] = "chain " + " < ".join(
+            c for c in ("IDENTITY", "CENTRAL_NONID", "ES1_NONCENTRAL"))
+    row.update(match="yes", reason=None)
     return row
 
 
 def cmd_census(args) -> int:
     p_list = _parse_csv_ints(args.p_list, "--p-list")
     n_list = _parse_csv_ints(args.n_list, "--n-list")
+    for p in p_list:
+        for n in n_list:
+            _check_p_n(p, n)
     if args.quantities == "all":
         quantities = list(counting.QUANTITIES) + ["partial_order"]
     else:

@@ -7,7 +7,8 @@ Environment overrides (integers):
     EXTRASPECIAL_ELEMENT_CAP    group element enumeration      (default 10**7)
     EXTRASPECIAL_MORPHISM_CAP   endo/automorphism enumeration  (default 10**6)
     EXTRASPECIAL_HOM_CAP        generator-image candidates     (default 10**9)
-    EXTRASPECIAL_SCAN_CAP       matrix scans, p^(4n^2) space   (default 10**8)
+    EXTRASPECIAL_SCAN_CAP       matrix scans, p^(4n^2) space,  (default 10**8)
+                                surjection scans, p^(2nk) space
     EXTRASPECIAL_SUBSPACE_CAP   subspace scans                 (default 10**7)
 """
 

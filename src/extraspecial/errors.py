@@ -4,6 +4,12 @@ Exit-code mapping in the CLI: ParseError -> 2, everything else here -> 1.
 """
 
 
+def check(cond, msg: str = "check failed"):
+    """Raise AssertionError(msg) unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 class DimensionError(ValueError):
     """Operands have incompatible shapes or lengths."""
 

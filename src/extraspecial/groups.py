@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 
 from .config import cap
-from .errors import CapExceeded, ContextError, DimensionError, ParseError
+from .errors import CapExceeded, ContextError, DimensionError, ParseError, check
 from .modp import half, is_odd_prime
 
 ES1 = "es1"
@@ -37,6 +37,14 @@ ES1_TILDE = "es1~"
 ES2_TILDE = "es2~"
 
 _KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
+
+
+def validate_p_n(p: int, n: int):
+    """Raise ContextError unless p is an odd prime and n a positive integer."""
+    if not is_odd_prime(p):
+        raise ContextError(f"p must be an odd prime, got {p}")
+    if not isinstance(n, int) or n < 1:
+        raise ContextError(f"n must be a positive integer, got {n}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +56,7 @@ class GroupId:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ContextError(f"unknown group kind {self.kind!r}")
-        if not is_odd_prime(self.p):
-            raise ContextError(f"p must be an odd prime, got {self.p}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ContextError(f"n must be a positive integer, got {self.n}")
+        validate_p_n(self.p, self.n)
 
     def __str__(self):
         return f"{self.kind}({self.p},{self.n})"
@@ -233,9 +238,9 @@ class Group:
         c = self.commutator(a, b)
         if self.es2_shaped:
             q, r = divmod(c[0], self.p)
-            assert r == 0 and all(x == 0 for x in c[1:])
+            check(r == 0 and all(x == 0 for x in c[1:]), "commutator is not central")
             return q
-        assert all(x == 0 for x in c[:-1])
+        check(all(x == 0 for x in c[:-1]), "commutator is not central")
         return c[-1]
 
     # -- enumeration ---------------------------------------------------------

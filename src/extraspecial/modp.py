@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import DimensionError
+from .errors import DimensionError, check
 
 
 def is_odd_prime(p: int) -> bool:
@@ -47,16 +47,6 @@ def half(p: int) -> int:
     if p % 2 == 0:
         raise ZeroDivisionError("2 is not invertible mod an even modulus")
     return (p + 1) // 2
-
-
-def vec_add(a: tuple, b: tuple, m: int) -> tuple:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple((x + y) % m for x, y in zip(a, b))
-
-
-def vec_neg(a: tuple, m: int) -> tuple:
-    return tuple((-x) % m for x in a)
 
 
 def dot(a: tuple, b: tuple, m: int) -> int:
@@ -205,7 +195,7 @@ def p_binomial(n: int, k: int, p: int) -> int:
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
     q, r = divmod(num, den)
-    assert r == 0
+    check(r == 0, "Gaussian binomial division left a remainder")
     return q
 
 

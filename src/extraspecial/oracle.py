@@ -10,7 +10,8 @@ Three separate recomputation routes:
     induced Gram form against the standard symplectic form, via pairing
     tables rather than the similitude parametrization.
   * subspace scans: walk reduced-row-echelon cells and test isotropy and
-    hyperplane membership directly.
+    hyperplane membership directly; the surjection scan tests every
+    k x dim matrix for full rank, in numpy blocks of candidates.
 
 Caps guard every scan; CapExceeded is raised before work starts when the
 search space is out of reach.
@@ -26,7 +27,6 @@ import numpy as np
 from .config import cap
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, Group
-from .modp import Mat, rank
 
 NULL_FORM = "null"
 SCALAR_FORM = "scalar"
@@ -416,21 +416,55 @@ def scan_subspaces(dim: int, p: int, k: int, isotropic: bool = False,
     return total
 
 
+# cells of a candidate matrix filled from one precomputed tail table: the
+# largest t with p^t <= this many candidates per numpy block
+_SURJECTION_BLOCK = 1024
+
+
+def _projective_lines(k: int, p: int) -> np.ndarray:
+    """One vector per line of F_p^k, its first nonzero entry 1: (p^k-1)/(p-1) rows."""
+    reps = []
+    for lead in range(k):
+        for rest in product(range(p), repeat=k - lead - 1):
+            reps.append((0,) * lead + (1,) + rest)
+    return np.array(reps, dtype=np.int64).reshape(-1, k)
+
+
 def scan_surjections(dim: int, p: int, k: int, limit: int | None = None) -> int:
-    """Count k x dim matrices of full rank k, i.e. surjections onto F_p^k."""
+    """Count k x dim matrices of full rank k, i.e. surjections onto F_p^k.
+
+    Every candidate matrix M is tested: its rows are independent iff
+    c M != 0 for a representative c of every line of F_p^k.  Candidates
+    are walked in radix order, one numpy block per assignment of the
+    leading cells, the trailing cells taken from one table of all p^t
+    assignments.
+    """
     if k < 0:
         return 0
     if k == 0:
         return 1
-    space = p ** (k * dim)
+    cells = k * dim
+    space = p ** cells
     ceiling = cap("SCAN_CAP") if limit is None else limit
     if space > ceiling:
         raise CapExceeded(f"surjection scan space {space} exceeds {ceiling}")
+    if k > dim:
+        # more rows than columns are always dependent; this also keeps the
+        # line table (p^k - 1)/(p - 1) below the square root of the space
+        return 0
+    t = 0
+    while t < cells and p ** (t + 1) <= _SURJECTION_BLOCK:
+        t += 1
+    lead = cells - t
+    block = np.empty((p ** t, cells), dtype=np.int64)
+    block[:, lead:] = _vectors(t, p)
+    lines = _projective_lines(k, p)
     total = 0
-    for entries in product(range(p), repeat=k * dim):
-        rows = tuple(entries[i * dim:(i + 1) * dim] for i in range(k))
-        if rank(Mat(p, rows)) == k:
-            total += 1
+    for prefix in product(range(p), repeat=lead):
+        block[:, :lead] = prefix
+        images = (lines @ block.reshape(-1, k, dim)) % p
+        dependent = (images == 0).all(axis=2).any(axis=1)
+        total += len(block) - int(np.count_nonzero(dependent))
     return total
 
 

@@ -2,7 +2,8 @@
 
 quick runs the desk-scale checks at (p, n) = (3, 1); full adds (5, 1) and
 (3, 2).  Every check recomputes one side of a claim by a route independent
-of the closed forms under test and raises AssertionError on mismatch.
+of the closed forms under test and raises AssertionError on mismatch,
+through errors.check, so the battery still checks under python -O.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from . import counting, oracle, orbits
+from .errors import check
 from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
                      group, lambda_iso)
 from .morphisms import (enumerate_automorphisms, enumerate_endomorphisms,
@@ -20,24 +22,24 @@ from .symplectic import enumerate_isotropic
 def check_group_laws(kind: str, p: int, n: int):
     g = group(kind, p, n)
     elems = list(g.elements())
-    assert len(elems) == p ** (2 * n + 1)
+    check(len(elems) == p ** (2 * n + 1), f"{g.gid} has {len(elems)} elements")
     e = (0,) * len(g.ranges)
     for a in elems:
-        assert g.mul(a, e) == a and g.mul(e, a) == a
-        assert g.mul(a, g.inv(a)) == e
+        check(g.mul(a, e) == a and g.mul(e, a) == a, f"identity fails in {g.gid}")
+        check(g.mul(a, g.inv(a)) == e, f"inverse fails in {g.gid}")
     for a in elems:
         for b in elems:
             for c in elems:
                 if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
                     raise AssertionError(f"associativity fails in {g.gid}")
     center = {a for a in elems if all(g.commutator(a, b) == e for b in elems)}
-    assert center == set(g.center_coords()), f"center mismatch in {g.gid}"
+    check(center == set(g.center_coords()), f"center mismatch in {g.gid}")
 
 
 def _check_iso(gt, g, phi_coords):
     elems = list(gt.elements())
     phi = {a: phi_coords(a) for a in elems}
-    assert len(set(phi.values())) == g.size, "comparison map is not bijective"
+    check(len(set(phi.values())) == g.size, "comparison map is not bijective")
     for a in elems:
         fa = phi[a]
         for b in elems:
@@ -61,7 +63,7 @@ def check_endo_count(kind: str, p: int, n: int):
     g = group(kind, p, n)
     got = sum(1 for _ in enumerate_endomorphisms(g))
     want = counting.end_order(kind, p, n)
-    assert got == want, f"|End {g.gid}| enumerated {got} != formula {want}"
+    check(got == want, f"|End {g.gid}| enumerated {got} != formula {want}")
 
 
 def check_aut_count(kind: str, p: int, n: int):
@@ -69,83 +71,89 @@ def check_aut_count(kind: str, p: int, n: int):
     got = 0
     for m in enumerate_automorphisms(g):
         got += 1
-        assert m.is_automorphism
+        check(m.is_automorphism, "an enumerated automorphism is not bijective")
     want = counting.aut_order(kind, p, n)
-    assert got == want, f"|Aut {g.gid}| enumerated {got} != formula {want}"
+    check(got == want, f"|Aut {g.gid}| enumerated {got} != formula {want}")
 
 
 def check_orbit_partition(kind: str, p: int, n: int, expected_sizes: tuple):
     g = group(kind, p, n)
     partition = orbits.orbits_bruteforce(g)
     sizes = tuple(sorted(len(c) for c in partition))
-    assert sizes == tuple(sorted(expected_sizes)), \
-        f"orbit sizes {sizes} != expected {tuple(sorted(expected_sizes))}"
-    assert sum(sizes) == g.size
+    check(sizes == tuple(sorted(expected_sizes)),
+          f"orbit sizes {sizes} != expected {tuple(sorted(expected_sizes))}")
+    check(sum(sizes) == g.size, f"orbits cover {sum(sizes)} of {g.size} elements")
     labels = []
     for cls in partition:
         cls_labels = {str(orbits.classify(Element(g, c))) for c in cls}
-        assert len(cls_labels) == 1, "classifier is not constant on an orbit"
+        check(len(cls_labels) == 1, "classifier is not constant on an orbit")
         label = next(iter(cls_labels))
         labels.append(label)
         rep = next(iter(cls))
         lab = orbits.classify(Element(g, rep))
-        assert orbits.orbit_cardinality(lab, g) == len(cls), \
-            f"cardinality formula wrong for {label}"
-    assert len(set(labels)) == len(partition), "two orbits share a label"
+        check(orbits.orbit_cardinality(lab, g) == len(cls),
+              f"cardinality formula wrong for {label}")
+    check(len(set(labels)) == len(partition), "two orbits share a label")
 
 
 def check_partial_order(kind: str, p: int, n: int, expected_verdict: str):
     g = group(kind, p, n)
     rep = orbits.partial_order_report(g, verify=True)
-    assert rep.verified
-    assert rep.verdict == expected_verdict, \
-        f"degeneration verdict {rep.verdict} != {expected_verdict}"
+    check(rep.verified, f"degeneration report for {g.gid} is not verified")
+    check(rep.verdict == expected_verdict,
+          f"degeneration verdict {rep.verdict} != {expected_verdict}")
 
 
 def check_counting_scans(p: int, n: int, jobs: int = 1):
     for k in range(n + 1):
         a = counting.alpha_k(p, n, k)
-        assert a == oracle.scan_subspaces(2 * n, p, k, isotropic=True), \
-            f"alpha_{k}({p},{n}) scan mismatch"
-        assert a == len(enumerate_isotropic(n, p, k)), \
-            f"alpha_{k}({p},{n}) subspace search mismatch"
+        check(a == oracle.scan_subspaces(2 * n, p, k, isotropic=True),
+              f"alpha_{k}({p},{n}) scan mismatch")
+        check(a == len(enumerate_isotropic(n, p, k)),
+              f"alpha_{k}({p},{n}) subspace search mismatch")
         b = counting.beta_k(p, n, k)
-        assert b == oracle.scan_subspaces(2 * n, p, k, isotropic=True,
-                                          inside_v1=True), \
-            f"beta_{k}({p},{n}) scan mismatch"
-        assert b == len(enumerate_isotropic(n, p, k, inside_v1=True)), \
-            f"beta_{k}({p},{n}) subspace search mismatch"
-        assert counting.gamma_k(p, n, k) == oracle.scan_surjections(2 * n, p, k), \
-            f"gamma_{k}({p},{n}) scan mismatch"
-    assert counting.count_X(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM, jobs=jobs), f"X({p},{n}) scan mismatch"
-    assert counting.count_Y(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM, image_in_v1=True, jobs=jobs), \
-        f"Y({p},{n}) scan mismatch"
-    assert counting.sp_order(n, p) == oracle.scan_matrices(
-        2 * n, p, oracle.FIXED_FORM, l=1, jobs=jobs), "sp_order scan mismatch"
-    assert counting.im_phi2_order(n, p) == counting.oracle_value(
-        "im_phi2_order", p, n, jobs=jobs), "im_phi2_order scan mismatch"
+        check(b == oracle.scan_subspaces(2 * n, p, k, isotropic=True,
+                                         inside_v1=True),
+              f"beta_{k}({p},{n}) scan mismatch")
+        check(b == len(enumerate_isotropic(n, p, k, inside_v1=True)),
+              f"beta_{k}({p},{n}) subspace search mismatch")
+        check(counting.gamma_k(p, n, k) == oracle.scan_surjections(2 * n, p, k),
+              f"gamma_{k}({p},{n}) scan mismatch")
+    check(counting.count_X(p, n) == oracle.scan_matrices(
+        2 * n, p, oracle.NULL_FORM, jobs=jobs), f"X({p},{n}) scan mismatch")
+    check(counting.count_Y(p, n) == oracle.scan_matrices(
+        2 * n, p, oracle.NULL_FORM, image_in_v1=True, jobs=jobs),
+        f"Y({p},{n}) scan mismatch")
+    check(counting.sp_order(n, p) == oracle.scan_matrices(
+        2 * n, p, oracle.FIXED_FORM, l=1, jobs=jobs), "sp_order scan mismatch")
+    check(counting.im_phi2_order(n, p) == counting.oracle_value(
+        "im_phi2_order", p, n, jobs=jobs), "im_phi2_order scan mismatch")
     for kind in (ES1, ES2):
-        assert counting.aut_order(kind, p, n) == counting.oracle_value(
-            "aut_order", p, n, group_kind=kind, jobs=jobs), \
-            f"aut {kind} scan mismatch"
-        assert counting.end_order(kind, p, n) == counting.oracle_value(
-            "end_order", p, n, group_kind=kind, jobs=jobs), \
-            f"end {kind} scan mismatch"
+        check(counting.aut_order(kind, p, n) == counting.oracle_value(
+            "aut_order", p, n, group_kind=kind, jobs=jobs),
+            f"aut {kind} scan mismatch")
+        check(counting.end_order(kind, p, n) == counting.oracle_value(
+            "end_order", p, n, group_kind=kind, jobs=jobs),
+            f"end {kind} scan mismatch")
 
 
 def check_polynomials(n: int, primes=(3, 5, 7)):
     for p in primes:
         for k in range(n + 1):
-            assert counting.alpha_poly(n, k).eval(p) == counting.alpha_k(p, n, k)
-            assert counting.beta_poly(n, k).eval(p) == counting.beta_k(p, n, k)
-            assert counting.gamma_poly(n, k).eval(p) == counting.gamma_k(p, n, k)
-        assert counting.count_X_poly(n).eval(p) == counting.count_X(p, n)
-        assert counting.count_Y_poly(n).eval(p) == counting.count_Y(p, n)
+            check(counting.alpha_poly(n, k).eval(p) == counting.alpha_k(p, n, k),
+                  f"alpha_{k} polynomial at ({p},{n})")
+            check(counting.beta_poly(n, k).eval(p) == counting.beta_k(p, n, k),
+                  f"beta_{k} polynomial at ({p},{n})")
+            check(counting.gamma_poly(n, k).eval(p) == counting.gamma_k(p, n, k),
+                  f"gamma_{k} polynomial at ({p},{n})")
+        check(counting.count_X_poly(n).eval(p) == counting.count_X(p, n),
+              f"X polynomial at ({p},{n})")
+        check(counting.count_Y_poly(n).eval(p) == counting.count_Y(p, n),
+              f"Y polynomial at ({p},{n})")
         for kind in (ES1, ES2):
-            assert counting.end_order_poly(kind, n).eval(p) == \
-                counting.end_order(kind, p, n)
+            check(counting.end_order_poly(kind, n).eval(p) ==
+                  counting.end_order(kind, p, n),
+                  f"|End {kind}| polynomial at ({p},{n})")
 
 
 def check_im_phi2(p: int, n: int):
@@ -159,8 +167,9 @@ def check_im_phi2(p: int, n: int):
             predicate.add(m)
     g = group(ES2, p, n)
     induced = {m.sigma() for m in enumerate_automorphisms(g)}
-    assert induced == predicate, "induced quotient matrices != predicate set"
-    assert len(induced) == counting.im_phi2_order(n, p)
+    check(induced == predicate, "induced quotient matrices != predicate set")
+    check(len(induced) == counting.im_phi2_order(n, p),
+          f"{len(induced)} induced quotient matrices != im_phi2_order")
 
 
 def check_scalar_action(kind: str, p: int, n: int, count: int = 25):
@@ -176,8 +185,8 @@ def check_hom_oracle(kind: str, p: int, n: int):
     param_images = set()
     for m in enumerate_endomorphisms(g):
         param_images.add(tuple(m.apply_coords(c) for c in gens))
-    assert oracle_images == param_images, \
-        "generator-image search and parametrization disagree"
+    check(oracle_images == param_images,
+          "generator-image search and parametrization disagree")
 
 
 def checks(suite: str):

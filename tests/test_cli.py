@@ -170,6 +170,23 @@ def test_census_cap_exceeded_rows_are_skipped(capsys):
     assert lines[1].endswith(",skipped,n/a")  # 5^16 matrices exceed the scan cap
 
 
+def test_census_n3_skips_rows_no_oracle_covers(capsys):
+    code, out, _ = run(capsys, "census", "--p-list", "3", "--n-list", "3",
+                       "--quantities", "count_X,aut_order,gamma_k", "--oracle",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    skipped = [r for r in rows if r["oracle"] == "skipped"]
+    # count_X and both aut_order rows need a dim-6 matrix scan; gamma_3 is
+    # 3^18 cells, past the scan cap
+    assert len(skipped) == 4
+    assert all(r["match"] == "n/a" and r["reason"] for r in skipped)
+    assert {r["reason"] for r in skipped if r["quantity"] != "gamma_k"} == {
+        "matrix scans cover dim 2 and 4, got 6"}
+    assert all(r["match"] is True and r["reason"] is None
+               for r in rows if r["oracle"] != "skipped")
+
+
 def test_census_deterministic(capsys):
     args = ("census", "--p-list", "3,5", "--n-list", "1",
             "--quantities", "aut_order,alpha_k,sp_order")
@@ -203,6 +220,18 @@ def test_census_rejects_unknown_inputs(capsys):
     assert code == 2
     code, _, err = run(capsys, "census", "--group", "heis")
     assert code == 2
+
+
+@pytest.mark.parametrize("p,n", [(4, 1), (1, 1), (3, 0), (3, -1)])
+def test_invalid_p_or_n_is_a_parse_error(capsys, p, n):
+    code, out, err = run(capsys, "count", "--quantity", "aut_order", "--group", "es1",
+                         "--p", str(p), "--n", str(n))
+    assert code == 2 and out == ""
+    want = "p must be an odd prime" if p in (4, 1) else "n must be a positive integer"
+    assert want in err
+    code, out, err = run(capsys, "census", "--p-list", f"3,{p}", "--n-list", f"1,{n}")
+    assert code == 2 and out == ""
+    assert want in err
 
 
 def test_verify_quick(capsys):

@@ -6,12 +6,15 @@ against internal cross-checks (jobs split, alternative scan modes), not
 against the formulas themselves.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from extraspecial import counting, oracle
+from extraspecial import counting, modp, oracle
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, group
+from extraspecial.modp import Mat, rank
 from extraspecial.morphisms import enumerate_endomorphisms
 
 
@@ -143,6 +146,37 @@ def test_scan_surjections():
     assert oracle.scan_surjections(2, 3, 1) == 8
     assert oracle.scan_surjections(4, 3, 2) == (81 - 1) * (81 - 3)
     assert oracle.scan_surjections(2, 3, 3) == 0  # no surjection onto a bigger space
+
+
+def _surjections_one_by_one(dim, p, k):
+    """The per-matrix reference: one Mat and one rref per candidate."""
+    if k == 0:
+        return 1
+    return sum(rank(Mat(p, [entries[i * dim:(i + 1) * dim] for i in range(k)])) == k
+               for entries in product(range(p), repeat=k * dim))
+
+
+@pytest.mark.parametrize("dim,p,k", [
+    (dim, p, k) for dim in (2, 4) for p in (3, 5) for k in range(dim + 2)
+    if p ** (k * dim) <= 10 ** 5])
+def test_scan_surjections_matches_per_matrix_rank(dim, p, k):
+    assert oracle.scan_surjections(dim, p, k) == _surjections_one_by_one(dim, p, k)
+
+
+def test_scan_surjections_cap_and_independence(monkeypatch):
+    assert oracle.scan_surjections(4, 5, 2, limit=5 ** 8) == 386_880
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the surjection scan reached a forbidden helper")
+
+    # formula-free: neither the closed form nor the Gaussian binomial is used
+    monkeypatch.setattr(counting, "gamma_k", forbidden)
+    monkeypatch.setattr(modp, "p_binomial", forbidden)
+    assert oracle.scan_surjections(4, 3, 2) == (81 - 1) * (81 - 3)
+    # the cap raises before any candidate table is built
+    monkeypatch.setattr(oracle, "_vectors", forbidden)
+    with pytest.raises(CapExceeded):
+        oracle.scan_surjections(4, 5, 2, limit=5 ** 8 - 1)
 
 
 def test_sigma_scan_count(es1_31, es2_31):
