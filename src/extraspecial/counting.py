@@ -15,7 +15,9 @@ and the endomorphism counts decompose as
 with |Aut(es1)| = p^{2n} (p-1) |Sp(2n)| and |Aut(es2)| = p^{2n} * p^{2n-1}
 (p-1) |Sp(2n-2)|.  Each formula has a _poly twin returning the counting
 polynomial in p, and compute_report pairs a formula value with an
-independent brute-force oracle value on demand.
+independent brute-force oracle value on demand.  formula_value and
+oracle_value (so compute_report too) raise ContextError unless p is an odd
+prime and n >= 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContextError
-from .groups import ES1, ES2
+from .groups import ES1, ES2, validate_p_n
 from .modp import p_binomial
 from .polyz import ONE, ZERO, Poly, gaussian_binomial_poly, prod
 
@@ -209,6 +211,7 @@ class CountReport:
 
 def formula_value(quantity: str, p: int, n: int, k: int | None = None,
                   group_kind: str | None = None) -> int:
+    validate_p_n(p, n)
     if quantity in _NEEDS_K and k is None:
         raise ContextError(f"{quantity} needs a subspace dimension k")
     if quantity in _NEEDS_GROUP and group_kind not in (ES1, ES2):
@@ -239,6 +242,7 @@ def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
     """Independent recomputation by direct scan; raises CapExceeded when big."""
     from . import oracle
 
+    validate_p_n(p, n)
     dim = 2 * n
     if quantity == "alpha_k":
         return oracle.scan_subspaces(dim, p, k, isotropic=True)
@@ -252,8 +256,6 @@ def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
         return oracle.scan_matrices(dim, p, oracle.NULL_FORM,
                                     image_in_v1=True, jobs=jobs)
     if quantity == "sp_order":
-        if n == 0:
-            return 1
         return oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=1, jobs=jobs)
     if quantity == "im_phi2_order":
         return sum(oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=l,

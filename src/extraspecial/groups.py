@@ -16,6 +16,17 @@ presentation:
 lambda_iso and delta_iso are the coordinate isomorphisms from each tilde
 presentation onto its twisted partner.
 
+All four are one law on the quotient vectors v in F_p^2n (the coordinates
+read mod p, basis x_1..x_n, y_1..y_n): add the coordinates, then add the
+cocycle v_a^T M v_b to the central exponent.  Each Group carries its M as
+data (`cocycle`): [[0, I], [0, 0]] for es1 and es2, (1/2)[[0, I], [-I, 0]]
+for the tilde kinds.  With `es2_shaped` set the central exponent s lands as
+p.s in the Z/p^2 first coordinate, whose own mod-p^2 sum supplies the carry;
+otherwise it lands in the last coordinate z.  `Group.mul_index` applies this
+law to whole blocks of coordinate rows at once; the tuple-level `mul` spells
+each kind out separately and stays the reference the batched law is checked
+against.
+
 Element order, centrality, commutators, and the commutator form f (valued in
 the exponent of the central generator) are all computed from the group law
 itself, so they stay valid oracles for anything derived from closed forms.
@@ -37,6 +48,15 @@ ES1_TILDE = "es1~"
 ES2_TILDE = "es2~"
 
 _KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
+
+# rows per Group.mul_index call when a caller sweeps a whole N x N table:
+# memory stays at a few ROW_BLOCK x N arrays
+ROW_BLOCK = 32
+
+
+def row_blocks(size: int):
+    """Slices covering range(size) in consecutive blocks of ROW_BLOCK."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, size, ROW_BLOCK))
 
 
 def validate_p_n(p: int, n: int):
@@ -68,7 +88,8 @@ def group(kind: str, p: int, n: int) -> "Group":
 
 
 class Group:
-    """One group from the table above; all element ops live here at tuple level."""
+    """One group from the table above: tuple-level element ops and the batched
+    index law `mul_index`."""
 
     def __init__(self, gid: GroupId):
         self.gid = gid
@@ -91,6 +112,17 @@ class Group:
             radix.append(acc)
             acc *= r
         self.radices = tuple(reversed(radix))
+        # the cocycle M on quotient vectors (u; w): v_a^T M v_b mod p
+        tilde = gid.kind in (ES1_TILDE, ES2_TILDE)
+        upper = self.half if tilde else 1          # M[i][n+i]
+        lower = -self.half % p if tilde else 0     # M[n+i][i]
+        self.cocycle = tuple(
+            tuple(upper if j == i + n else lower if i == j + n else 0 for j in range(2 * n))
+            for i in range(2 * n))
+        # the central generator z: its coordinate slot, its unit there, and its
+        # index; z^s times an element with central exponent 0 adds s * z_index
+        self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
+        self.z_index = self._z_unit * self.radices[self._z_slot]
         self._np_cache = None
 
     # -- element construction ------------------------------------------------
@@ -270,6 +302,39 @@ class Group:
             rows = np.array(list(self.elements()), dtype=np.int64)
             self._np_cache = rows
         return self._np_cache
+
+    def mul_index(self, A, B):
+        """Indices of a*b for every coordinate row a of A and b of B.
+
+        Returns the (len(A), len(B)) int64 table.  The cocycle is one matrix
+        product (V_A M) V_B^T over the quotient vectors, and the index is
+        summed one coordinate at a time, so no (len(A), len(B), width) array
+        is built; callers sweeping a whole table pass A in ROW_BLOCK rows.
+        """
+        import numpy as np
+
+        p = self.p
+        A = np.asarray(A, dtype=np.int64)
+        B = np.asarray(B, dtype=np.int64)
+        M = np.array(self.cocycle, dtype=np.int64)
+        tw = (self._quotient_rows(A) @ M % p) @ self._quotient_rows(B).T % p
+        out = np.zeros(tw.shape, dtype=np.int64)
+        for k, (r, radix) in enumerate(zip(self.ranges, self.radices)):
+            s = A[:, k, None] + B[None, :, k]
+            if k == self._z_slot:
+                s += self._z_unit * tw
+            s %= r
+            s *= radix
+            out += s
+        return out
+
+    def _quotient_rows(self, A):
+        """Quotient vectors (rows of G/Z(G) = F_p^2n) of coordinate rows."""
+        if self.es2_shaped:
+            V = A.copy()
+            V[:, 0] %= self.p
+            return V
+        return A[:, :-1]
 
     def __repr__(self):
         return f"Group({self.gid})"

@@ -32,8 +32,9 @@ from __future__ import annotations
 from itertools import product
 
 from .config import cap
-from .errors import CapExceeded, ContextError, DimensionError, MorphismValidationError
-from .groups import ES1, ES2, Element, Group, group
+from .errors import (CapExceeded, ContextError, DimensionError,
+                     MorphismValidationError, check)
+from .groups import ES1, ES2, Element, Group, group, row_blocks
 from .modp import Mat, dot
 from .symplectic import delta_matrix, pairing, symp_scalar_test
 
@@ -490,18 +491,26 @@ def _apply_all(m: Morphism, rows=None):
 
 
 def f_table(g: Group):
-    """The commutator form on all element pairs, computed from the group law."""
+    """The commutator form on all element pairs, computed from the group law.
+
+    F[a, b] is the c with ab = z^c ba, read off the index tables of ab and
+    ba: both lie in one coset of Z(G) = <z>, and an index is its coset
+    representative's plus (central exponent) * z_index.
+    """
     import numpy as np
 
     cached = getattr(g, "_f_table", None)
     if cached is not None:
         return cached
-    elems = list(g.elements())
-    N = len(elems)
-    F = np.zeros((N, N), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            F[i, j] = g.symplectic_f(a, b)
+    p, z = g.p, g.z_index
+    E = g.coords_matrix()
+    F = np.empty((g.size, g.size), dtype=np.int64)
+    for rows in row_blocks(g.size):
+        ab = g.mul_index(E[rows], E)
+        ba = g.mul_index(E, E[rows]).T
+        s_ab, s_ba = ab // z % p, ba // z % p
+        check(np.array_equal(ab - s_ab * z, ba - s_ba * z), "commutator is not central")
+        F[rows] = (s_ab - s_ba) % p
     g._f_table = F
     return F
 

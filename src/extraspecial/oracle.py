@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import cap
 from .errors import CapExceeded, ContextError
-from .groups import ES1, ES2, Group
+from .groups import ES1, ES2, Group, row_blocks
 
 NULL_FORM = "null"
 SCALAR_FORM = "scalar"
@@ -186,12 +186,10 @@ def mult_table(g: Group) -> np.ndarray:
         return cached
     if g.size > 2048:
         raise CapExceeded(f"multiplication table for {g.gid} with {g.size} elements")
-    elems = list(g.elements())
-    idx = {c: i for i, c in enumerate(elems)}
+    E = g.coords_matrix()
     M = np.empty((g.size, g.size), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            M[i, j] = idx[g.mul(a, b)]
+    for rows in row_blocks(g.size):
+        M[rows] = g.mul_index(E[rows], E)
     g._mult_table = M
     return M
 
@@ -212,42 +210,16 @@ def hom_check_on_generators(g: Group, table: np.ndarray) -> bool:
     """
     T = np.asarray(table)
     C = g.coords_matrix()
-    gens = [x.coords for x in g.generators()]
+    gens = [g.index(x.coords) for x in g.generators()]
     right = getattr(g, "_gen_right_mul", None)
     if right is None:
-        right = []
-        for h in gens:
-            col = np.empty(g.size, dtype=np.int64)
-            for i, a in enumerate(g.elements()):
-                col[i] = g.index(g.mul(a, h))
-            right.append(col)
+        right = [g.mul_index(C, C[h:h + 1])[:, 0] for h in gens]
         g._gen_right_mul = right
-    radix = np.array(g.radices, dtype=np.int64)
     CT = C[T]
-    for jh, col in enumerate(right):
-        lhs = T[col]
-        hc = CT[g.index(gens[jh])]
-        prod_coords = _bulk_right_mul(g, CT, hc)
-        rhs = prod_coords @ radix
-        if not np.array_equal(lhs, rhs):
+    for h, col in zip(gens, right):
+        if not np.array_equal(T[col], g.mul_index(CT, CT[h:h + 1])[:, 0]):
             return False
     return True
-
-
-def _bulk_right_mul(g: Group, A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coordinates of a*c for every row a of A, vectorized over rows."""
-    p, n = g.p, g.n
-    out = (A + c[None, :]) % np.array(g.ranges, dtype=np.int64)[None, :]
-    if g.kind == ES1:
-        cross = (A[:, :n] @ c[n:2 * n]) % p
-        out[:, 2 * n] = (A[:, 2 * n] + c[2 * n] + cross) % p
-    elif g.kind == ES2:
-        ubar = A[:, 0] % p
-        cross = A[:, 1:n] @ c[n + 1:] if n > 1 else 0
-        out[:, 0] = (A[:, 0] + c[0] + p * (c[n] * ubar + cross)) % (p * p)
-    else:
-        raise ContextError(f"bulk multiplication covers es1/es2, got {g.gid}")
-    return out
 
 
 # ---------------------------------------------------------------------------

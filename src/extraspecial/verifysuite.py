@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from itertools import islice
 
+import numpy as np
+
 from . import counting, oracle, orbits
 from .errors import check
 from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
-                     group, lambda_iso)
+                     group, lambda_iso, row_blocks)
 from .morphisms import (enumerate_automorphisms, enumerate_endomorphisms,
                         is_im_phi2_matrix, scalar_action_check)
 from .symplectic import enumerate_isotropic
@@ -22,29 +24,33 @@ from .symplectic import enumerate_isotropic
 def check_group_laws(kind: str, p: int, n: int):
     g = group(kind, p, n)
     elems = list(g.elements())
-    check(len(elems) == p ** (2 * n + 1), f"{g.gid} has {len(elems)} elements")
-    e = (0,) * len(g.ranges)
-    for a in elems:
-        check(g.mul(a, e) == a and g.mul(e, a) == a, f"identity fails in {g.gid}")
-        check(g.mul(a, g.inv(a)) == e, f"inverse fails in {g.gid}")
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c)):
-                    raise AssertionError(f"associativity fails in {g.gid}")
-    center = {a for a in elems if all(g.commutator(a, b) == e for b in elems)}
-    check(center == set(g.center_coords()), f"center mismatch in {g.gid}")
+    N = len(elems)
+    check(N == p ** (2 * n + 1), f"{g.gid} has {N} elements")
+    T = oracle.mult_table(g)
+    # the batched law is the tuple law the CLI, Element and the hom-search use
+    tuple_law = np.array([[g.index(g.mul(a, b)) for b in elems] for a in elems])
+    check(np.array_equal(T, tuple_law), f"batched and tuple products differ in {g.gid}")
+    ids = np.arange(N)  # the identity is element 0
+    check(np.array_equal(T[0], ids) and np.array_equal(T[:, 0], ids),
+          f"identity fails in {g.gid}")
+    inverses = [g.index(g.inv(a)) for a in elems]
+    check(not T[ids, inverses].any(), f"inverse fails in {g.gid}")
+    for rows in row_blocks(N):  # (ab)c == a(bc) for a in the block, all b, c
+        check(np.array_equal(T[T[rows]], T[rows][:, T]), f"associativity fails in {g.gid}")
+    center = set(np.flatnonzero((T == T.T).all(axis=1)).tolist())
+    check(center == {g.index(c) for c in g.center_coords()}, f"center mismatch in {g.gid}")
 
 
 def _check_iso(gt, g, phi_coords):
-    elems = list(gt.elements())
-    phi = {a: phi_coords(a) for a in elems}
-    check(len(set(phi.values())) == g.size, "comparison map is not bijective")
-    for a in elems:
-        fa = phi[a]
-        for b in elems:
-            if phi[gt.mul(a, b)] != g.mul(fa, phi[b]):
-                raise AssertionError("comparison map is not a homomorphism")
+    """phi(ab) == phi(a) phi(b) on all pairs of gt, one row block at a time."""
+    Et, E = gt.coords_matrix(), g.coords_matrix()
+    phi = np.array([g.index(phi_coords(a)) for a in gt.elements()])
+    check(len(set(phi.tolist())) == g.size, "comparison map is not bijective")
+    images = E[phi]
+    for rows in row_blocks(gt.size):
+        check(np.array_equal(phi[gt.mul_index(Et[rows], Et)],
+                             g.mul_index(images[rows], images)),
+              "comparison map is not a homomorphism")
 
 
 def check_lambda_iso(p: int, n: int):

@@ -126,3 +126,14 @@ def test_compute_report_roundtrip():
         counting.formula_value("alpha_k", 3, 1)  # k missing
     with pytest.raises(ContextError):
         counting.formula_value("end_order", 3, 1)  # group kind missing
+
+
+@pytest.mark.parametrize("p, n", [(4, 1), (1, 1), (3, 0), (3, -1)])
+def test_invalid_p_or_n_is_rejected(p, n):
+    # p=4 once gave an aut_order formula value of 2880 with no error
+    with pytest.raises(ContextError):
+        counting.formula_value("aut_order", p, n, group_kind=ES1)
+    with pytest.raises(ContextError):
+        counting.oracle_value("count_X", p, n)
+    with pytest.raises(ContextError):
+        counting.compute_report("aut_order", p, n, group_kind=ES1)

@@ -1,5 +1,6 @@
 """Group cores: laws, normal forms, the two comparison isomorphisms, text I/O."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from extraspecial.errors import ContextError, ParseError
 from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, delta_iso,
                                  format_element, group, lambda_iso,
                                  parse_element, parse_group_spec)
+from extraspecial.morphisms import f_table
 
 
 def coords_strategy(g):
@@ -251,3 +253,43 @@ def test_caps_guard_enumeration():
     with pytest.raises(CapExceeded):
         list(g.elements())
     assert config.cap("ELEMENT_CAP") >= 10 ** 6
+
+
+# -- the batched law Group.mul_index against the tuple law -----------------
+
+ALL_KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
+def test_mul_index_matches_tuple_mul_exhaustive(kind, p, n):
+    g = group(kind, p, n)
+    elems = list(g.elements())
+    want = np.array([[g.index(g.mul(a, b)) for b in elems] for a in elems])
+    assert np.array_equal(g.mul_index(g.coords_matrix(), g.coords_matrix()), want)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_index_matches_tuple_mul_random(data):
+    g = group(data.draw(st.sampled_from(ALL_KINDS)), *data.draw(st.sampled_from([(7, 2), (3, 3)])))
+    rows = st.lists(coords_strategy(g), min_size=1, max_size=4)
+    A, B = data.draw(rows), data.draw(rows)
+    want = [[g.index(g.mul(a, b)) for b in B] for a in A]
+    assert g.mul_index(np.array(A), np.array(B)).tolist() == want
+
+
+@pytest.mark.parametrize("kind, p", [(ES1, 3), (ES2, 3), (ES1_TILDE, 3), (ES2_TILDE, 3), (ES2, 5)])
+def test_f_table_matches_symplectic_f(kind, p):
+    g = group(kind, p, 1)
+    elems = list(g.elements())
+    want = np.array([[g.symplectic_f(a, b) for b in elems] for a in elems])
+    assert np.array_equal(f_table(g), want)
+
+
+def test_cocycle_data():
+    assert group(ES1, 3, 1).cocycle == group(ES2, 3, 1).cocycle == ((0, 1), (0, 0))
+    # (1/2)[[0, 1], [-1, 0]] mod 5, with 1/2 = 3
+    assert group(ES1_TILDE, 5, 1).cocycle == group(ES2_TILDE, 5, 1).cocycle == ((0, 3), (2, 0))
+    # z^s moves an index by s * z_index: z is (0,0,1) in es1, (p,0) in es2
+    assert group(ES1, 5, 1).z_index == 1 and group(ES2, 5, 1).z_index == 25

@@ -1,9 +1,16 @@
-"""The verify battery keeps checking when python -O strips assert statements."""
+"""The verify battery: it keeps checking under python -O, and its batched
+checks still fail when the law or the map under test is wrong."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from extraspecial import verifysuite
+from extraspecial.groups import ES1, ES2, ES2_TILDE, Group, GroupId, group
+from extraspecial.morphisms import f_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,10 +29,58 @@ sys.exit(3)
 """
 
 
-def test_checks_fail_under_python_O():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _SCRIPT], env=env,
+    return env
+
+
+def test_checks_fail_under_python_O():
+    done = subprocess.run([sys.executable, "-O", "-c", _SCRIPT], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "enumerated 729 != formula -1" in done.stdout
+
+
+def test_quick_suite_passes_under_python_O():
+    done = subprocess.run([sys.executable, "-O", "-m", "extraspecial.cli", "verify",
+                           "--suite", "quick"], env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(verifysuite.checks("quick"))
+    assert all(line.startswith("PASS ") for line in lines), done.stdout
+
+
+def test_group_laws_catch_one_wrong_tuple_product(monkeypatch):
+    law = Group.mul
+
+    def wrong(self, a, b):
+        out = law(self, a, b)
+        if self.kind == ES1 and a == b == (1, 0, 0):
+            return out[:-1] + ((out[-1] + 1) % self.p,)
+        return out
+
+    monkeypatch.setattr(Group, "mul", wrong)
+    with pytest.raises(AssertionError, match="batched and tuple products differ"):
+        verifysuite.check_group_laws(ES1, 3, 1)
+
+
+def test_iso_check_rejects_the_identity_coordinate_map():
+    # es2~ and es2 share coordinates but not the cocycle
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        verifysuite._check_iso(group(ES2_TILDE, 3, 2), group(ES2, 3, 2), lambda c: c)
+
+
+def test_f_table_rejects_a_non_central_commutator(monkeypatch):
+    g = Group(GroupId(ES2, 3, 1))  # not the cached group: its tables stay clean
+    law = g.mul_index
+
+    def wrong(A, B):
+        out = law(A, B)
+        out[0, 1] = 3  # e * y_1 = y_1 (index 1) becomes x_1 (index 3)
+        return out
+
+    monkeypatch.setattr(g, "mul_index", wrong)
+    with pytest.raises(AssertionError, match="commutator is not central"):
+        f_table(g)
