@@ -28,7 +28,7 @@ from .orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL, ES2_H_MINUS_K,
                      orbits_bruteforce, partial_order_report)
 from .counting import (CountReport, alpha_k, aut_order, beta_k, compute_report,
                        count_X, count_Y, end_order, gamma_k, im_phi2_order,
-                       sp_order, sp_scalar_order)
+                       sp_order)
 from .polyz import Poly, gaussian_binomial_poly
 
 __version__ = "0.1.0"
@@ -54,7 +54,7 @@ __all__ = [
     "orbits_bruteforce", "partial_order_report",
     "CountReport", "alpha_k", "aut_order", "beta_k", "compute_report",
     "count_X", "count_Y", "end_order", "gamma_k", "im_phi2_order",
-    "sp_order", "sp_scalar_order",
+    "sp_order",
     "Poly", "gaussian_binomial_poly",
     "__version__",
 ]

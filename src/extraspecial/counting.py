@@ -40,11 +40,6 @@ def sp_order(n: int, p: int) -> int:
     return out
 
 
-def sp_scalar_order(n: int, p: int) -> int:
-    """Order of the group of symplectic similitudes with nonzero multiplier."""
-    return (p - 1) * sp_order(n, p)
-
-
 def im_phi2_order(n: int, p: int) -> int:
     """Order of the constrained similitude group acting on the es2 quotient."""
     if n < 1:

@@ -53,6 +53,10 @@ _KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
 # memory stays at a few ROW_BLOCK x N arrays
 ROW_BLOCK = 32
 
+# the largest group whose whole N x N index tables (oracle.mult_table,
+# morphisms.f_table) are built: at most 32 MiB of int64 each
+TABLE_CAP = 2048
+
 
 def row_blocks(size: int):
     """Slices covering range(size) in consecutive blocks of ROW_BLOCK."""
@@ -138,29 +142,14 @@ class Group:
         return Element(self, tuple(c % r for c, r in zip(coords, self.ranges)))
 
     def generators(self) -> list:
-        """Standard generators x_1..x_n, y_1..y_n in that order."""
-        n = self.n
-        gens = []
+        """Standard generators x_1..x_n, y_1..y_n in that order.
+
+        In both coordinate shapes x_i is slot i and y_i slot n + i (for es2
+        x_1 is the Z/p^2 slot, so it has order p^2).
+        """
         width = len(self.ranges)
-        if self.es2_shaped:
-            for i in range(n):  # x_1 has order p^2, x_2..x_n sit in the u block
-                c = [0] * width
-                c[0 if i == 0 else i] = 1
-                gens.append(self.element(c))
-            for i in range(n):  # y_1 is the w_1 coordinate, the rest the w block
-                c = [0] * width
-                c[n + i] = 1
-                gens.append(self.element(c))
-        else:
-            for i in range(n):
-                c = [0] * width
-                c[i] = 1
-                gens.append(self.element(c))
-            for i in range(n):
-                c = [0] * width
-                c[n + i] = 1
-                gens.append(self.element(c))
-        return gens
+        return [self.element(tuple(int(k == i) for k in range(width)))
+                for i in range(2 * self.n)]
 
     # -- the group laws ------------------------------------------------------
 
@@ -228,34 +217,16 @@ class Group:
         return k
 
     def is_central(self, a: tuple) -> bool:
-        p, n = self.p, self.n
-        if self.es2_shaped:
-            return a[0] % p == 0 and all(x == 0 for x in a[1:])
-        return all(x == 0 for x in a[:-1])
+        """a is some z^c, c < p: its index is c * z_index."""
+        q, r = divmod(self.index(a), self.z_index)
+        return r == 0 and q < self.p
 
     def center_coords(self) -> list:
-        """Coordinates of the p central elements."""
-        p = self.p
-        width = len(self.ranges)
-        out = []
-        for c in range(p):
-            coords = [0] * width
-            if self.es2_shaped:
-                coords[0] = p * c
-            else:
-                coords[-1] = c
-            out.append(tuple(coords))
-        return out
+        """Coordinates of the p central elements z^0..z^(p-1)."""
+        return [self.coords_at(c * self.z_index) for c in range(self.p)]
 
     def central_generator(self) -> "Element":
-        p = self.p
-        width = len(self.ranges)
-        coords = [0] * width
-        if self.es2_shaped:
-            coords[0] = p
-        else:
-            coords[-1] = 1
-        return self.element(coords)
+        return Element(self, self.coords_at(self.z_index))
 
     # -- quotient by the center ---------------------------------------------
 
@@ -267,13 +238,9 @@ class Group:
 
     def symplectic_f(self, a: tuple, b: tuple) -> int:
         """Exponent c with [a, b] = z^c for the central generator z."""
-        c = self.commutator(a, b)
-        if self.es2_shaped:
-            q, r = divmod(c[0], self.p)
-            check(r == 0 and all(x == 0 for x in c[1:]), "commutator is not central")
-            return q
-        check(all(x == 0 for x in c[:-1]), "commutator is not central")
-        return c[-1]
+        q, r = divmod(self.index(self.commutator(a, b)), self.z_index)
+        check(r == 0 and q < self.p, "commutator is not central")
+        return q
 
     # -- enumeration ---------------------------------------------------------
 
@@ -400,30 +367,30 @@ def symplectic_f(a: Element, b: Element) -> int:
     return a.group.symplectic_f(a.coords, b.coords)
 
 
+def _untwist(e: Element, source: str, target: str) -> Element:
+    """Add (1/2)<utilde, wtilde> to the central exponent of a tilde-kind element.
+
+    utilde and wtilde are the two halves of the quotient vector; the central
+    exponent sits in the group's central slot with its unit (z for the es1
+    shape, p times the first coordinate for the es2 shape).
+    """
+    g = e.group
+    if g.kind != source:
+        raise ContextError(f"expected an {source} element, got {g.gid}")
+    n, v = g.n, g.quotient_coords(e.coords)
+    coords = list(e.coords)
+    coords[g._z_slot] += g._z_unit * g.half * sum(v[i] * v[n + i] for i in range(n))
+    return group(target, g.p, n).element(coords)
+
+
 def lambda_iso(e: Element) -> Element:
     """Isomorphism es1~ -> es1: (u, w, z) -> (u, w, z + (1/2)<u,w>)."""
-    g = e.group
-    if g.kind != ES1_TILDE:
-        raise ContextError(f"lambda_iso expects an {ES1_TILDE} element, got {g.gid}")
-    p, n = g.p, g.n
-    a = e.coords
-    tw = (g.half * sum(a[i] * a[n + i] for i in range(n))) % p
-    target = group(ES1, p, n)
-    return target.element(a[:-1] + ((a[-1] + tw) % p,))
+    return _untwist(e, ES1_TILDE, ES1)
 
 
 def delta_iso(e: Element) -> Element:
     """Isomorphism es2~ -> es2: adds p.(1/2)<utilde, wtilde> to the first coordinate."""
-    g = e.group
-    if g.kind != ES2_TILDE:
-        raise ContextError(f"delta_iso expects an {ES2_TILDE} element, got {g.gid}")
-    p, n = g.p, g.n
-    a = e.coords
-    ut = (a[0] % p,) + a[1:n]
-    wt = a[n:]
-    tw = (g.half * sum(x * y for x, y in zip(ut, wt))) % p
-    target = group(ES2, p, n)
-    return target.element(((a[0] + p * tw) % (p * p),) + a[1:])
+    return _untwist(e, ES2_TILDE, ES2)
 
 
 # -- text syntax -------------------------------------------------------------

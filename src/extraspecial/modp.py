@@ -8,8 +8,6 @@ which are arbitrary precision, so nothing here ever overflows.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-
 from .errors import DimensionError, check
 
 
@@ -47,12 +45,6 @@ def half(p: int) -> int:
     if p % 2 == 0:
         raise ZeroDivisionError("2 is not invertible mod an even modulus")
     return (p + 1) // 2
-
-
-def dot(a: tuple, b: tuple, m: int) -> int:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b)) % m
 
 
 class Mat:
@@ -197,27 +189,3 @@ def p_binomial(n: int, k: int, p: int) -> int:
     q, r = divmod(num, den)
     check(r == 0, "Gaussian binomial division left a remainder")
     return q
-
-
-def count_subspaces_bruteforce(n: int, k: int, p: int) -> int:
-    """Count k-dim subspaces of F_p^n by collecting spans of k-tuples.
-
-    Deliberately formula-free: every k-subset of vectors is spanned out
-    elementwise and distinct spans are collected in a set.  Only feasible
-    for p^n small; serves as the oracle for p_binomial.
-    """
-    vecs = list(product(range(p), repeat=n))
-    if k == 0:
-        return 1
-    spans = set()
-    for chosen in combinations(vecs[1:], k):  # skip the zero vector
-        span = {tuple(0 for _ in range(n))}
-        for v in chosen:
-            add = set()
-            for c in range(1, p):
-                for s in span:
-                    add.add(tuple((x + c * y) % p for x, y in zip(s, v)))
-            span |= add
-        if len(span) == p**k:
-            spans.add(frozenset(span))
-    return len(spans)

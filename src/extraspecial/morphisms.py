@@ -22,6 +22,15 @@ u-coordinates, a functional beta on wtilde, and a lift a in Z/p^2 of a_11:
 with s the same quadratic expression in (utilde, wtilde) and pi dropping the
 first coordinate.  It is an automorphism exactly when a is a unit.
 
+The formula is written once, in `_images`: a batched numpy kernel over
+coordinate rows that reads the group's own data (quotient vectors, central
+slot and unit, radices, cocycle), with no branch per kind.
+`Morphism.table`, `Morphism.apply_coords` and `family_images` all call it.
+The p^2n morphisms that share one sigma form a family: its base member
+(alpha = beta = 0, t = 0) times the central factor z^f(v), f running over
+the functionals on G/Z (for automorphisms, composition with Inn(G) = G/Z),
+so a whole family costs one call of the kernel.
+
 The composite of two parametrized maps is recovered from generator images
 rather than symbolic block algebra: one code path serves composition, inner
 automorphisms, and parameter extraction alike.
@@ -34,25 +43,23 @@ from itertools import product
 from .config import cap
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, check)
-from .groups import ES1, ES2, Element, Group, group, row_blocks
-from .modp import Mat, dot
-from .symplectic import delta_matrix, pairing, symp_scalar_test
+from .groups import ES1, ES2, TABLE_CAP, Element, Group, row_blocks
+from .modp import Mat
+from .symplectic import pairing, symp_scalar_test
 
 
 class Morphism:
     """A parametrized endomorphism of one es1 or es2 group."""
 
-    __slots__ = ("group", "A", "B", "C", "D", "alpha", "beta", "scalar",
-                 "_aux", "_table")
+    __slots__ = ("group", "A", "B", "C", "D", "alpha", "beta", "scalar", "_table")
 
     def __init__(self, g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
-                 alpha: tuple, beta: tuple, scalar: int, aux=None):
+                 alpha: tuple, beta: tuple, scalar: int):
         self.group = g
         self.A, self.B, self.C, self.D = A, B, C, D
         self.alpha = alpha
         self.beta = beta
         self.scalar = scalar  # l for es1, the central lift a for es2
-        self._aux = aux  # (A^t D, C^t B, C^t D), shared across enumeration
         self._table = None
 
     @property
@@ -64,39 +71,20 @@ class Morphism:
         """The similitude scalar of the induced quotient matrix."""
         return self.scalar % self.group.p
 
-    def aux(self):
-        if self._aux is None:
-            At, Ct = self.A.transpose(), self.C.transpose()
-            self._aux = (At * self.D, Ct * self.B, Ct * self.D)
-        return self._aux
-
     def sigma(self) -> Mat:
         rows = [self.A.rows[i] + self.C.rows[i] for i in range(self.group.n)]
         rows += [self.D.rows[i] + self.B.rows[i] for i in range(self.group.n)]
         return Mat(self.group.p, rows)
 
-    def apply_coords(self, c: tuple) -> tuple:
+    def _apply_rows(self, E):
+        """Image indices of the coordinate rows E: the formula with this map's
+        own central functional (t with a = s + p t, alpha, beta)."""
         g = self.group
-        p, n, h = g.p, g.n, g.half
-        AtD, CtB, CtD = self.aux()
-        if g.kind == ES1:
-            u, w, z = c[:n], c[n:2 * n], c[2 * n]
-            u2 = tuple((x + y) % p for x, y in zip(self.A.mul_vec(u), self.C.mul_vec(w)))
-            w2 = tuple((x + y) % p for x, y in zip(self.D.mul_vec(u), self.B.mul_vec(w)))
-            z2 = (dot(self.alpha, u, p) + dot(self.beta, w, p) + self.scalar * z
-                  + h * (dot(u, AtD.mul_vec(u), p) + dot(w, CtB.mul_vec(w), p))
-                  + dot(w, CtD.mul_vec(u), p)) % p
-            return u2 + w2 + (z2,)
-        u1 = c[0]
-        ut = (u1 % p,) + c[1:n]
-        wt = c[n:]
-        x = tuple((a + b) % p for a, b in zip(self.A.mul_vec(ut), self.C.mul_vec(wt)))
-        y = tuple((a + b) % p for a, b in zip(self.D.mul_vec(ut), self.B.mul_vec(wt)))
-        s = (dot(self.alpha, c[1:n], p) + dot(self.beta, wt, p)
-             + h * (dot(ut, AtD.mul_vec(ut), p) + dot(wt, CtB.mul_vec(wt), p))
-             + dot(wt, CtD.mul_vec(ut), p)) % p
-        first = (self.scalar * u1 + p * s) % (p * p)
-        return (first,) + x[1:] + y
+        f = _functional(g, self.alpha, self.beta, self.scalar // g.p)
+        return _images(self, E, _functional_values(g, E, [f]))[:, 0]
+
+    def apply_coords(self, c: tuple) -> tuple:
+        return self.group.coords_at(int(self._apply_rows([c])[0]))
 
     def apply(self, e: Element) -> Element:
         if e.group.gid != self.group.gid:
@@ -106,7 +94,7 @@ class Morphism:
     def table(self):
         """Image index for every element index, as a numpy array; cached."""
         if self._table is None:
-            self._table = _apply_all(self)
+            self._table = self._apply_rows(self.group.coords_matrix())
         return self._table
 
     def param_key(self) -> tuple:
@@ -152,6 +140,25 @@ def _check_blocks(g: Group, blocks: dict, functionals: dict):
             raise DimensionError(f"{name} must have length {length}")
 
 
+def _similitude_scalar(A: Mat, B: Mat, C: Mat, D: Mat) -> int:
+    """The scalar l of sigma = [[A, C], [D, B]] in symp^scalar.
+
+    sigma^t Delta sigma = l Delta says exactly that A^t D and C^t B are
+    symmetric and A^t B - D^t C = l Id; raises unless all three hold.
+    """
+    At, Ct = A.transpose(), C.transpose()
+    if not (At * D).is_symmetric():
+        raise MorphismValidationError("not in symp^scalar", "A^t*D not symmetric")
+    if not (Ct * B).is_symmetric():
+        raise MorphismValidationError("not in symp^scalar", "C^t*B not symmetric")
+    E = At * B - D.transpose() * C
+    l = E.entry(0, 0)
+    if E != Mat.identity(A.m, A.nrows).scale(l):
+        raise MorphismValidationError("not in symp^scalar",
+                                      "A^t*B - D^t*C is not a scalar multiple of the identity")
+    return l
+
+
 def build_endo_es1(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
                    alpha, beta) -> Morphism:
     """Validate es1 parameters and return the endomorphism they define."""
@@ -160,17 +167,8 @@ def build_endo_es1(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
     n, p = g.n, g.p
     _check_blocks(g, {"A": A, "B": B, "C": C, "D": D},
                   {"alpha": (tuple(alpha), n), "beta": (tuple(beta), n)})
-    At, Ct, Dt = A.transpose(), C.transpose(), D.transpose()
-    if not (At * D).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "A^t*D not symmetric")
-    if not (Ct * B).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "C^t*B not symmetric")
-    E = At * B - Dt * C
-    l = E.entry(0, 0)
-    if E != Mat.identity(p, n).scale(l):
-        raise MorphismValidationError("not in symp^scalar",
-                                      "A^t*B - D^t*C is not a scalar multiple of the identity")
-    return Morphism(g, A, B, C, D, tuple(x % p for x in alpha), tuple(x % p for x in beta), l % p)
+    l = _similitude_scalar(A, B, C, D)
+    return Morphism(g, A, B, C, D, tuple(x % p for x in alpha), tuple(x % p for x in beta), l)
 
 
 def build_endo_es2(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
@@ -186,13 +184,7 @@ def build_endo_es2(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
     if any(C.entry(0, j) % p for j in range(n)):
         raise MorphismValidationError("first-row constraint c_{1j}=0 violated")
     a11 = A.entry(0, 0)
-    At, Ct, Dt = A.transpose(), C.transpose(), D.transpose()
-    if not (At * D).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "A^t*D not symmetric")
-    if not (Ct * B).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "C^t*B not symmetric")
-    E = At * B - Dt * C
-    if E != Mat.identity(p, n).scale(a11):
+    if _similitude_scalar(A, B, C, D) != a11:
         raise MorphismValidationError("not in symp^scalar",
                                       "A^t*B - D^t*C != a_11 * identity")
     if (a - a11) % p != 0:
@@ -208,31 +200,6 @@ def split_sigma(g: Group, sigma: Mat):
     D = sigma.submatrix(range(n, 2 * n), range(n))
     B = sigma.submatrix(range(n, 2 * n), range(n, 2 * n))
     return A, B, C, D
-
-
-class SympScalarMatrix:
-    """A similitude matrix bundled with its scalar (which may be zero)."""
-
-    __slots__ = ("matrix", "scalar")
-
-    def __init__(self, matrix: Mat, scalar: int):
-        self.matrix = matrix
-        self.scalar = scalar
-
-    def __eq__(self, other):
-        return (isinstance(other, SympScalarMatrix)
-                and other.matrix == self.matrix and other.scalar == self.scalar)
-
-    def __hash__(self):
-        return hash((self.matrix, self.scalar))
-
-    def __repr__(self):
-        return f"SympScalarMatrix(l={self.scalar}, {self.matrix!r})"
-
-
-def induced_quotient_matrix(m: Morphism) -> SympScalarMatrix:
-    """The action on G/Z(G) in the (x bar, y bar) basis, with its scalar."""
-    return SympScalarMatrix(m.sigma(), m.scalar_mod_p)
 
 
 def params_from_generator_images(g: Group, images: list) -> Morphism:
@@ -377,10 +344,9 @@ def _families(g: Group, invertible_only: bool, limit: int | None):
 def _enumerate(g: Group, invertible_only: bool, limit: int | None):
     params = _central_params(g)
     for base in _families(g, invertible_only, limit):
-        aux = base.aux()
         for alpha, beta, t in params:
             yield Morphism(g, base.A, base.B, base.C, base.D, alpha, beta,
-                           base.scalar + g.p * t, aux)
+                           base.scalar + g.p * t)
 
 
 def enumerate_endomorphisms(g: Group, limit: int | None = None):
@@ -396,27 +362,16 @@ def enumerate_automorphisms(g: Group, limit: int | None = None):
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
-    Members of one quotient matrix's family differ from its base member
-    (alpha = beta = 0, t = 0) only by the central factor z^f(e bar), f the
-    functional t u_1 bar + alpha(u) + beta(w) on G/Z.  So each family costs
-    one base application plus a (rows x p^2n) shift of the central
-    coordinate.  Yields one int64 block per sigma of enumerate_sigma; column
-    j is the j-th member in enumerate_endomorphisms (or, with
-    invertible_only, enumerate_automorphisms) order.  The cap is counted as
-    in those enumerations.
+    Yields one (rows x p^2n) int64 block per sigma of enumerate_sigma, each
+    one call of the formula; the values of all p^2n central functionals on
+    the rows of E are computed once per call.  Column j is the j-th member
+    in enumerate_endomorphisms (or, with invertible_only,
+    enumerate_automorphisms) order; the cap is counted as in those.
     """
-    import numpy as np
-
-    p, n = g.p, g.n
-    c = 0 if g.kind == ES2 else 2 * n  # the coordinate the shift moves
-    radix, mod = g.radices[c], g.ranges[c]
-    coeffs = np.array([((t,) if g.kind == ES2 else ()) + alpha + beta
-                       for alpha, beta, t in _central_params(g)], dtype=np.int64)
-    shift = (mod // p) * (((E[:, :2 * n] % p) @ coeffs.T) % p)
+    F = _functional_values(g, E, [_functional(g, alpha, beta, t)
+                                  for alpha, beta, t in _central_params(g)])
     for base in _families(g, invertible_only, limit):
-        idx = _apply_all(base, E)
-        z = (idx // radix) % mod
-        yield (idx - radix * z)[:, None] + radix * ((z[:, None] + shift) % mod)
+        yield _images(base, E, F)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -449,45 +404,59 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
     return True
 
 
-# -- whole-group application and the scalar action law ----------------------
+# -- the endomorphism formula -----------------------------------------------
 
 
-def _apply_all(m: Morphism, rows=None):
-    """Vectorized application to every element (or to the coordinate rows
-    given); returns image indices."""
+def _functional(g: Group, alpha, beta, t: int) -> tuple:
+    """The central functional on G/Z as 2n coefficients: alpha(u) + beta(w) for
+    es1, t u_1 bar + alpha(u_2..u_n) + beta(wtilde) for es2 (a = s + p t)."""
+    return ((t,) if g.kind == ES2 else ()) + tuple(alpha) + tuple(beta)
+
+
+def _functional_values(g: Group, E, functionals):
+    """F[i, j]: the j-th functional at the quotient vector of row i of E."""
+    import numpy as np
+
+    Phi = np.array(functionals, dtype=np.int64).reshape(-1, 2 * g.n)
+    return g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p
+
+
+def _images(m: Morphism, E, F):
+    """Image indices of the coordinate rows E, one column per column of F.
+
+    The one place the endomorphism formula is written.  Column j applies
+    m's quotient matrix and scalar composed with the central functional
+    whose values on the rows of E are F[:, j].  With v a row's quotient
+    vector (its first 2n coordinates, read mod p) and s = m's scalar mod p,
+    the image has quotient vector sigma v, and its central slot holds
+
+        s * (the row's own slot value) + z_unit * (q(v) + F[i, j]),
+
+    q(v) = (1/2) v^t S v with S = sigma^t M sigma - s M for the group's
+    cocycle M: the correction that makes the map respect the cocycle.  For
+    M = [[0, I], [0, 0]], S = [[A^t D, D^t C], [C^t D, C^t B]], the
+    quadratic term of the module docstring.
+    """
     import numpy as np
 
     g = m.group
-    p, n, h = g.p, g.n, g.half
-    E = g.coords_matrix() if rows is None else rows
-    A = np.array(m.A.rows, dtype=np.int64)
-    B = np.array(m.B.rows, dtype=np.int64)
-    C = np.array(m.C.rows, dtype=np.int64)
-    D = np.array(m.D.rows, dtype=np.int64)
-    AtD = (A.T @ D) % p
-    CtB = (C.T @ B) % p
-    CtD = (C.T @ D) % p
-    al = np.array(m.alpha, dtype=np.int64)
-    be = np.array(m.beta, dtype=np.int64)
+    p, z = g.p, g._z_slot
+    E = np.asarray(E, dtype=np.int64)
+    sigma = np.array(m.sigma().rows, dtype=np.int64)
+    M = np.array(g.cocycle, dtype=np.int64)
+    s = m.scalar_mod_p
+    V = g._quotient_rows(E)
+    q = g.half * ((V @ ((sigma.T @ M @ sigma - s * M) % p)) * V).sum(1)
+    img = np.zeros_like(E)
+    img[:, :2 * g.n] = V @ sigma.T % p
+    img[:, z] = 0
     radix = np.array(g.radices, dtype=np.int64)
-    if g.kind == ES1:
-        u, w, z = E[:, :n], E[:, n:2 * n], E[:, 2 * n]
-        u2 = (u @ A.T + w @ C.T) % p
-        w2 = (u @ D.T + w @ B.T) % p
-        q = h * (((u @ AtD.T) * u).sum(1) + ((w @ CtB.T) * w).sum(1)) + ((u @ CtD.T) * w).sum(1)
-        z2 = (u @ al + w @ be + m.scalar * z + q) % p
-        img = np.column_stack([u2, w2, z2])
-    else:
-        u1 = E[:, 0]
-        ut = np.column_stack([u1 % p, E[:, 1:n]])
-        wt = E[:, n:]
-        x = (ut @ A.T + wt @ C.T) % p
-        y = (ut @ D.T + wt @ B.T) % p
-        q = h * (((ut @ AtD.T) * ut).sum(1) + ((wt @ CtB.T) * wt).sum(1)) + ((ut @ CtD.T) * wt).sum(1)
-        s = (E[:, 1:n] @ al + wt @ be + q) % p
-        first = (m.scalar * u1 + p * s) % (p * p)
-        img = np.column_stack([first, x[:, 1:], y])
-    return img @ radix
+    out = F * g._z_unit  # in place from here: the (rows x columns) block is the bulk
+    out += (s * E[:, z] + g._z_unit * q)[:, None]
+    out %= g.ranges[z]
+    out *= radix[z]
+    out += (img @ radix)[:, None]
+    return out
 
 
 def f_table(g: Group):
@@ -502,6 +471,8 @@ def f_table(g: Group):
     cached = getattr(g, "_f_table", None)
     if cached is not None:
         return cached
+    if g.size > TABLE_CAP:
+        raise CapExceeded(f"commutator-form table for {g.gid} with {g.size} elements")
     p, z = g.p, g.z_index
     E = g.coords_matrix()
     F = np.empty((g.size, g.size), dtype=np.int64)
@@ -526,12 +497,10 @@ def scalar_action_check(m: Morphism, exhaustive: bool = True,
         F = f_table(g)
         T = m.table()
         return bool(((F[np.ix_(T, T)] - l * F) % g.p == 0).all())
-    rng = np.random.default_rng(seed)
-    E = g.coords_matrix()
-    for _ in range(sample):
-        a = tuple(int(v) for v in E[rng.integers(g.size)])
-        b = tuple(int(v) for v in E[rng.integers(g.size)])
-        lhs = g.symplectic_f(m.apply_coords(a), m.apply_coords(b))
-        if lhs != (l * g.symplectic_f(a, b)) % g.p:
+    pairs = np.random.default_rng(seed).integers(g.size, size=(sample, 2))
+    images = m._apply_rows(g.coords_matrix()[pairs.ravel()]).reshape(sample, 2)
+    for (a, b), (ma, mb) in zip(pairs.tolist(), images.tolist()):
+        lhs = g.symplectic_f(g.coords_at(ma), g.coords_at(mb))
+        if lhs != (l * g.symplectic_f(g.coords_at(a), g.coords_at(b))) % g.p:
             return False
     return True

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import cap
 from .errors import CapExceeded, ContextError
-from .groups import ES1, ES2, Group, row_blocks
+from .groups import ES1, ES2, TABLE_CAP, Group, row_blocks
 
 NULL_FORM = "null"
 SCALAR_FORM = "scalar"
@@ -184,7 +184,7 @@ def mult_table(g: Group) -> np.ndarray:
     cached = getattr(g, "_mult_table", None)
     if cached is not None:
         return cached
-    if g.size > 2048:
+    if g.size > TABLE_CAP:
         raise CapExceeded(f"multiplication table for {g.gid} with {g.size} elements")
     E = g.coords_matrix()
     M = np.empty((g.size, g.size), dtype=np.int32)

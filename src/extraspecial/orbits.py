@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, Element, Group
 from .modp import Mat, inv_mod
-from .morphisms import (build_endo_es2, enumerate_endomorphisms,
-                        family_images)
+from .morphisms import build_endo_es2, family_images
 
 IDENTITY = "IDENTITY"
 CENTRAL_NONID = "CENTRAL_NONID"
@@ -170,8 +169,12 @@ def image_subgroup_coords(g: Group, image_class: str) -> set:
 
 def endo_image_set_bruteforce(e: Element, limit: int | None = None) -> set:
     """Coordinates of m(e) over every endomorphism m, by full enumeration."""
+    import numpy as np
+
     g = e.group
-    return {m.apply_coords(e.coords) for m in enumerate_endomorphisms(g, limit)}
+    row = np.array([e.coords], dtype=np.int64)
+    return {g.coords_at(i) for block in family_images(g, row, False, limit)
+            for i in block[0].tolist()}
 
 
 def degeneration(a: Element, b: Element) -> bool:

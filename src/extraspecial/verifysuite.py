@@ -17,7 +17,7 @@ from .errors import check
 from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
                      group, lambda_iso, row_blocks)
 from .morphisms import (enumerate_automorphisms, enumerate_endomorphisms,
-                        is_im_phi2_matrix, scalar_action_check)
+                        family_images, is_im_phi2_matrix, scalar_action_check)
 from .symplectic import enumerate_isotropic
 
 
@@ -186,11 +186,11 @@ def check_scalar_action(kind: str, p: int, n: int, count: int = 25):
 
 def check_hom_oracle(kind: str, p: int, n: int):
     g = group(kind, p, n)
-    oracle_images = {tuple(im) for im in oracle.enumerate_homs_by_generators(g)}
-    gens = [x.coords for x in g.generators()]
-    param_images = set()
-    for m in enumerate_endomorphisms(g):
-        param_images.add(tuple(m.apply_coords(c) for c in gens))
+    oracle_images = {tuple(g.index(c) for c in im)
+                     for im in oracle.enumerate_homs_by_generators(g)}
+    gens = np.array([x.coords for x in g.generators()], dtype=np.int64)
+    param_images = {tuple(col) for block in family_images(g, gens)
+                    for col in block.T.tolist()}
     check(oracle_images == param_images,
           "generator-image search and parametrization disagree")
 

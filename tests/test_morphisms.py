@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from extraspecial import oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
-from extraspecial.groups import ES1, ES2, group
+from extraspecial.groups import ES1, ES2, TABLE_CAP, Group, GroupId, group
 from extraspecial.modp import Mat
 from extraspecial.morphisms import (build_endo_es1, build_endo_es2, compose,
                                     enumerate_automorphisms,
                                     enumerate_endomorphisms, enumerate_sigma,
-                                    family_images, induced_quotient_matrix,
-                                    inner_automorphism, is_im_phi2_matrix,
-                                    params_from_generator_images,
+                                    f_table, family_images, inner_automorphism,
+                                    is_im_phi2_matrix, params_from_generator_images,
                                     scalar_action_check)
 
 
@@ -103,12 +103,15 @@ def test_apply_is_homomorphism_sampled(endos_es1_31, endos_es2_31):
                                                             m.apply_coords(b))
 
 
-def test_table_matches_apply(endos_es2_31):
-    for m in endos_es2_31[::29]:
+def test_table_matches_apply(endos_es1_31, endos_es2_31):
+    # table and apply_coords share one formula; hom_table is the independent route
+    for m in endos_es1_31[::41] + endos_es2_31[::29]:
         g = m.group
         t = m.table()
         for c in g.elements():
             assert t[g.index(c)] == g.index(m.apply_coords(c))
+        images = tuple(m.apply(x).coords for x in g.generators())
+        assert np.array_equal(t, oracle.hom_table(g, images))
 
 
 @pytest.mark.parametrize("kind,p", [(ES1, 3), (ES2, 3), (ES2, 5)])
@@ -178,8 +181,7 @@ def test_inner_automorphisms(es1_31, es2_31):
     m = inner_automorphism(es1_31.element((1, 0, 0)))
     assert m.apply_coords((0, 1, 0)) == (0, 1, 1)
     assert m.scalar == 1 and m.is_automorphism
-    iq = induced_quotient_matrix(m)
-    assert iq.matrix == Mat.identity(3, 2) and iq.scalar == 1
+    assert m.sigma() == Mat.identity(3, 2) and m.scalar_mod_p == 1
     for g in (es1_31, es2_31):
         inners = {inner_automorphism(g.element(c)).param_key() for c in g.elements()}
         assert len(inners) == g.p ** (2 * g.n)  # conjugation factors through G/Z
@@ -191,11 +193,9 @@ def test_inner_automorphisms(es1_31, es2_31):
 def test_induced_quotient_matrix_is_the_quotient_action(endos_es2_31):
     for m in endos_es2_31[::13]:
         g = m.group
-        iq = induced_quotient_matrix(m)
-        assert iq.matrix == m.sigma()
         for c in list(g.elements())[::4]:
             img = g.quotient_coords(m.apply_coords(c))
-            assert img == iq.matrix.mul_vec(g.quotient_coords(c))
+            assert img == m.sigma().mul_vec(g.quotient_coords(c))
 
 
 def test_params_from_generator_images_round_trip(es1_31, endos_es2_31):
@@ -233,6 +233,22 @@ def test_scalar_action_check_modes(endos_es1_31):
     for m in endos_es1_31[::101]:
         assert scalar_action_check(m, exhaustive=True)
         assert scalar_action_check(m, exhaustive=False, sample=200, seed=3)
+
+
+def test_whole_group_tables_refuse_past_the_table_cap():
+    # es1(3,3) has 2187 elements, one past TABLE_CAP: an N x N int64 table
+    # would be 38 MiB, and es2(3,3)'s would be 3.1 GB
+    g = Group(GroupId(ES1, 3, 3))  # uncached, so nothing is built yet
+    assert g.size == TABLE_CAP + 139
+    one, zero = Mat.identity(3, 3), Mat.zeros(3, 3, 3)
+    m = build_endo_es1(g, one, one, zero, zero, (0, 0, 0), (0, 0, 0))
+    with pytest.raises(CapExceeded):
+        f_table(g)
+    with pytest.raises(CapExceeded):
+        oracle.mult_table(g)
+    with pytest.raises(CapExceeded):
+        scalar_action_check(m)  # exhaustive by default, so it needs f_table
+    assert g._np_cache is None  # refused before even the coordinate matrix
 
 
 def test_is_im_phi2_matrix():

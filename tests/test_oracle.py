@@ -15,7 +15,7 @@ from extraspecial import counting, modp, oracle
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat, rank
-from extraspecial.morphisms import enumerate_endomorphisms
+from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
 
 
 def test_presentation_shapes(es1_31, es2_31, es2_32):
@@ -48,11 +48,16 @@ def test_hom_search_cap(es2_32):
         list(oracle.enumerate_homs_by_generators(es2_32))
 
 
-def test_hom_table_matches_parametrized_apply(es2_31, endos_es2_31):
-    for m in endos_es2_31[::19]:
-        images = tuple(m.apply(x).coords for x in es2_31.generators())
-        t = oracle.hom_table(es2_31, images)
-        assert np.array_equal(t, m.table())
+def test_hom_table_matches_parametrized_apply(es2_31, endos_es2_31, endos_es1_31, es2_32):
+    # es2(3,1) has C = 0, so only es1(3,1) and es2(3,2) reach the w^t (C^t D) u
+    # cross term; every 997th es2(3,2) automorphism is 106 maps
+    cases = (endos_es2_31[::19] + endos_es1_31
+             + list(enumerate_automorphisms(es2_32))[::997])
+    for m in cases:
+        images = tuple(m.apply(x).coords for x in m.group.generators())
+        t = oracle.hom_table(m.group, images)
+        assert np.array_equal(t, m.table()), m.to_json_dict()
+    assert sum(m.group is es2_32 for m in cases) == 106
 
 
 def test_hom_table_identity(es1_31):
