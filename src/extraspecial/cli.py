@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import counting, orbits
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
 from .groups import (ES1, ES2, Element, format_element, group,
-                     parse_element, parse_group_spec, validate_p_n)
+                     parse_element, parse_group_spec)
 from .modp import Mat
 from .morphisms import build_endo_es1, build_endo_es2, scalar_action_check
 
@@ -71,23 +70,12 @@ def _parse_csv_ints(text: str, what: str) -> list:
     return out
 
 
-def _check_p_n(p: int, n: int):
-    """Reject an invalid (p, n) as a usage error, as group specs are."""
+def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None):
+    """Reject an invalid (p, n), or a missing k or --group, as a usage error."""
     try:
-        validate_p_n(p, n)
+        counting.validate_request(quantity, p, n, k, group_kind)
     except ContextError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _jobs_arg(text: str) -> int:
-    """--jobs: a positive integer, clamped to the machine's CPU count."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
 
 
 def _parse_endo_params(g, tokens: list) -> dict:
@@ -215,15 +203,14 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_count(args) -> int:
-    _check_p_n(args.p, args.n)
+    _check_request(args.quantity, args.p, args.n, args.k, args.group)
     rep = counting.compute_report(args.quantity, args.p, args.n, k=args.k,
-                                  group_kind=args.group, oracle=args.oracle,
-                                  jobs=args.jobs)
+                                  group_kind=args.group, oracle=args.oracle)
     print(json.dumps(rep.to_json_dict()))
     return 0 if rep.match in (None, True) else 1
 
 
-def _census_rows(p_list, n_list, quantities, kinds, oracle, jobs):
+def _census_rows(p_list, n_list, quantities, kinds, oracle):
     rows = []
     for p in p_list:
         for n in n_list:
@@ -233,12 +220,12 @@ def _census_rows(p_list, n_list, quantities, kinds, oracle, jobs):
                         rows.append(_partial_order_row(kind, p, n, oracle))
                 elif q in counting._NEEDS_K:
                     for k in range(0, n + 1):
-                        rows.append(_count_row(q, p, n, k, None, oracle, jobs))
+                        rows.append(_count_row(q, p, n, k, None, oracle))
                 elif q in counting._NEEDS_GROUP:
                     for kind in kinds:
-                        rows.append(_count_row(q, p, n, None, kind, oracle, jobs))
+                        rows.append(_count_row(q, p, n, None, kind, oracle))
                 else:
-                    rows.append(_count_row(q, p, n, None, None, oracle, jobs))
+                    rows.append(_count_row(q, p, n, None, None, oracle))
     rows.sort(key=lambda r: (r["quantity"], r["p"], r["n"],
                              r["k"] if r["k"] is not None else -1,
                              r["group"] or ""))
@@ -253,13 +240,13 @@ def _skipped(row, reason):
     return row
 
 
-def _count_row(q, p, n, k, kind, oracle, jobs):
+def _count_row(q, p, n, k, kind, oracle):
     rep = counting.compute_report(q, p, n, k=k, group_kind=kind, oracle=False)
     row = rep.to_json_dict()
     if not oracle:
         return _skipped(row, _NO_ORACLE)
     try:
-        ov = counting.oracle_value(q, p, n, k=k, group_kind=kind, jobs=jobs)
+        ov = counting.oracle_value(q, p, n, k=k, group_kind=kind)
     except (CapExceeded, ContextError) as exc:
         # out of the cap, or a size no oracle route covers (n >= 3 matrix scans)
         return _skipped(row, str(exc))
@@ -293,7 +280,7 @@ def cmd_census(args) -> int:
     n_list = _parse_csv_ints(args.n_list, "--n-list")
     for p in p_list:
         for n in n_list:
-            _check_p_n(p, n)
+            _check_request(None, p, n)
     if args.quantities == "all":
         quantities = list(counting.QUANTITIES) + ["partial_order"]
     else:
@@ -305,7 +292,7 @@ def cmd_census(args) -> int:
     for kind in kinds:
         if kind not in (ES1, ES2):
             raise ParseError(f"unknown group kind {kind!r}", 0)
-    rows = _census_rows(p_list, n_list, quantities, kinds, args.oracle, args.jobs)
+    rows = _census_rows(p_list, n_list, quantities, kinds, args.oracle)
     if args.format == "json":
         text = json.dumps(rows, indent=2)
     else:
@@ -383,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("-k", "--k", type=int, default=None)
     pq.add_argument("--group", choices=(ES1, ES2), default=None)
     pq.add_argument("--oracle", action="store_true")
-    pq.add_argument("--jobs", type=_jobs_arg, default=1)
     pq.set_defaults(fn=cmd_count)
 
     ps = sub.add_parser("census", help="counting table over a (p, n) grid")
@@ -394,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--oracle", action="store_true")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default=None)
-    ps.add_argument("--jobs", type=_jobs_arg, default=1)
     ps.set_defaults(fn=cmd_census)
 
     pv = sub.add_parser("verify", help="run the invariant battery")

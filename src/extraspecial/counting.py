@@ -17,7 +17,7 @@ with |Aut(es1)| = p^{2n} (p-1) |Sp(2n)| and |Aut(es2)| = p^{2n} * p^{2n-1}
 polynomial in p, and compute_report pairs a formula value with an
 independent brute-force oracle value on demand.  formula_value and
 oracle_value (so compute_report too) raise ContextError unless p is an odd
-prime and n >= 1.
+prime and n >= 1, and when a quantity lacks the k or group kind it needs.
 """
 
 from __future__ import annotations
@@ -204,13 +204,19 @@ class CountReport:
                 "match": self.match}
 
 
-def formula_value(quantity: str, p: int, n: int, k: int | None = None,
-                  group_kind: str | None = None) -> int:
+def validate_request(quantity: str, p: int, n: int, k: int | None = None,
+                     group_kind: str | None = None):
+    """Raise ContextError for an invalid (p, n) or a missing k or group kind."""
     validate_p_n(p, n)
     if quantity in _NEEDS_K and k is None:
         raise ContextError(f"{quantity} needs a subspace dimension k")
     if quantity in _NEEDS_GROUP and group_kind not in (ES1, ES2):
         raise ContextError(f"{quantity} needs a group kind es1 or es2")
+
+
+def formula_value(quantity: str, p: int, n: int, k: int | None = None,
+                  group_kind: str | None = None) -> int:
+    validate_request(quantity, p, n, k, group_kind)
     if quantity == "alpha_k":
         return alpha_k(p, n, k)
     if quantity == "beta_k":
@@ -233,11 +239,15 @@ def formula_value(quantity: str, p: int, n: int, k: int | None = None,
 
 
 def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
-                 group_kind: str | None = None, jobs: int = 1) -> int:
-    """Independent recomputation by direct scan; raises CapExceeded when big."""
+                 group_kind: str | None = None) -> int:
+    """Independent recomputation by direct scan, in this one process.
+
+    Raises CapExceeded when the search space is out of reach, and
+    ContextError as formula_value does or when no scan covers the size.
+    """
     from . import oracle
 
-    validate_p_n(p, n)
+    validate_request(quantity, p, n, k, group_kind)
     dim = 2 * n
     if quantity == "alpha_k":
         return oracle.scan_subspaces(dim, p, k, isotropic=True)
@@ -246,33 +256,29 @@ def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
     if quantity == "gamma_k":
         return oracle.scan_surjections(dim, p, k)
     if quantity == "count_X":
-        return oracle.scan_matrices(dim, p, oracle.NULL_FORM, jobs=jobs)
+        return oracle.scan_matrices(dim, p, oracle.NULL_FORM)
     if quantity == "count_Y":
-        return oracle.scan_matrices(dim, p, oracle.NULL_FORM,
-                                    image_in_v1=True, jobs=jobs)
+        return oracle.scan_matrices(dim, p, oracle.NULL_FORM, image_in_v1=True)
     if quantity == "sp_order":
-        return oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=1, jobs=jobs)
+        return oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=1)
     if quantity == "im_phi2_order":
         return sum(oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=l,
-                                        es2_constrained=True, jobs=jobs)
+                                        es2_constrained=True)
                    for l in range(1, p))
     if quantity == "aut_order":
-        return p ** dim * oracle.sigma_scan_count(group_kind, p, n,
-                                                  invertible_only=True, jobs=jobs)
+        return p ** dim * oracle.sigma_scan_count(group_kind, p, n, invertible_only=True)
     if quantity == "end_order":
-        return p ** dim * oracle.sigma_scan_count(group_kind, p, n,
-                                                  invertible_only=False, jobs=jobs)
+        return p ** dim * oracle.sigma_scan_count(group_kind, p, n, invertible_only=False)
     raise ContextError(f"unknown quantity {quantity!r}")
 
 
 def compute_report(quantity: str, p: int, n: int, k: int | None = None,
-                   group_kind: str | None = None, oracle: bool = False,
-                   jobs: int = 1) -> CountReport:
+                   group_kind: str | None = None, oracle: bool = False) -> CountReport:
     fv = formula_value(quantity, p, n, k, group_kind)
     rep = CountReport(quantity, group_kind if quantity in _NEEDS_GROUP else None,
                       p, n, k if quantity in _NEEDS_K else None, fv)
     if oracle:
-        ov = oracle_value(quantity, p, n, k, group_kind, jobs)
+        ov = oracle_value(quantity, p, n, k, group_kind)
         rep.oracle_value = ov
         rep.match = (ov == fv)
     return rep

@@ -7,8 +7,8 @@ Three separate recomputation routes:
     and rebuild the full map from normal forms.  No block matrices, no
     quadratic correction terms.
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
-    induced Gram form against the standard symplectic form, via pairing
-    tables rather than the similitude parametrization.
+    induced Gram form against the standard symplectic form, by one count
+    over the pairing table rather than the similitude parametrization.
   * subspace scans: walk reduced-row-echelon cells and test isotropy and
     hyperplane membership directly; the surjection scan tests every
     k x dim matrix for full rank, in numpy blocks of candidates.
@@ -230,10 +230,10 @@ def _vectors(dim: int, p: int) -> np.ndarray:
     return np.array(list(product(range(p), repeat=dim)), dtype=np.int64)
 
 
-def _pairing_table(V: np.ndarray, p: int) -> np.ndarray:
-    """P[a, b] = <<v_a, v_b>> for the standard symplectic pairing."""
-    h = V.shape[1] // 2
-    return (V[:, :h] @ V[:, h:].T - V[:, h:] @ V[:, :h].T) % p
+def _pairing_table(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """P[a, b] = <<A_a, B_b>> for the standard symplectic pairing."""
+    h = A.shape[1] // 2
+    return (A[:, :h] @ B[:, h:].T - A[:, h:] @ B[:, :h].T) % p
 
 
 def _column_pools(V: np.ndarray, dim: int, s: int, image_in_v1: bool,
@@ -250,59 +250,46 @@ def _column_pools(V: np.ndarray, dim: int, s: int, image_in_v1: bool,
     return pools
 
 
-def _count_dim2(V: np.ndarray, pools: list, s: int, p: int) -> int:
-    # rowwise so no p^2 x p^2 pairing table is ever held
-    A = V[pools[0]]
-    B = V[pools[1]]
-    if len(A) == 0 or len(B) == 0:
-        return 0
-    total = 0
-    for a in A:
-        vals = (a[0] * B[:, 1] - a[1] * B[:, 0]) % p
-        total += int(np.count_nonzero(vals == s))
-    return total
+def _count(V: np.ndarray, pools: list, s: int, p: int) -> int:
+    """Matrices with column j in pools[j] and Gram form s * Delta.
 
-
-def _count_dim4(P: np.ndarray, pools: list, s: int, c1_slice=None) -> int:
-    # columns (c1, c2 | c3, c4); Gram against Delta forces <<c1,c3>> = <<c2,c4>> = s
-    # and the other four ordered pairs to 0
+    With L = (P == s) and Z = (P == 0) on the pairing table P, dim 2 counts
+    pool0^t L pool1.  Dim 4, columns (c1, c2 | c3, c4), takes one c1 and
+    every c3 with <<c1,c3>> = s at once: m = pool & Z[c1] & Z[c3] masks c2
+    and c4, and ((M2 @ L) * M4).sum() counts the pairs with <<c2,c4>> = s.
+    """
+    if len(pools) == 2:
+        # row blocks: at dim 2 the table has as many entries as the raw space
+        A, B = V[pools[0]], V[pools[1]]
+        return sum(int(np.count_nonzero(_pairing_table(A[rows], B, p) == s))
+                   for rows in row_blocks(len(A)))
+    P = _pairing_table(V, V, p)
     Z = P == 0
-    L = P == s
-    Lint = L.astype(np.int64)
-    idx1 = np.flatnonzero(pools[0])
-    if c1_slice is not None:
-        idx1 = idx1[c1_slice]
+    L = (P == s).astype(np.float64)
     total = 0
-    for c1 in idx1:
-        z1 = Z[c1]
-        cand3 = np.flatnonzero(pools[2] & L[c1])
-        for c3 in cand3:
-            pool_zero = z1 & Z[c3]
-            m2 = (pools[1] & pool_zero).astype(np.int64)
-            m4 = (pools[3] & pool_zero).astype(np.int64)
-            total += int(m2 @ (Lint @ m4))
+    for c1 in np.flatnonzero(pools[0]):
+        c3 = np.flatnonzero(pools[2] & (P[c1] == s))
+        zero = Z[c1] & Z[c3]
+        M2 = (pools[1] & zero).astype(np.float64)
+        M4 = (pools[3] & zero).astype(np.float64)
+        # float64 is exact: a partial sum counts (c2, c3, c4) triples for
+        # one c1, at most p^12 < 2^53 for every p <= 19
+        total += int(((M2 @ L) * M4).sum())
     return total
-
-
-def _scan4_chunk(args):
-    dim, p, s, image_in_v1, es2_constrained, lo, hi = args
-    V = _vectors(dim, p)
-    P = _pairing_table(V, p)
-    pools = _column_pools(V, dim, s, image_in_v1, es2_constrained)
-    return _count_dim4(P, pools, s, slice(lo, hi))
 
 
 def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
                   image_in_v1: bool = False, es2_constrained: bool = False,
-                  limit: int | None = None, jobs: int = 1) -> int:
+                  limit: int | None = None) -> int:
     """Count dim x dim matrices N over F_p with N^t Delta N prescribed.
 
     predicate: NULL_FORM for the zero form, FIXED_FORM for l * Delta with
-    the given l, SCALAR_FORM for l * Delta with l arbitrary (zero included).
-    image_in_v1 restricts all columns to the hyperplane v[0] = 0;
-    es2_constrained pins the first row to (l, 0, ..., 0 | 0, ..., 0).
+    the given l, SCALAR_FORM for l * Delta with l arbitrary (zero included);
+    l goes with FIXED_FORM only.  image_in_v1 restricts all columns to the
+    hyperplane v[0] = 0; es2_constrained pins the first row to
+    (l, 0, ..., 0 | 0, ..., 0).
     """
-    if dim not in (2, 4) or dim % 2:
+    if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
     if predicate not in (NULL_FORM, SCALAR_FORM, FIXED_FORM):
         raise ContextError(f"unknown scan predicate {predicate!r}")
@@ -310,6 +297,8 @@ def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
         if l is None:
             raise ContextError("FIXED_FORM needs the multiplier l")
         svals = [l % p]
+    elif l is not None:
+        raise ContextError(f"predicate {predicate!r} takes no multiplier l, got {l}")
     elif predicate == NULL_FORM:
         svals = [0]
     else:
@@ -320,23 +309,8 @@ def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
         raise CapExceeded(f"matrix scan space {space} exceeds {ceiling}")
 
     V = _vectors(dim, p)
-    P = _pairing_table(V, p) if dim == 4 else None
-    total = 0
-    for s in svals:
-        pools = _column_pools(V, dim, s, image_in_v1, es2_constrained)
-        if dim == 2:
-            total += _count_dim2(V, pools, s, p)
-        elif jobs <= 1:
-            total += _count_dim4(P, pools, s)
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            m = int(np.count_nonzero(pools[0]))
-            step = max(1, -(-m // jobs))
-            chunks = [(dim, p, s, image_in_v1, es2_constrained, lo, min(lo + step, m))
-                      for lo in range(0, m, step)]
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                total += sum(ex.map(_scan4_chunk, chunks))
-    return total
+    return sum(_count(V, _column_pools(V, dim, s, image_in_v1, es2_constrained), s, p)
+               for s in svals)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +417,15 @@ def scan_surjections(dim: int, p: int, k: int, limit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # quotient-level counts feeding the aut/end oracles
 
-def sigma_scan_count(kind: str, p: int, n: int, invertible_only: bool,
-                     jobs: int = 1) -> int:
+def sigma_scan_count(kind: str, p: int, n: int, invertible_only: bool) -> int:
     """Number of admissible quotient matrices, by pairing-table scans.
 
     es1 admits every similitude; es2 additionally pins the first row.  The
     full aut/end counts follow by the p^{2n} multiplier for the central
     parameters, which the caller applies.
     """
-    dim = 2 * n
-    constrained = kind == ES2
     if kind not in (ES1, ES2):
         raise ContextError(f"sigma counts cover es1/es2, got {kind!r}")
     lvals = range(1, p) if invertible_only else range(p)
-    return sum(scan_matrices(dim, p, FIXED_FORM, l=l,
-                             es2_constrained=constrained, jobs=jobs)
+    return sum(scan_matrices(2 * n, p, FIXED_FORM, l=l, es2_constrained=kind == ES2)
                for l in lvals)

@@ -110,7 +110,7 @@ def check_partial_order(kind: str, p: int, n: int, expected_verdict: str):
           f"degeneration verdict {rep.verdict} != {expected_verdict}")
 
 
-def check_counting_scans(p: int, n: int, jobs: int = 1):
+def check_counting_scans(p: int, n: int):
     for k in range(n + 1):
         a = counting.alpha_k(p, n, k)
         check(a == oracle.scan_subspaces(2 * n, p, k, isotropic=True),
@@ -126,21 +126,19 @@ def check_counting_scans(p: int, n: int, jobs: int = 1):
         check(counting.gamma_k(p, n, k) == oracle.scan_surjections(2 * n, p, k),
               f"gamma_{k}({p},{n}) scan mismatch")
     check(counting.count_X(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM, jobs=jobs), f"X({p},{n}) scan mismatch")
+        2 * n, p, oracle.NULL_FORM), f"X({p},{n}) scan mismatch")
     check(counting.count_Y(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM, image_in_v1=True, jobs=jobs),
+        2 * n, p, oracle.NULL_FORM, image_in_v1=True),
         f"Y({p},{n}) scan mismatch")
     check(counting.sp_order(n, p) == oracle.scan_matrices(
-        2 * n, p, oracle.FIXED_FORM, l=1, jobs=jobs), "sp_order scan mismatch")
+        2 * n, p, oracle.FIXED_FORM, l=1), "sp_order scan mismatch")
     check(counting.im_phi2_order(n, p) == counting.oracle_value(
-        "im_phi2_order", p, n, jobs=jobs), "im_phi2_order scan mismatch")
+        "im_phi2_order", p, n), "im_phi2_order scan mismatch")
     for kind in (ES1, ES2):
         check(counting.aut_order(kind, p, n) == counting.oracle_value(
-            "aut_order", p, n, group_kind=kind, jobs=jobs),
-            f"aut {kind} scan mismatch")
+            "aut_order", p, n, group_kind=kind), f"aut {kind} scan mismatch")
         check(counting.end_order(kind, p, n) == counting.oracle_value(
-            "end_order", p, n, group_kind=kind, jobs=jobs),
-            f"end {kind} scan mismatch")
+            "end_order", p, n, group_kind=kind), f"end {kind} scan mismatch")
 
 
 def check_polynomials(n: int, primes=(3, 5, 7)):

@@ -1,7 +1,9 @@
 """Command-line surface: output conventions, exit codes, census determinism."""
 
+import concurrent.futures
 import json
-import os
+import multiprocessing
+import subprocess
 
 import pytest
 
@@ -117,9 +119,13 @@ def test_count_json(capsys):
     assert doc["formula"] == 729 and doc["oracle"] == 729 and doc["match"] is True
 
 
-def test_count_missing_k_exit_1(capsys):
-    code, _, err = run(capsys, "count", "--quantity", "alpha_k", "--p", "3", "--n", "1")
-    assert code == 1
+def test_count_missing_k_or_group_exit_2(capsys):
+    # a usage error, as an invalid (p, n) is; both once exited 1
+    code, out, err = run(capsys, "count", "--quantity", "alpha_k", "--p", "3", "--n", "1")
+    assert code == 2 and out == "" and "needs a subspace dimension k" in err
+    code, out, err = run(capsys, "count", "--quantity", "aut_order", "--p", "3", "--n", "1",
+                         "--oracle")
+    assert code == 2 and out == "" and "needs a group kind" in err
 
 
 def test_count_unknown_quantity_is_a_usage_error(capsys):
@@ -259,14 +265,15 @@ def test_malformed_cap_override_is_a_parse_error(capsys, monkeypatch):
     ["count", "--quantity", "sp_order", "--p", "3", "--n", "1"],
     ["census"],
 ])
-def test_jobs_is_validated_and_clamped(capsys, command):
-    parser = cli.build_parser()
-    # parsing alone starts no worker processes
-    args = parser.parse_args(command + ["--jobs", str(10 ** 6)])
-    assert args.jobs == (os.cpu_count() or 1)
-    assert parser.parse_args(command + ["--jobs", "1"]).jobs == 1
-    for bad in ("0", "-3"):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(command + ["--jobs", bad])
-        assert exc.value.code == 2
-    capsys.readouterr()
+def test_jobs_option_is_gone(capsys, monkeypatch, command):
+    # the scans run in one process; parsing --jobs fails before any work
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
+    monkeypatch.setattr(subprocess, "Popen", forbidden)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -122,10 +122,14 @@ def test_compute_report_roundtrip():
     assert d["quantity"] == "count_X" and d["formula"] == 33 and d["match"] is True
     rep2 = counting.compute_report("aut_order", 3, 1, group_kind=ES2)
     assert rep2.formula_value == 54 and rep2.oracle_value is None
-    with pytest.raises(ContextError):
-        counting.formula_value("alpha_k", 3, 1)  # k missing
-    with pytest.raises(ContextError):
-        counting.formula_value("end_order", 3, 1)  # group kind missing
+    # k or the group kind missing: the oracle once crashed with a TypeError
+    for value in (counting.formula_value, counting.oracle_value):
+        with pytest.raises(ContextError, match="needs a subspace dimension k"):
+            value("alpha_k", 3, 1)
+        with pytest.raises(ContextError, match="needs a group kind"):
+            value("end_order", 3, 1)
+    with pytest.raises(ContextError, match="needs a group kind"):
+        counting.compute_report("aut_order", 3, 1, oracle=True)
 
 
 @pytest.mark.parametrize("p, n", [(4, 1), (1, 1), (3, 0), (3, -1)])

@@ -2,8 +2,8 @@
 
 These are the independent routes the closed forms are judged against, so the
 tests here mostly pit the oracle against small hand-verifiable facts and
-against internal cross-checks (jobs split, alternative scan modes), not
-against the formulas themselves.
+against per-matrix references that live only here, not against the
+formulas themselves.
 """
 
 from itertools import product
@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import counting, modp, oracle
+from extraspecial import counting, modp, morphisms, oracle
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat, rank
@@ -108,6 +108,10 @@ def test_scan_matrices_dim2():
         oracle.scan_matrices(2, 3, oracle.FIXED_FORM)
     with pytest.raises(ContextError):
         oracle.scan_matrices(3, 3, oracle.NULL_FORM)
+    # l goes with FIXED_FORM only; NULL_FORM with l=1 once returned 33
+    for predicate in (oracle.NULL_FORM, oracle.SCALAR_FORM):
+        with pytest.raises(ContextError):
+            oracle.scan_matrices(2, 3, predicate, l=1)
 
 
 def test_scan_matrices_constrained_dim2():
@@ -121,10 +125,40 @@ def test_scan_matrices_constrained_dim2():
     assert oracle.scan_matrices(2, 3, oracle.NULL_FORM, image_in_v1=True) == 9
 
 
-def test_scan_matrices_dim4_jobs_split():
-    a = oracle.scan_matrices(4, 3, oracle.NULL_FORM)
-    b = oracle.scan_matrices(4, 3, oracle.NULL_FORM, jobs=2)
-    assert a == b == 252801
+def _gram_one_by_one(dim, p, predicate, l, image_in_v1, es2_constrained):
+    """The per-matrix reference: one Gram form N^t Delta N per candidate."""
+    h = dim // 2
+    eye = np.eye(h, dtype=np.int64)
+    delta = np.block([[0 * eye, eye], [-eye, 0 * eye]])
+    svals = {oracle.NULL_FORM: [0], oracle.FIXED_FORM: [l],
+             oracle.SCALAR_FORM: range(p)}[predicate]
+    total = 0
+    for entries in product(range(p), repeat=dim * dim):
+        N = np.array(entries, dtype=np.int64).reshape(dim, dim)
+        gram = (N.T @ delta @ N) % p
+        s = int(gram[0, h])
+        if s not in svals or not np.array_equal(gram, (s * delta) % p):
+            continue
+        if image_in_v1 and N[0].any():
+            continue
+        if es2_constrained and tuple(N[0]) != (s,) + (0,) * (dim - 1):
+            continue
+        total += 1
+    return total
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_scan_matrices_dim2_matches_per_matrix_gram(p):
+    cases = [(oracle.NULL_FORM, None), (oracle.SCALAR_FORM, None)]
+    cases += [(oracle.FIXED_FORM, l) for l in range(p)]
+    for (predicate, l), image_in_v1, es2_constrained in product(
+            cases, (False, True), (False, True)):
+        args = (2, p, predicate, l, image_in_v1, es2_constrained)
+        assert oracle.scan_matrices(*args) == _gram_one_by_one(*args), args
+
+
+def test_scan_matrices_dim4():
+    assert oracle.scan_matrices(4, 3, oracle.NULL_FORM) == 252801
     assert oracle.scan_matrices(4, 3, oracle.FIXED_FORM, l=1) == 51840
 
 
@@ -184,10 +218,36 @@ def test_scan_surjections_cap_and_independence(monkeypatch):
         oracle.scan_surjections(4, 5, 2, limit=5 ** 8 - 1)
 
 
-def test_sigma_scan_count(es1_31, es2_31):
+def test_scan_matrices_cap_and_independence(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the matrix scan reached a forbidden helper")
+
+    # formula-free: no closed form, Gaussian binomial or sigma enumeration
+    for name, value in vars(counting).items():
+        if callable(value) and getattr(value, "__module__", None) == counting.__name__:
+            monkeypatch.setattr(counting, name, forbidden)
+    monkeypatch.setattr(modp, "p_binomial", forbidden)
+    monkeypatch.setattr(morphisms, "enumerate_sigma", forbidden)
+    assert oracle.scan_matrices(4, 3, oracle.NULL_FORM, image_in_v1=True) == 26001
+    assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == 1296
+    # the cap raises before the vectors or the pairing table are built
+    monkeypatch.setattr(oracle, "_vectors", forbidden)
+    monkeypatch.setattr(oracle, "_pairing_table", forbidden)
+    with pytest.raises(CapExceeded):
+        oracle.scan_matrices(4, 5, oracle.NULL_FORM)
+    with pytest.raises(CapExceeded):
+        oracle.scan_matrices(2, 3, oracle.SCALAR_FORM, limit=3 ** 4 - 1)
+
+
+def test_sigma_scan_count(es1_31, es2_31, es2_32):
     assert oracle.sigma_scan_count(ES1, 3, 1, invertible_only=True) == 48
     assert oracle.sigma_scan_count(ES1, 3, 1, invertible_only=False) == 81
     assert oracle.sigma_scan_count(ES2, 3, 1, invertible_only=True) == 6
     assert oracle.sigma_scan_count(ES2, 3, 1, invertible_only=False) == 15
     # multiplying by the translation/lift factor recovers the morphism counts
     assert 9 * 15 == len(list(enumerate_endomorphisms(es2_31)))
+    # the scan and the pruned column search agree on the es2(3,2) sigmas
+    sigmas = sum(1 for _ in morphisms.enumerate_sigma(es2_32, True))
+    assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == sigmas == 1296
+    with pytest.raises(ContextError):
+        oracle.sigma_scan_count("heis", 3, 1, invertible_only=True)
