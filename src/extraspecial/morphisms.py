@@ -22,10 +22,24 @@ u-coordinates, a functional beta on wtilde, and a lift a in Z/p^2 of a_11:
 with s the same quadratic expression in (utilde, wtilde) and pi dropping the
 first coordinate.  It is an automorphism exactly when a is a unit.
 
+The quotient matrices are enumerated as a numpy frontier (`_frontier`):
+one int8 pairing table on F_p^2n, built in row blocks, and every partial
+column tuple extended at once, each Gram entry <<col_i, col_j>> = s Delta_ij
+one boolean mask over the candidate pool (every vector for es1; for es2 the
+first column's top entry is s and later columns lie in V_1).  The frontier
+is cut into row slices, runs of leading columns, so that no candidate mask
+passes FRONTIER_CELLS cells (about 1 MiB of surviving indices).
+`MORPHISM_CAP` is charged per finished block, the block's whole families,
+before any of its matrices reaches a caller, so no image is computed past
+the cap.  The frontier shares no code with the oracle's matrix scans, which
+count the same matrices by an independent route.
+
 The formula is written once, in `_images`: a batched numpy kernel over
-coordinate rows that reads the group's own data (quotient vectors, central
-slot and unit, radices, cocycle), with no branch per kind.
-`Morphism.table`, `Morphism.apply_coords` and `family_images` all call it.
+coordinate rows that takes a quotient matrix as an int64 array and its
+scalar, and reads the group's own data (quotient vectors, central slot and
+unit, radices, cocycle), with no branch per kind.  `Morphism.table`,
+`Morphism.apply_coords` and `family_images` all call it; `family_images`
+hands it the frontier's arrays directly, with no Mat or Morphism per sigma.
 The p^2n morphisms that share one sigma form a family: its base member
 (alpha = beta = 0, t = 0) times the central factor z^f(v), f running over
 the functionals on G/Z (for automorphisms, composition with Inn(G) = G/Z),
@@ -45,7 +59,7 @@ from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, check)
 from .groups import ES1, ES2, TABLE_CAP, Element, Group, row_blocks
 from .modp import Mat
-from .symplectic import pairing, symp_scalar_test
+from .symplectic import all_vectors, symp_scalar_test
 
 
 class Morphism:
@@ -79,9 +93,12 @@ class Morphism:
     def _apply_rows(self, E):
         """Image indices of the coordinate rows E: the formula with this map's
         own central functional (t with a = s + p t, alpha, beta)."""
+        import numpy as np
+
         g = self.group
         f = _functional(g, self.alpha, self.beta, self.scalar // g.p)
-        return _images(self, E, _functional_values(g, E, [f]))[:, 0]
+        sigma = np.array(self.sigma().rows, dtype=np.int64)
+        return _images(g, sigma, self.scalar_mod_p, E, _functional_values(g, E, [f]))[:, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
         return self.group.coords_at(int(self._apply_rows([c])[0]))
@@ -263,50 +280,94 @@ def inner_automorphism(h: Element) -> Morphism:
 
 # -- enumeration -------------------------------------------------------------
 
+# cells of one candidate mask (frontier rows x candidate pool) per extension
+# step: a 128 KiB bool mask, whose surviving rows take at most 1 MiB of int16
+# column indices at 2n = 4
+FRONTIER_CELLS = 1 << 17
+
+# the largest int8 pairing table the frontier builds, in cells (p^4n of them):
+# 32 MiB, the byte size of a TABLE_CAP x TABLE_CAP int64 table
+PAIRING_CELLS = 1 << 25
+
+
+def _pairing_int8(V, p: int):
+    """T[a, b] = <<V_a, V_b>> as an int8 table, computed one row block at a time."""
+    import numpy as np
+
+    n = V.shape[1] // 2
+    J = np.concatenate([V[:, n:], -V[:, :n]], axis=1).T  # <<a, b>> = a . (J b)
+    T = np.empty((len(V), len(V)), dtype=np.int8)
+    for rows in row_blocks(len(V)):
+        T[rows] = V[rows] @ J % p
+    return T
+
+
+def _frontier(g: Group, invertible_only: bool):
+    """Yield (V, cols, s): blocks of quotient matrices with scalar s.
+
+    Row r of the int16 block cols lists the vector indices of one matrix's
+    columns; its matrix is V[cols[r]].T.  Blocks come grouped by s and, inside
+    one s, in lexicographic order of the column tuples.
+    """
+    import numpy as np
+
+    if g.kind not in (ES1, ES2):
+        raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
+    p, n = g.p, g.n
+    if p ** (4 * n) > PAIRING_CELLS:
+        raise CapExceeded(f"pairing table for the quotient of {g.gid} has {p ** (4 * n)} cells")
+    V = np.array(all_vectors(2 * n, p), dtype=np.int64)
+    T = _pairing_int8(V, p)
+    every = np.arange(len(V), dtype=np.int16)
+    pool = every
+    if g.kind == ES2:  # columns after the first lie in V_1: table columns for those only
+        pool = every[V[:, 0] == 0]
+        T = T[:, pool]
+    for s in range(1, p) if invertible_only else range(p):
+        first = every[V[:, 0] == s] if g.kind == ES2 else every
+        for cols in _extend(first[:, None], T, pool, s, n):
+            yield V, cols, s
+
+
+def _extend(F, T, pool, s: int, n: int):
+    """Complete the partial column tuples F (rows of vector indices) from pool.
+
+    Column j's candidates are masked by one table comparison per earlier
+    column i: <<col_i, col_j>> = s when j = i + n and 0 otherwise, the Gram
+    conditions of sigma^t Delta sigma = s Delta.  F is cut into row slices
+    whose mask has at most FRONTIER_CELLS cells, taken in order.
+    """
+    import numpy as np
+
+    j = F.shape[1]
+    if j == 2 * n:
+        yield F
+        return
+    step = max(1, FRONTIER_CELLS // len(pool))
+    for lo in range(0, len(F), step):
+        block = F[lo:lo + step]
+        ok = T[block[:, 0]] == (s if j == n else 0)
+        for i in range(1, j):
+            ok &= T[block[:, i]] == (s if j == i + n else 0)
+        rows, picks = np.nonzero(ok)
+        yield from _extend(np.column_stack([block[rows], pool[picks]]), T, pool, s, n)
+
 
 def enumerate_sigma(g: Group, invertible_only: bool = False):
     """Yield (sigma, s) over all valid quotient matrices, grouped by scalar s.
 
-    Columns are extended one at a time; each partial tuple already satisfies
-    the Gram conditions <<col_i, col_j>> = s Delta_ij, so dead branches are
-    pruned as early as possible.  For es2 the first row constraints confine
-    every column but the first to V_1 and pin the first column's top entry
-    to s.
+    The matrices come from a numpy frontier over one int8 pairing table on
+    F_p^2n: all partial column tuples are extended at once, each Gram entry
+    <<col_i, col_j>> = s Delta_ij one boolean mask over the candidate pool
+    (every vector for es1; for es2 the first column's pool has top entry s
+    and every later column's is V_1, the first row constraints).  Inside one
+    s the order is lexicographic in the column tuple, vectors themselves
+    ordered lexicographically.  Raises CapExceeded before building a table
+    of more than PAIRING_CELLS cells.
     """
-    if g.kind not in (ES1, ES2):
-        raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
-    p, n = g.p, g.n
-    dim = 2 * n
-    vectors = list(product(range(p), repeat=dim))
-    es2 = g.kind == ES2
-    scalars = range(1, p) if invertible_only else range(p)
-
-    def delta_entry(i, j):
-        if j == i + n:
-            return 1
-        if i == j + n:
-            return -1
-        return 0
-
-    for s in scalars:
-        if es2:
-            first = [v for v in vectors if v[0] == s]
-            rest = [v for v in vectors if v[0] == 0]
-        else:
-            first = rest = vectors
-        stack = [([], first)]
-        while stack:
-            cols, cands = stack.pop()
-            j = len(cols)
-            for v in cands:
-                if any(pairing(c, v, p) != (s * delta_entry(i, j)) % p
-                       for i, c in enumerate(cols)):
-                    continue
-                new = cols + [v]
-                if len(new) == dim:
-                    yield Mat.from_cols(p, new), s
-                else:
-                    stack.append((new, rest if es2 else vectors))
+    for V, cols, s in _frontier(g, invertible_only):
+        for c in cols:
+            yield Mat(g.p, V[c].T.tolist()), s
 
 
 def _central_params(g: Group) -> list:
@@ -322,31 +383,34 @@ def _central_params(g: Group) -> list:
     return list(product(alphas, betas, ts))
 
 
-def _families(g: Group, invertible_only: bool, limit: int | None):
-    """Yield, per quotient matrix, its member with alpha = beta = 0 and t = 0.
+def _sigmas(g: Group, invertible_only: bool, limit: int | None):
+    """Yield (sigma, s) per quotient matrix, sigma a 2n x 2n int64 array.
 
-    The cap is charged the whole family of p^2n morphisms before the family
-    is yielded, so the enumeration raises exactly when its total would
-    exceed the limit and never hands out a member past it.
+    Each frontier block is charged its whole families of p^2n morphisms
+    before any of its matrices is yielded, so the enumeration raises exactly
+    when its total would exceed the limit and never hands out a member past
+    it.
     """
     limit = cap("MORPHISM_CAP") if limit is None else limit
     what = "automorphism" if invertible_only else "endomorphism"
     size = g.p ** (2 * g.n)
-    zero_alpha = (0,) * (g.n if g.kind == ES1 else g.n - 1)
     count = 0
-    for sigma, s in enumerate_sigma(g, invertible_only):
-        count += size
+    for V, cols, s in _frontier(g, invertible_only):
+        count += len(cols) * size
         if count > limit:
             raise CapExceeded(f"{what} enumeration of {g.gid} exceeds cap {limit}")
-        yield Morphism(g, *split_sigma(g, sigma), zero_alpha, (0,) * g.n, s)
+        for c in cols:
+            yield V[c].T, s
 
 
 def _enumerate(g: Group, invertible_only: bool, limit: int | None):
+    n, p = g.n, g.p
     params = _central_params(g)
-    for base in _families(g, invertible_only, limit):
+    for sigma, s in _sigmas(g, invertible_only, limit):
+        A, C = Mat(p, sigma[:n, :n].tolist()), Mat(p, sigma[:n, n:].tolist())
+        D, B = Mat(p, sigma[n:, :n].tolist()), Mat(p, sigma[n:, n:].tolist())
         for alpha, beta, t in params:
-            yield Morphism(g, base.A, base.B, base.C, base.D, alpha, beta,
-                           base.scalar + g.p * t)
+            yield Morphism(g, A, B, C, D, alpha, beta, s + p * t)
 
 
 def enumerate_endomorphisms(g: Group, limit: int | None = None):
@@ -363,15 +427,16 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
     Yields one (rows x p^2n) int64 block per sigma of enumerate_sigma, each
-    one call of the formula; the values of all p^2n central functionals on
-    the rows of E are computed once per call.  Column j is the j-th member
-    in enumerate_endomorphisms (or, with invertible_only,
-    enumerate_automorphisms) order; the cap is counted as in those.
+    one call of the formula on the frontier's own sigma array; the values of
+    all p^2n central functionals on the rows of E are computed once per call.
+    Column j is the j-th member in enumerate_endomorphisms (or, with
+    invertible_only, enumerate_automorphisms) order; the cap is counted as
+    in those.
     """
     F = _functional_values(g, E, [_functional(g, alpha, beta, t)
                                   for alpha, beta, t in _central_params(g)])
-    for base in _families(g, invertible_only, limit):
-        yield _images(base, E, F)
+    for sigma, s in _sigmas(g, invertible_only, limit):
+        yield _images(g, sigma, s, E, F)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -421,14 +486,14 @@ def _functional_values(g: Group, E, functionals):
     return g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p
 
 
-def _images(m: Morphism, E, F):
+def _images(g: Group, sigma, s: int, E, F):
     """Image indices of the coordinate rows E, one column per column of F.
 
     The one place the endomorphism formula is written.  Column j applies
-    m's quotient matrix and scalar composed with the central functional
-    whose values on the rows of E are F[:, j].  With v a row's quotient
-    vector (its first 2n coordinates, read mod p) and s = m's scalar mod p,
-    the image has quotient vector sigma v, and its central slot holds
+    the quotient matrix sigma (a 2n x 2n int64 array) with scalar s mod p,
+    composed with the central functional whose values on the rows of E are
+    F[:, j].  With v a row's quotient vector (its first 2n coordinates, read
+    mod p), the image has quotient vector sigma v, and its central slot holds
 
         s * (the row's own slot value) + z_unit * (q(v) + F[i, j]),
 
@@ -439,12 +504,9 @@ def _images(m: Morphism, E, F):
     """
     import numpy as np
 
-    g = m.group
     p, z = g.p, g._z_slot
     E = np.asarray(E, dtype=np.int64)
-    sigma = np.array(m.sigma().rows, dtype=np.int64)
     M = np.array(g.cocycle, dtype=np.int64)
-    s = m.scalar_mod_p
     V = g._quotient_rows(E)
     q = g.half * ((V @ ((sigma.T @ M @ sigma - s * M) % p)) * V).sum(1)
     img = np.zeros_like(E)

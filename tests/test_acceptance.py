@@ -16,7 +16,8 @@ from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, delta_iso,
                                  group, lambda_iso)
 from extraspecial.modp import is_odd_prime
 from extraspecial.morphisms import (enumerate_automorphisms,
-                                    enumerate_endomorphisms, is_im_phi2_matrix,
+                                    enumerate_endomorphisms, enumerate_sigma,
+                                    family_images, is_im_phi2_matrix,
                                     scalar_action_check)
 from extraspecial.symplectic import enumerate_isotropic
 
@@ -37,10 +38,11 @@ def criterion(num, budget, desc):
 
 
 def both_paths(g):
-    """Generator-image sets from the parametrization and from the blind search."""
-    gens = g.generators()
-    param = {tuple(m.apply(x).coords for x in gens) for m in enumerate_endomorphisms(g)}
-    brute = set(oracle.enumerate_homs_by_generators(g))
+    """Generator-image index tuples: one per parametrized endomorphism, taken
+    family by family on the generator rows, and the set the blind search finds."""
+    gens = np.array([x.coords for x in g.generators()], dtype=np.int64)
+    param = [tuple(col) for block in family_images(g, gens) for col in block.T.tolist()]
+    brute = {tuple(g.index(c) for c in im) for im in oracle.enumerate_homs_by_generators(g)}
     return param, brute
 
 
@@ -48,16 +50,16 @@ def test_c1_endomorphism_count_es1():
     with criterion(1, 5, "es1(3,1) endomorphisms: 729 by both routes"):
         g = group(ES1, 3, 1)
         param, brute = both_paths(g)
-        assert len(param) == 729 == 3 ** 6
-        assert param == brute
+        assert len(param) == len(set(param)) == 729 == 3 ** 6
+        assert set(param) == brute
 
 
 def test_c2_endomorphism_count_es2():
     with criterion(2, 5, "es2(3,1) endomorphisms: 135 by both routes"):
         g = group(ES2, 3, 1)
         param, brute = both_paths(g)
-        assert len(param) == 135 == 2 * 3 ** 4 - 3 ** 3
-        assert param == brute
+        assert len(param) == len(set(param)) == 135 == 2 * 3 ** 4 - 3 ** 3
+        assert set(param) == brute
 
 
 def test_c3_automorphism_counts_and_bijectivity():
@@ -154,9 +156,10 @@ def test_c7_degeneration_reports():
         fwd, back = rep2.witness_endos
         assert orbits.classify(g1) != orbits.classify(g2)
         assert fwd.apply(g1) == g2 and back.apply(g2) == g1
-        autos = list(enumerate_automorphisms(g))
-        assert len(autos) == 54
-        assert all(m.apply(g1) != g2 for m in autos)  # exhaustive non-automorphy
+        blocks = list(family_images(g, np.array([g1.coords]), invertible_only=True))
+        assert sum(b.shape[1] for b in blocks) == 54
+        target = g.index(g2.coords)
+        assert not any((b == target).any() for b in blocks)  # exhaustive non-automorphy
 
 
 def test_c8_scalar_law_isos_and_sigma_consequences():
@@ -176,16 +179,18 @@ def test_c8_scalar_law_isos_and_sigma_consequences():
                     for b, fb in fwd.items():
                         assert fwd[gt.mul(a, b)] == target.mul(fa, fb)
 
+        # the consequences are on sigma alone, so check them once per sigma;
+        # each sigma carries p^2n automorphisms
         for p, n in ((3, 1), (3, 2)):
             g = group(ES2, p, n)
             count = 0
-            for m in enumerate_automorphisms(g):
+            for sigma, _s in enumerate_sigma(g, invertible_only=True):
                 count += 1
-                assert m.B.entry(0, 0) == 1
+                assert sigma.entry(n, n) == 1          # b_11
                 for j in range(1, n):
-                    assert m.B.entry(j, 0) == 0
-                    assert m.C.entry(j, 0) == 0
-            assert count == counting.aut_order(ES2, p, n)
+                    assert sigma.entry(n + j, n) == 0  # b_j1
+                    assert sigma.entry(j, n) == 0      # c_j1
+            assert count * p ** (2 * n) == counting.aut_order(ES2, p, n)
 
 
 def test_c9_induced_quotient_matrices():

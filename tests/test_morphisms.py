@@ -1,9 +1,11 @@
 """Block-parametrized endomorphisms: builders, validation, enumeration, action."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from extraspecial import oracle
+from extraspecial import morphisms, oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
 from extraspecial.groups import ES1, ES2, TABLE_CAP, Group, GroupId, group
@@ -14,6 +16,7 @@ from extraspecial.morphisms import (build_endo_es1, build_endo_es2, compose,
                                     f_table, family_images, inner_automorphism,
                                     is_im_phi2_matrix, params_from_generator_images,
                                     scalar_action_check)
+from extraspecial.symplectic import symp_scalar_test
 
 
 def ident_es1(g):
@@ -175,6 +178,73 @@ def test_enumerate_sigma_counts(es1_31, es2_31):
     assert len(list(enumerate_sigma(es2_31))) == 15
     for mat, s in enumerate_sigma(es2_31):
         assert mat.entry(0, 0) == s and mat.entry(0, 1) == 0
+
+
+def _brute_sigmas(g, invertible_only):
+    """(sigma, s) by filtering every 2n x 2n matrix with symp_scalar_test."""
+    p, dim = g.p, 2 * g.n
+    out = set()
+    for entries in product(range(p), repeat=dim * dim):
+        mat = Mat(p, [entries[i * dim:(i + 1) * dim] for i in range(dim)])
+        s = symp_scalar_test(mat)
+        if s is None or (invertible_only and s == 0):
+            continue
+        # es2: the first row is (a_11, a_12..a_1n | c_11..c_1n) = (s, 0, .., 0)
+        if g.kind == ES2 and (mat.entry(0, 0) != s or any(mat.row(0)[1:])):
+            continue
+        out.add((mat, s))
+    return out
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("invertible_only", [False, True])
+def test_enumerate_sigma_matches_a_brute_filter(kind, p, invertible_only):
+    g = group(kind, p, 1)
+    got = list(enumerate_sigma(g, invertible_only))
+    assert len(set(got)) == len(got)
+    assert set(got) == _brute_sigmas(g, invertible_only)
+    # grouped by scalar, then lexicographic in the column tuple
+    keys = [(s, mat.transpose().rows) for mat, s in got]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("kind,invertible_only,count", [
+    (ES1, True, 103_680), (ES1, False, 356_481), (ES2, True, 1_296), (ES2, False, 27_297)])
+def test_frontier_counts_match_the_matrix_scan(kind, invertible_only, count):
+    g = group(kind, 3, 2)
+    got = sum(len(cols) for _, cols, _ in morphisms._frontier(g, invertible_only))
+    assert got == count == oracle.sigma_scan_count(kind, 3, 2, invertible_only)
+
+
+def test_frontier_is_independent_of_the_oracle_scans(monkeypatch, es1_31):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the frontier reached an oracle scan helper")
+
+    for name in ("scan_matrices", "sigma_scan_count", "_count", "_column_pools",
+                 "_pairing_table", "_vectors"):
+        monkeypatch.setattr(oracle, name, forbidden)
+    assert "oracle" not in vars(morphisms)
+    assert len(list(enumerate_sigma(es1_31))) == 81
+    assert sum(1 for _ in enumerate_sigma(group(ES2, 3, 2), invertible_only=True)) == 1296
+
+
+def test_frontier_refuses_an_oversized_pairing_table():
+    # es1(3,4): F_3^8 has 6561 vectors, a 43 M-cell table
+    g = Group(GroupId(ES1, 3, 4))
+    with pytest.raises(CapExceeded):
+        next(enumerate_sigma(g))
+
+
+def test_cap_is_charged_per_block_before_images():
+    # es2(5,2): families of 5^4 members; the limit admits 160 of them
+    g = group(ES2, 5, 2)
+    row = g.coords_matrix()[:1]
+    seen = 0
+    with pytest.raises(CapExceeded):
+        for _ in family_images(g, row, True, limit=100_000):
+            seen += 1
+    assert seen * 5 ** 4 <= 100_000
 
 
 def test_inner_automorphisms(es1_31, es2_31):
