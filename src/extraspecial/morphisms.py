@@ -34,16 +34,18 @@ before any of its matrices reaches a caller, so no image is computed past
 the cap.  The frontier shares no code with the oracle's matrix scans, which
 count the same matrices by an independent route.
 
-The formula is written once, in `_images`: a batched numpy kernel over
-coordinate rows that takes a quotient matrix as an int64 array and its
+The formula is written once, in `_images`: a numpy kernel over coordinate
+rows that takes a (k, 2n, 2n) int64 stack of quotient matrices with one
 scalar, and reads the group's own data (quotient vectors, central slot and
-unit, radices, cocycle), with no branch per kind.  `Morphism.table`,
-`Morphism.apply_coords` and `family_images` all call it; `family_images`
-hands it the frontier's arrays directly, with no Mat or Morphism per sigma.
-The p^2n morphisms that share one sigma form a family: its base member
-(alpha = beta = 0, t = 0) times the central factor z^f(v), f running over
-the functionals on G/Z (for automorphisms, composition with Inn(G) = G/Z),
-so a whole family costs one call of the kernel.
+unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
+share one sigma form a family: its base member (alpha = beta = 0, t = 0)
+times the central factor z^f(v), f running over the functionals on G/Z (for
+automorphisms, composition with Inn(G) = G/Z).  A member's central part
+depends only on the row, the base central value and f, so it is read from
+one shift table built per call of `family_images`: each image is one gather
+plus the base index.  `Morphism.table` and `Morphism.apply_coords` pass one
+matrix, `family_images` one per sigma, or with stacked=True runs of one
+frontier block of at most STACK_CELLS output cells (the brute orbits).
 
 The composite of two parametrized maps is recovered from generator images
 rather than symbolic block algebra: one code path serves composition, inner
@@ -97,8 +99,9 @@ class Morphism:
 
         g = self.group
         f = _functional(g, self.alpha, self.beta, self.scalar // g.p)
-        sigma = np.array(self.sigma().rows, dtype=np.int64)
-        return _images(g, sigma, self.scalar_mod_p, E, _functional_values(g, E, [f]))[:, 0]
+        sigma = np.array([self.sigma().rows], dtype=np.int64)
+        shift = _shift_table(g, _functional_values(g, E, [f]))
+        return _images(g, sigma, self.scalar_mod_p, E, shift)[0, :, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
         return self.group.coords_at(int(self._apply_rows([c])[0]))
@@ -285,6 +288,12 @@ def inner_automorphism(h: Element) -> Morphism:
 # column indices at 2n = 4
 FRONTIER_CELLS = 1 << 17
 
+# output cells of one stacked kernel call (sigmas x rows x p^2n), 128 KiB of
+# int16 indices; and the largest central-shift table (rows x ranges[z] x
+# p^2n), 8 MiB of int16
+STACK_CELLS = 1 << 16
+SHIFT_CELLS = 1 << 22
+
 # the largest int8 pairing table the frontier builds, in cells (p^4n of them):
 # 32 MiB, the byte size of a TABLE_CAP x TABLE_CAP int64 table
 PAIRING_CELLS = 1 << 25
@@ -383,14 +392,10 @@ def _central_params(g: Group) -> list:
     return list(product(alphas, betas, ts))
 
 
-def _sigmas(g: Group, invertible_only: bool, limit: int | None):
-    """Yield (sigma, s) per quotient matrix, sigma a 2n x 2n int64 array.
-
-    Each frontier block is charged its whole families of p^2n morphisms
-    before any of its matrices is yielded, so the enumeration raises exactly
-    when its total would exceed the limit and never hands out a member past
-    it.
-    """
+def _charged(g: Group, invertible_only: bool, limit: int | None):
+    """The frontier's blocks, each charged its k p^2n morphisms before it is
+    yielded: raises exactly when the total would exceed the limit, before
+    any matrix or image past it."""
     limit = cap("MORPHISM_CAP") if limit is None else limit
     what = "automorphism" if invertible_only else "endomorphism"
     size = g.p ** (2 * g.n)
@@ -399,18 +404,19 @@ def _sigmas(g: Group, invertible_only: bool, limit: int | None):
         count += len(cols) * size
         if count > limit:
             raise CapExceeded(f"{what} enumeration of {g.gid} exceeds cap {limit}")
-        for c in cols:
-            yield V[c].T, s
+        yield V, cols, s
 
 
 def _enumerate(g: Group, invertible_only: bool, limit: int | None):
     n, p = g.n, g.p
     params = _central_params(g)
-    for sigma, s in _sigmas(g, invertible_only, limit):
-        A, C = Mat(p, sigma[:n, :n].tolist()), Mat(p, sigma[:n, n:].tolist())
-        D, B = Mat(p, sigma[n:, :n].tolist()), Mat(p, sigma[n:, n:].tolist())
-        for alpha, beta, t in params:
-            yield Morphism(g, A, B, C, D, alpha, beta, s + p * t)
+    for V, cols, s in _charged(g, invertible_only, limit):
+        for c in cols:
+            sigma = V[c].T
+            A, C = Mat(p, sigma[:n, :n].tolist()), Mat(p, sigma[:n, n:].tolist())
+            D, B = Mat(p, sigma[n:, :n].tolist()), Mat(p, sigma[n:, n:].tolist())
+            for alpha, beta, t in params:
+                yield Morphism(g, A, B, C, D, alpha, beta, s + p * t)
 
 
 def enumerate_endomorphisms(g: Group, limit: int | None = None):
@@ -423,20 +429,23 @@ def enumerate_automorphisms(g: Group, limit: int | None = None):
     yield from _enumerate(g, True, limit)
 
 
-def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
+def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None,
+                  stacked: bool = False):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
-    Yields one (rows x p^2n) int64 block per sigma of enumerate_sigma, each
-    one call of the formula on the frontier's own sigma array; the values of
-    all p^2n central functionals on the rows of E are computed once per call.
-    Column j is the j-th member in enumerate_endomorphisms (or, with
-    invertible_only, enumerate_automorphisms) order; the cap is counted as
-    in those.
+    Yields one (rows x p^2n) block per sigma of enumerate_sigma.  Column j is
+    the j-th member in enumerate_endomorphisms (or, with invertible_only,
+    enumerate_automorphisms) order; the cap is counted as in those.  With
+    stacked, one (sigmas x rows x p^2n) block per kernel call instead: the
+    most sigmas of one frontier block that fit in STACK_CELLS cells.
     """
-    F = _functional_values(g, E, [_functional(g, alpha, beta, t)
-                                  for alpha, beta, t in _central_params(g)])
-    for sigma, s in _sigmas(g, invertible_only, limit):
-        yield _images(g, sigma, s, E, F)
+    shift = _shift_table(g, _functional_values(g, E, [
+        _functional(g, alpha, beta, t) for alpha, beta, t in _central_params(g)]))
+    k = max(1, STACK_CELLS // (len(E) * g.p ** (2 * g.n))) if stacked else 1
+    for V, cols, s in _charged(g, invertible_only, limit):
+        for lo in range(0, len(cols), k):
+            block = _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
+            yield block if stacked else block[0]
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -486,21 +495,40 @@ def _functional_values(g: Group, E, functionals):
     return g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p
 
 
-def _images(g: Group, sigma, s: int, E, F):
-    """Image indices of the coordinate rows E, one column per column of F.
+def _shift_table(g: Group, F):
+    """shift[r, c, j] = ((c + z_unit F[r, j]) mod R) radix_z, R = ranges[z]: the
+    central part of row r's image under functional j at base central value c.
 
-    The one place the endomorphism formula is written.  Column j applies
-    the quotient matrix sigma (a 2n x 2n int64 array) with scalar s mod p,
-    composed with the central functional whose values on the rows of E are
-    F[:, j].  With v a row's quotient vector (its first 2n coordinates, read
-    mod p), the image has quotient vector sigma v, and its central slot holds
+    int16 while |G| < 2^15; CapExceeded past SHIFT_CELLS cells, before any.
+    """
+    import numpy as np
 
-        s * (the row's own slot value) + z_unit * (q(v) + F[i, j]),
+    z, R = g._z_slot, g.ranges[g._z_slot]
+    if F.size * R > SHIFT_CELLS:
+        raise CapExceeded(f"central shift table for {g.gid} has {F.size * R} cells")
+    dtype = np.int16 if g.size < 1 << 15 else np.int64
+    c = np.arange(R, dtype=dtype)[None, :, None]
+    return (c + (g._z_unit * F).astype(dtype)[:, None, :]) % R * g.radices[z]
+
+
+def _images(g: Group, sigma, s: int, E, shift):
+    """Image indices of the coordinate rows E: a (k, rows, columns) block.
+
+    The one place the endomorphism formula is written.  Entry [i, r, j]
+    applies the quotient matrix sigma[i] (sigma a k x 2n x 2n int64 stack,
+    every matrix with scalar s mod p), composed with the j-th central
+    functional, whose value on row r is F[r, j] (see `_shift_table`).  With v
+    a row's quotient vector (its first 2n coordinates, read mod p), the image
+    has quotient vector sigma v, and its central slot holds
+
+        s * (the row's own slot value) + z_unit * (q(v) + F[r, j]),
 
     q(v) = (1/2) v^t S v with S = sigma^t M sigma - s M for the group's
     cocycle M: the correction that makes the map respect the cocycle.  For
     M = [[0, I], [0, 0]], S = [[A^t D, D^t C], [C^t D, C^t B]], the
-    quadratic term of the module docstring.
+    quadratic term of the module docstring.  The base value c = s * slot +
+    z_unit * q(v) mod R is one per sigma and row: each member's image is the
+    base index plus shift[r, c, j].
     """
     import numpy as np
 
@@ -508,16 +536,14 @@ def _images(g: Group, sigma, s: int, E, F):
     E = np.asarray(E, dtype=np.int64)
     M = np.array(g.cocycle, dtype=np.int64)
     V = g._quotient_rows(E)
-    q = g.half * ((V @ ((sigma.T @ M @ sigma - s * M) % p)) * V).sum(1)
-    img = np.zeros_like(E)
-    img[:, :2 * g.n] = V @ sigma.T % p
-    img[:, z] = 0
-    radix = np.array(g.radices, dtype=np.int64)
-    out = F * g._z_unit  # in place from here: the (rows x columns) block is the bulk
-    out += (s * E[:, z] + g._z_unit * q)[:, None]
-    out %= g.ranges[z]
-    out *= radix[z]
-    out += (img @ radix)[:, None]
+    sigma_t = sigma.transpose(0, 2, 1)
+    q = g.half * ((V @ ((sigma_t @ M @ sigma - s * M) % p)) * V).sum(2)
+    R = g.ranges[z]
+    c = (s * E[:, z] + g._z_unit * q) % R
+    radix = np.array(g.radices[:2 * g.n], dtype=np.int64)
+    radix[z:z + 1] = 0  # es2: the central slot is a quotient coordinate too
+    out = shift.reshape(-1, shift.shape[2])[np.arange(len(E)) * R + c]
+    out += (V @ sigma_t % p @ radix).astype(shift.dtype)[:, :, None]
     return out
 
 

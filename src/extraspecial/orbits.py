@@ -14,9 +14,8 @@ O_b orbits degenerate onto each other without being automorphic.
 
 orbits_bruteforce recomputes the partition by applying every automorphism
 to every element, so the closed-form classifier above can be checked
-against it wholesale.  It and the partial-order checks take the morphisms
-one quotient-matrix family at a time (morphisms.family_images): one base
-application per sigma plus a central shift per member.
+against it wholesale; it and the es1 order check feed the kernel stacks of
+quotient matrices (morphisms.family_images, stacked=True).
 """
 
 from __future__ import annotations
@@ -185,25 +184,28 @@ def degeneration(a: Element, b: Element) -> bool:
 
 
 def _reach(g: Group, invertible_only: bool, limit: int | None):
-    """reach[i, j]: some automorphism (endomorphism) sends element i to j."""
+    """reach[i, j]: some automorphism (endomorphism) sends element i to j.
+
+    Each stacked kernel block is marked by one flat scatter of row * N + image.
+    """
     import numpy as np
 
     N = g.size
     reach = np.zeros((N, N), dtype=bool)
-    rows = np.arange(N)[:, None]
-    for block in family_images(g, g.coords_matrix(), invertible_only, limit):
-        reach[rows, block] = True
+    flat = reach.reshape(-1)  # a view: reach is contiguous
+    offset = np.arange(N)[:, None] * N
+    for block in family_images(g, g.coords_matrix(), invertible_only, limit, True):
+        flat[offset + block] = True
     return reach
 
 
 def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     """The exact orbit partition under the full automorphism group.
 
-    Every automorphism is applied to every element, one quotient-matrix
-    family at a time: each sigma's (elements x p^2n) block of image indices
-    is marked in a dense reachability matrix.  Since the automorphisms form
-    a group, the accumulated image sets are precisely the orbits.  Rows of
-    members are asserted identical before returning.
+    Every automorphism is applied to every element, a stack of sigmas per
+    kernel call, and marked in a dense reachability matrix (`_reach`).  Since
+    the automorphisms form a group, the image sets are precisely the orbits.
+    Rows of members are asserted identical before returning.
     """
     import numpy as np
 

@@ -8,8 +8,6 @@ through errors.check, so the battery still checks under python -O.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from . import counting, oracle, orbits
@@ -176,10 +174,14 @@ def check_im_phi2(p: int, n: int):
           f"{len(induced)} induced quotient matrices != im_phi2_order")
 
 
-def check_scalar_action(kind: str, p: int, n: int, count: int = 25):
+def check_scalar_action(kind: str, p: int, n: int):
+    """f(m(a), m(b)) = s f(a, b) for every endomorphism m, whose scalars cover F_p."""
     g = group(kind, p, n)
-    for m in islice(enumerate_endomorphisms(g), count):
-        scalar_action_check(m, exhaustive=True)
+    scalars = set()
+    for m in enumerate_endomorphisms(g):
+        check(scalar_action_check(m, exhaustive=True), f"scalar law fails for {m}")
+        scalars.add(m.scalar_mod_p)
+    check(scalars == set(range(p)), f"checked scalars {sorted(scalars)} miss part of F_{p}")
 
 
 def check_hom_oracle(kind: str, p: int, n: int):

@@ -247,6 +247,45 @@ def test_cap_is_charged_per_block_before_images():
     assert seen * 5 ** 4 <= 100_000
 
 
+def _member_shift(g, E):
+    """The kernel's shift table of the rows of E for all p^2n central functionals."""
+    funcs = [morphisms._functional(g, a, b, t) for a, b, t in morphisms._central_params(g)]
+    return morphisms._shift_table(g, morphisms._functional_values(g, E, funcs))
+
+
+@pytest.mark.parametrize("kind,p,n,step", [
+    (ES1, 3, 1, 1), (ES2, 3, 1, 1), (ES1, 5, 1, 1), (ES2, 5, 1, 1), (ES2, 3, 2, 157)])
+def test_stacked_kernel_equals_one_sigma_calls(kind, p, n, step):
+    # every frontier block (every step-th sigma of it) as one stack, singular ones too
+    g = group(kind, p, n)
+    E = g.coords_matrix()
+    shift = _member_shift(g, E)
+    for V, cols, s in morphisms._frontier(g, False):
+        sigma = V[cols[::step]].transpose(0, 2, 1)
+        stacked = morphisms._images(g, sigma, s, E, shift)
+        assert stacked.shape == (len(sigma), g.size, p ** (2 * n))
+        for one, block in zip(sigma, stacked, strict=True):
+            assert np.array_equal(morphisms._images(g, one[None], s, E, shift)[0], block)
+
+
+def test_stacked_blocks_are_the_per_sigma_blocks_in_order(es1_31):
+    E = es1_31.coords_matrix()
+    stacks = list(family_images(es1_31, E, stacked=True))
+    assert all(b.size <= morphisms.STACK_CELLS for b in stacks)
+    flat = [block for stack in stacks for block in stack]
+    singles = list(family_images(es1_31, E))
+    assert len(flat) == len(singles) == 81
+    assert all(np.array_equal(a, b) for a, b in zip(flat, singles))
+
+
+def test_shift_table_refuses_past_its_cell_count():
+    # es2(5,2): 300 rows x 25 central values x 625 members = 4.7 M cells
+    g = group(ES2, 5, 2)
+    assert 300 * 25 * 625 > morphisms.SHIFT_CELLS
+    with pytest.raises(CapExceeded, match="central shift table"):
+        next(family_images(g, g.coords_matrix()[:300], True))
+
+
 def test_inner_automorphisms(es1_31, es2_31):
     m = inner_automorphism(es1_31.element((1, 0, 0)))
     assert m.apply_coords((0, 1, 0)) == (0, 1, 1)

@@ -1,10 +1,12 @@
 """Orbit classification, endomorphism images, and the degeneration verdicts."""
 
+import numpy as np
 import pytest
 
-from extraspecial import orbits
+from extraspecial import morphisms, orbits
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, group
+from extraspecial.morphisms import family_images
 from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  ES2_H_MINUS_K, ES2_ORDER_P2, IDENTITY,
                                  NO_PARTIAL_ORDER, PARTIAL_ORDER, SUBGROUP_H,
@@ -153,3 +155,55 @@ def test_partial_order_report_unverified_mode(es2_51):
     assert rep.verdict == NO_PARTIAL_ORDER and not rep.verified
     fwd, _ = rep.witness_endos
     assert fwd.apply(rep.witness[0]) == rep.witness[1]
+
+
+def _reach_per_sigma(g, invertible_only):
+    """reach by the one-sigma path: each family_images block filled in 2-D."""
+    N = g.size
+    reach = np.zeros((N, N), dtype=bool)
+    rows = np.arange(N)[:, None]
+    for block in family_images(g, g.coords_matrix(), invertible_only):
+        reach[rows, block] = True
+    return reach
+
+
+@pytest.mark.parametrize("kind,p,n,invertible_only", [
+    (ES1, 3, 1, False), (ES1, 3, 1, True), (ES2, 3, 1, False), (ES2, 3, 1, True),
+    (ES1, 5, 1, False), (ES1, 5, 1, True), (ES2, 5, 1, False), (ES2, 5, 1, True),
+    (ES2, 3, 2, True)])
+def test_reach_matches_the_per_sigma_fill(kind, p, n, invertible_only):
+    g = group(kind, p, n)
+    assert np.array_equal(orbits._reach(g, invertible_only, None),
+                          _reach_per_sigma(g, invertible_only))
+
+
+def _watch_kernel(monkeypatch):
+    """Wrap the kernel; the returned list gets each call's output block."""
+    kernel, out = morphisms._images, []
+
+    def watched(*args):
+        out.append(kernel(*args))
+        return out[-1]
+
+    monkeypatch.setattr(morphisms, "_images", watched)
+    return out
+
+
+def test_reach_charges_each_block_before_its_images(monkeypatch, es1_31):
+    # es1(3,1) automorphisms: blocks of 24 sigmas for s = 1 and s = 2, 9 members each
+    blocks = _watch_kernel(monkeypatch)
+    with pytest.raises(CapExceeded):
+        orbits._reach(es1_31, True, 24 * 9 - 1)
+    assert blocks == []
+    with pytest.raises(CapExceeded):
+        orbits._reach(es1_31, True, 24 * 9)
+    assert sum(len(b) for b in blocks) == 24
+
+
+def test_orbit_brute_force_keeps_each_kernel_call_within_the_stack(monkeypatch, es2_32):
+    blocks = _watch_kernel(monkeypatch)
+    partition = orbits_bruteforce(es2_32)
+    assert max(b.size for b in blocks) <= morphisms.STACK_CELLS
+    # still every one of the 104,976 automorphisms on every element
+    assert sum(b.size for b in blocks) == 104_976 * 243
+    assert sorted(len(c) for c in partition) == [1, 2, 3, 3, 72, 162]

@@ -84,3 +84,25 @@ def test_f_table_rejects_a_non_central_commutator(monkeypatch):
     monkeypatch.setattr(g, "mul_index", wrong)
     with pytest.raises(AssertionError, match="commutator is not central"):
         f_table(g)
+
+
+@pytest.mark.parametrize("kind,count", [(ES1, 729), (ES2, 135)])
+def test_scalar_action_rows_cover_every_scalar(monkeypatch, kind, count):
+    law = verifysuite.scalar_action_check
+    seen = []
+
+    def record(m, exhaustive=True):
+        seen.append(m.scalar_mod_p)
+        return law(m, exhaustive)
+
+    monkeypatch.setattr(verifysuite, "scalar_action_check", record)
+    verifysuite.check_scalar_action(kind, 3, 1)
+    assert len(seen) == count
+    assert set(seen) == set(range(3))
+
+
+def test_scalar_action_row_fails_on_a_wrong_law(monkeypatch):
+    monkeypatch.setattr(verifysuite, "scalar_action_check",
+                        lambda m, exhaustive=True: m.scalar_mod_p != 2)
+    with pytest.raises(AssertionError, match="scalar law fails"):
+        verifysuite.check_scalar_action(ES2, 3, 1)
