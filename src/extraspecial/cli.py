@@ -22,7 +22,7 @@ import sys
 from . import counting, orbits
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
-from .groups import (ES1, ES2, Element, format_element, group,
+from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
                      parse_element, parse_group_spec)
 from .modp import Mat
 from .morphisms import build_endo_es1, build_endo_es2, scalar_action_check
@@ -167,7 +167,7 @@ def cmd_endo(args) -> int:
     kindword = "automorphism" if morph.is_automorphism else "endomorphism"
     print(f"valid {kindword}, {tag}")
     if args.check:
-        exhaustive = g.size <= 1000
+        exhaustive = g.size <= TABLE_CAP  # the f_table size limit
         if not scalar_action_check(morph, exhaustive=exhaustive, sample=200, seed=7):
             print("scalar action check FAILED")
             return 1
@@ -216,16 +216,10 @@ def _census_rows(p_list, n_list, quantities, kinds, oracle):
         for n in n_list:
             for q in quantities:
                 if q == "partial_order":
-                    for kind in kinds:
-                        rows.append(_partial_order_row(kind, p, n, oracle))
-                elif q in counting._NEEDS_K:
-                    for k in range(0, n + 1):
-                        rows.append(_count_row(q, p, n, k, None, oracle))
-                elif q in counting._NEEDS_GROUP:
-                    for kind in kinds:
-                        rows.append(_count_row(q, p, n, None, kind, oracle))
+                    rows.extend(_partial_order_row(kind, p, n, oracle) for kind in kinds)
                 else:
-                    rows.append(_count_row(q, p, n, None, None, oracle))
+                    rows.extend(_count_row(q, p, n, k, kind, oracle)
+                                for k, kind in counting.row_args(q, n, kinds))
     rows.sort(key=lambda r: (r["quantity"], r["p"], r["n"],
                              r["k"] if r["k"] is not None else -1,
                              r["group"] or ""))
@@ -286,7 +280,7 @@ def cmd_census(args) -> int:
     else:
         quantities = [t.strip() for t in args.quantities.split(",") if t.strip()]
         for q in quantities:
-            if q not in counting.QUANTITIES + ("partial_order",):
+            if q not in counting.QUANTITIES and q != "partial_order":
                 raise ParseError(f"unknown quantity {q!r}", 0)
     kinds = [t.strip() for t in args.group.split(",") if t.strip()]
     for kind in kinds:
@@ -364,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=cmd_orbits)
 
     pq = sub.add_parser("count", help="one counting quantity, formula vs oracle")
-    pq.add_argument("--quantity", choices=counting.QUANTITIES, required=True)
+    pq.add_argument("--quantity", choices=tuple(counting.QUANTITIES), required=True)
     pq.add_argument("-p", "--p", type=int, required=True)
     pq.add_argument("-n", "--n", type=int, required=True)
     pq.add_argument("-k", "--k", type=int, default=None)

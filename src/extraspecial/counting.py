@@ -1,7 +1,7 @@
 """Exact counting formulas for the endomorphism and automorphism monoids.
 
-Everything here is closed-form big-integer arithmetic.  The three subspace
-series are
+Everything here but the oracle routes is closed-form big-integer
+arithmetic.  The three subspace series are
 
     alpha_k : totally isotropic k-subspaces of a 2n-dim symplectic space,
     beta_k  : those lying inside the hyperplane V_1 = {v : v[0] = 0},
@@ -14,15 +14,21 @@ and the endomorphism counts decompose as
 
 with |Aut(es1)| = p^{2n} (p-1) |Sp(2n)| and |Aut(es2)| = p^{2n} * p^{2n-1}
 (p-1) |Sp(2n-2)|.  Each formula has a _poly twin returning the counting
-polynomial in p, and compute_report pairs a formula value with an
-independent brute-force oracle value on demand.  formula_value and
-oracle_value (so compute_report too) raise ContextError unless p is an odd
-prime and n >= 1, and when a quantity lacks the k or group kind it needs.
+polynomial in p.
+
+QUANTITIES is the one table of the nine quantities.  Each entry names the
+argument it takes (a subspace dimension k, a group kind, or none) and its
+three routes: the closed form, the polynomial twin and an independent
+brute-force scan from oracle.  formula_value, oracle_value and
+compute_report look a quantity up there, and row_args lists its rows at a
+given n.  They raise ContextError unless p is an odd prime and n >= 1, and
+when a quantity lacks the k or group kind it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ContextError
 from .groups import ES1, ES2, validate_p_n
@@ -152,17 +158,11 @@ def gamma_poly(n: int, k: int) -> Poly:
 
 
 def count_X_poly(n: int) -> Poly:
-    out = ZERO
-    for k in range(n + 1):
-        out = out + alpha_poly(n, k) * gamma_poly(n, k)
-    return out
+    return sum((alpha_poly(n, k) * gamma_poly(n, k) for k in range(n + 1)), ZERO)
 
 
 def count_Y_poly(n: int) -> Poly:
-    out = ZERO
-    for k in range(n + 1):
-        out = out + beta_poly(n, k) * gamma_poly(n, k)
-    return out
+    return sum((beta_poly(n, k) * gamma_poly(n, k) for k in range(n + 1)), ZERO)
 
 
 def aut_order_poly(kind: str, n: int) -> Poly:
@@ -179,10 +179,61 @@ def end_order_poly(kind: str, n: int) -> Poly:
     return aut_order_poly(kind, n) + Poly.x_power(2 * n) * tail
 
 
-QUANTITIES = ("alpha_k", "beta_k", "gamma_k", "count_X", "count_Y",
-              "sp_order", "im_phi2_order", "aut_order", "end_order")
-_NEEDS_K = ("alpha_k", "beta_k", "gamma_k")
-_NEEDS_GROUP = ("aut_order", "end_order")
+@dataclass(frozen=True)
+class Quantity:
+    """Routes formula(p, n, arg), poly(n, arg) and oracle(p, n, arg); arg is
+    "k" (a subspace dimension), "group" (es1 or es2) or None."""
+    arg: str | None
+    formula: Callable
+    poly: Callable
+    oracle: Callable
+
+
+def _scans():
+    from . import oracle  # loads numpy: import on first use, look scans up per call
+    return oracle
+
+
+# every route looks its functions up when called, so a patched one is what runs
+QUANTITIES = {
+    "alpha_k": Quantity(
+        "k", lambda p, n, k: alpha_k(p, n, k), lambda n, k: alpha_poly(n, k),
+        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k, isotropic=True)),
+    "beta_k": Quantity(
+        "k", lambda p, n, k: beta_k(p, n, k), lambda n, k: beta_poly(n, k),
+        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k, isotropic=True, inside_v1=True)),
+    "gamma_k": Quantity(
+        "k", lambda p, n, k: gamma_k(p, n, k), lambda n, k: gamma_poly(n, k),
+        lambda p, n, k: _scans().scan_surjections(2 * n, p, k)),
+    "count_X": Quantity(
+        None, lambda p, n, _: count_X(p, n), lambda n, _: count_X_poly(n),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().NULL_FORM)),
+    "count_Y": Quantity(
+        None, lambda p, n, _: count_Y(p, n), lambda n, _: count_Y_poly(n),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().NULL_FORM, image_in_v1=True)),
+    "sp_order": Quantity(
+        None, lambda p, n, _: sp_order(n, p), lambda n, _: sp_order_poly(n),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().FIXED_FORM, l=1)),
+    "im_phi2_order": Quantity(
+        None, lambda p, n, _: im_phi2_order(n, p), lambda n, _: im_phi2_order_poly(n),
+        lambda p, n, _: _scans().sigma_scan_count(ES2, p, n, True)),
+    "aut_order": Quantity(
+        "group", lambda p, n, g: aut_order(g, p, n), lambda n, g: aut_order_poly(g, n),
+        lambda p, n, g: p ** (2 * n) * _scans().sigma_scan_count(g, p, n, True)),
+    "end_order": Quantity(
+        "group", lambda p, n, g: end_order(g, p, n), lambda n, g: end_order_poly(g, n),
+        lambda p, n, g: p ** (2 * n) * _scans().sigma_scan_count(g, p, n, False)),
+}
+
+
+def row_args(quantity: str, n: int, kinds=(ES1, ES2)) -> list:
+    """(k, group kind) per row of quantity at n: k in 0..n, kind in kinds, or neither."""
+    arg = QUANTITIES[quantity].arg
+    if arg == "k":
+        return [(k, None) for k in range(n + 1)]
+    if arg == "group":
+        return [(None, kind) for kind in kinds]
+    return [(None, None)]
 
 
 @dataclass
@@ -204,38 +255,27 @@ class CountReport:
                 "match": self.match}
 
 
-def validate_request(quantity: str, p: int, n: int, k: int | None = None,
+def validate_request(quantity: str | None, p: int, n: int, k: int | None = None,
                      group_kind: str | None = None):
-    """Raise ContextError for an invalid (p, n) or a missing k or group kind."""
+    """Raise ContextError for an invalid (p, n), an unknown quantity or a
+    missing k or group kind; return the argument the quantity's routes take."""
     validate_p_n(p, n)
-    if quantity in _NEEDS_K and k is None:
+    if quantity is None:  # (p, n) alone
+        return None
+    if quantity not in QUANTITIES:
+        raise ContextError(f"unknown quantity {quantity!r}")
+    arg = QUANTITIES[quantity].arg
+    if arg == "k" and k is None:
         raise ContextError(f"{quantity} needs a subspace dimension k")
-    if quantity in _NEEDS_GROUP and group_kind not in (ES1, ES2):
+    if arg == "group" and group_kind not in (ES1, ES2):
         raise ContextError(f"{quantity} needs a group kind es1 or es2")
+    return {"k": k, "group": group_kind}.get(arg)
 
 
 def formula_value(quantity: str, p: int, n: int, k: int | None = None,
                   group_kind: str | None = None) -> int:
-    validate_request(quantity, p, n, k, group_kind)
-    if quantity == "alpha_k":
-        return alpha_k(p, n, k)
-    if quantity == "beta_k":
-        return beta_k(p, n, k)
-    if quantity == "gamma_k":
-        return gamma_k(p, n, k)
-    if quantity == "count_X":
-        return count_X(p, n)
-    if quantity == "count_Y":
-        return count_Y(p, n)
-    if quantity == "sp_order":
-        return sp_order(n, p)
-    if quantity == "im_phi2_order":
-        return im_phi2_order(n, p)
-    if quantity == "aut_order":
-        return aut_order(group_kind, p, n)
-    if quantity == "end_order":
-        return end_order(group_kind, p, n)
-    raise ContextError(f"unknown quantity {quantity!r}")
+    arg = validate_request(quantity, p, n, k, group_kind)
+    return QUANTITIES[quantity].formula(p, n, arg)
 
 
 def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
@@ -245,38 +285,16 @@ def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
     Raises CapExceeded when the search space is out of reach, and
     ContextError as formula_value does or when no scan covers the size.
     """
-    from . import oracle
-
-    validate_request(quantity, p, n, k, group_kind)
-    dim = 2 * n
-    if quantity == "alpha_k":
-        return oracle.scan_subspaces(dim, p, k, isotropic=True)
-    if quantity == "beta_k":
-        return oracle.scan_subspaces(dim, p, k, isotropic=True, inside_v1=True)
-    if quantity == "gamma_k":
-        return oracle.scan_surjections(dim, p, k)
-    if quantity == "count_X":
-        return oracle.scan_matrices(dim, p, oracle.NULL_FORM)
-    if quantity == "count_Y":
-        return oracle.scan_matrices(dim, p, oracle.NULL_FORM, image_in_v1=True)
-    if quantity == "sp_order":
-        return oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=1)
-    if quantity == "im_phi2_order":
-        return sum(oracle.scan_matrices(dim, p, oracle.FIXED_FORM, l=l,
-                                        es2_constrained=True)
-                   for l in range(1, p))
-    if quantity == "aut_order":
-        return p ** dim * oracle.sigma_scan_count(group_kind, p, n, invertible_only=True)
-    if quantity == "end_order":
-        return p ** dim * oracle.sigma_scan_count(group_kind, p, n, invertible_only=False)
-    raise ContextError(f"unknown quantity {quantity!r}")
+    arg = validate_request(quantity, p, n, k, group_kind)
+    return QUANTITIES[quantity].oracle(p, n, arg)
 
 
 def compute_report(quantity: str, p: int, n: int, k: int | None = None,
                    group_kind: str | None = None, oracle: bool = False) -> CountReport:
     fv = formula_value(quantity, p, n, k, group_kind)
-    rep = CountReport(quantity, group_kind if quantity in _NEEDS_GROUP else None,
-                      p, n, k if quantity in _NEEDS_K else None, fv)
+    arg = QUANTITIES[quantity].arg
+    rep = CountReport(quantity, group_kind if arg == "group" else None,
+                      p, n, k if arg == "k" else None, fv)
     if oracle:
         ov = oracle_value(quantity, p, n, k, group_kind)
         rep.oracle_value = ov

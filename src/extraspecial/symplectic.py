@@ -120,14 +120,15 @@ def enumerate_isotropic(n: int, p: int, k: int, inside_v1: bool = False,
     found: dict[tuple, Subspace] = {}
 
     def extend(chosen: list):
-        if len(chosen) == k:
-            found[Subspace.spanned_by(p, dim, chosen).rows] = Subspace.spanned_by(p, dim, chosen)
-            return
         for v in vecs:
             if any(pairing(c, v, p) != 0 for c in chosen):
                 continue  # must stay inside the common perp
             span = Subspace.spanned_by(p, dim, chosen + [v])
-            if span.k == len(chosen) + 1:  # independence of the new vector
+            if span.k == len(chosen):
+                continue  # v depends on the chosen vectors
+            if span.k == k:
+                found[span.rows] = span
+            else:
                 extend(chosen + [v])
 
     extend([])

@@ -109,53 +109,26 @@ def check_partial_order(kind: str, p: int, n: int, expected_verdict: str):
 
 
 def check_counting_scans(p: int, n: int):
+    """Every quantity's closed form against its oracle scan, plus the subspace
+    search behind alpha_k and beta_k."""
+    for q in counting.QUANTITIES:
+        for k, kind in counting.row_args(q, n):
+            check(counting.compute_report(q, p, n, k, kind, oracle=True).match,
+                  f"{q}({p},{n}) k={k} group={kind} scan mismatch")
     for k in range(n + 1):
-        a = counting.alpha_k(p, n, k)
-        check(a == oracle.scan_subspaces(2 * n, p, k, isotropic=True),
-              f"alpha_{k}({p},{n}) scan mismatch")
-        check(a == len(enumerate_isotropic(n, p, k)),
+        check(counting.alpha_k(p, n, k) == len(enumerate_isotropic(n, p, k)),
               f"alpha_{k}({p},{n}) subspace search mismatch")
-        b = counting.beta_k(p, n, k)
-        check(b == oracle.scan_subspaces(2 * n, p, k, isotropic=True,
-                                         inside_v1=True),
-              f"beta_{k}({p},{n}) scan mismatch")
-        check(b == len(enumerate_isotropic(n, p, k, inside_v1=True)),
+        check(counting.beta_k(p, n, k) == len(enumerate_isotropic(n, p, k, inside_v1=True)),
               f"beta_{k}({p},{n}) subspace search mismatch")
-        check(counting.gamma_k(p, n, k) == oracle.scan_surjections(2 * n, p, k),
-              f"gamma_{k}({p},{n}) scan mismatch")
-    check(counting.count_X(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM), f"X({p},{n}) scan mismatch")
-    check(counting.count_Y(p, n) == oracle.scan_matrices(
-        2 * n, p, oracle.NULL_FORM, image_in_v1=True),
-        f"Y({p},{n}) scan mismatch")
-    check(counting.sp_order(n, p) == oracle.scan_matrices(
-        2 * n, p, oracle.FIXED_FORM, l=1), "sp_order scan mismatch")
-    check(counting.im_phi2_order(n, p) == counting.oracle_value(
-        "im_phi2_order", p, n), "im_phi2_order scan mismatch")
-    for kind in (ES1, ES2):
-        check(counting.aut_order(kind, p, n) == counting.oracle_value(
-            "aut_order", p, n, group_kind=kind), f"aut {kind} scan mismatch")
-        check(counting.end_order(kind, p, n) == counting.oracle_value(
-            "end_order", p, n, group_kind=kind), f"end {kind} scan mismatch")
 
 
 def check_polynomials(n: int, primes=(3, 5, 7)):
     for p in primes:
-        for k in range(n + 1):
-            check(counting.alpha_poly(n, k).eval(p) == counting.alpha_k(p, n, k),
-                  f"alpha_{k} polynomial at ({p},{n})")
-            check(counting.beta_poly(n, k).eval(p) == counting.beta_k(p, n, k),
-                  f"beta_{k} polynomial at ({p},{n})")
-            check(counting.gamma_poly(n, k).eval(p) == counting.gamma_k(p, n, k),
-                  f"gamma_{k} polynomial at ({p},{n})")
-        check(counting.count_X_poly(n).eval(p) == counting.count_X(p, n),
-              f"X polynomial at ({p},{n})")
-        check(counting.count_Y_poly(n).eval(p) == counting.count_Y(p, n),
-              f"Y polynomial at ({p},{n})")
-        for kind in (ES1, ES2):
-            check(counting.end_order_poly(kind, n).eval(p) ==
-                  counting.end_order(kind, p, n),
-                  f"|End {kind}| polynomial at ({p},{n})")
+        for q, route in counting.QUANTITIES.items():
+            for k, kind in counting.row_args(q, n):
+                a = counting.validate_request(q, p, n, k, kind)
+                check(route.poly(n, a).eval(p) == route.formula(p, n, a),
+                      f"{q} polynomial at ({p},{n}) k={k} group={kind}")
 
 
 def check_im_phi2(p: int, n: int):

@@ -75,6 +75,14 @@ def test_endo_check_and_apply(capsys):
     assert lines[2] == "es1(3,1):[1|0|1]"
 
 
+def test_endo_check_is_exhaustive_up_to_the_table_cap(capsys):
+    # es1(11,1) has 1331 elements: under TABLE_CAP = 2048, over the old limit of 1000
+    code, out, _ = run(capsys, "endo", "es1(11,1)", "A=[1]", "B=[1]", "--check")
+    assert code == 0
+    assert out.strip().splitlines() == ["valid automorphism, l=1",
+                                        "scalar action check passed (exhaustive)"]
+
+
 def test_endo_es2_lift_tag(capsys):
     code, out, _ = run(capsys, "endo", "es2(3,1)", "A=[1]", "B=[1]", "a=4",
                        "--apply", "[1|0]")

@@ -1,8 +1,12 @@
 """Closed-form counts: frozen values, decomposition identity, polynomial twins."""
 
+import argparse
+import inspect
+import json
+
 import pytest
 
-from extraspecial import counting
+from extraspecial import cli, counting, oracle, verifysuite
 from extraspecial.errors import ContextError
 from extraspecial.groups import ES1, ES2
 from extraspecial.modp import is_odd_prime
@@ -141,3 +145,70 @@ def test_invalid_p_or_n_is_rejected(p, n):
         counting.oracle_value("count_X", p, n)
     with pytest.raises(ContextError):
         counting.compute_report("aut_order", p, n, group_kind=ES1)
+
+
+# the dispatch around the table; every other function in counting is a closed
+# form or a polynomial twin
+_DISPATCH = {"validate_request", "formula_value", "oracle_value", "compute_report",
+             "row_args", "_scans"}
+_CLOSED_FORMS = sorted(name for name, obj in vars(counting).items()
+                       if inspect.isfunction(obj) and obj.__module__ == counting.__name__
+                       and name not in _DISPATCH)
+_ORACLE_FUNCTIONS = sorted(name for name, obj in vars(oracle).items()
+                           if inspect.isfunction(obj) and obj.__module__ == oracle.__name__)
+_TABLE_ROWS_31 = [(q, k, kind) for q in counting.QUANTITIES
+                  for k, kind in counting.row_args(q, 1)]
+
+
+def _patch_to_raise(monkeypatch, module, names):
+    for name in names:
+        def boom(*_args, _name=name, **_kwargs):
+            raise AssertionError(f"{_name} was called")
+        monkeypatch.setattr(module, name, boom)
+
+
+def test_closed_forms_cover_every_quantity_and_twin():
+    for q in counting.QUANTITIES:
+        assert q in _CLOSED_FORMS
+    assert {"alpha_poly", "count_X_poly", "end_order_poly"} <= set(_CLOSED_FORMS)
+    assert {"scan_matrices", "scan_subspaces", "scan_surjections",
+            "sigma_scan_count"} <= set(_ORACLE_FUNCTIONS)
+
+
+@pytest.mark.parametrize("q, k, kind", _TABLE_ROWS_31)
+def test_oracle_route_needs_no_closed_form(monkeypatch, q, k, kind):
+    want = counting.formula_value(q, 3, 1, k, kind)
+    _patch_to_raise(monkeypatch, counting, _CLOSED_FORMS)
+    assert counting.oracle_value(q, 3, 1, k, kind) == want
+
+
+@pytest.mark.parametrize("q, k, kind", _TABLE_ROWS_31)
+def test_formula_and_poly_routes_need_no_scan(monkeypatch, q, k, kind):
+    want = counting.oracle_value(q, 3, 1, k, kind)
+    arg = counting.validate_request(q, 3, 1, k, kind)
+    _patch_to_raise(monkeypatch, oracle, _ORACLE_FUNCTIONS)
+    assert counting.formula_value(q, 3, 1, k, kind) == want
+    assert counting.QUANTITIES[q].poly(1, arg).eval(3) == want
+
+
+def test_count_census_and_verify_cover_the_table(monkeypatch, capsys):
+    table = set(counting.QUANTITIES)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    quantity = next(a for a in sub.choices["count"]._actions if a.dest == "quantity")
+    assert set(quantity.choices) == table
+
+    assert cli.main(["census", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {r["quantity"] for r in rows} - {"partial_order"} == table
+
+    seen = set()
+    real = counting.compute_report
+
+    def spy(quantity, *args, **kwargs):
+        seen.add(quantity)
+        return real(quantity, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "compute_report", spy)
+    verifysuite.check_counting_scans(3, 1)
+    assert seen == table

@@ -135,6 +135,15 @@ def test_partial_order_report_es1(es1_31):
     assert d["verdict"] == PARTIAL_ORDER and "witness" not in d
 
 
+def test_es1_order_check_catches_a_wrong_image_class(monkeypatch, es1_31):
+    # the closed-form side of the check: a centre that has lost z and z^2
+    real = orbits.image_contains
+    monkeypatch.setattr(orbits, "image_contains",
+                        lambda g, cls, c: real(g, TRIVIAL if cls == CENTER else cls, c))
+    with pytest.raises(AssertionError, match="disagrees with image classes"):
+        partial_order_report(es1_31)
+
+
 def test_partial_order_report_es2(es2_31):
     rep = partial_order_report(es2_31)
     assert rep.verdict == NO_PARTIAL_ORDER
