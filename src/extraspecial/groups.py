@@ -17,15 +17,16 @@ lambda_iso and delta_iso are the coordinate isomorphisms from each tilde
 presentation onto its twisted partner.
 
 All four are one law on the quotient vectors v in F_p^2n (the coordinates
-read mod p, basis x_1..x_n, y_1..y_n): add the coordinates, then add the
-cocycle v_a^T M v_b to the central exponent.  Each Group carries its M as
-data (`cocycle`): [[0, I], [0, 0]] for es1 and es2, (1/2)[[0, I], [-I, 0]]
-for the tilde kinds.  With `es2_shaped` set the central exponent s lands as
-p.s in the Z/p^2 first coordinate, whose own mod-p^2 sum supplies the carry;
-otherwise it lands in the last coordinate z.  `Group.mul_index` applies this
-law to whole blocks of coordinate rows at once; the tuple-level `mul` spells
-each kind out separately and stays the reference the batched law is checked
-against.
+read mod p, basis x_1..x_n, y_1..y_n): add the coordinates, add the cocycle
+v_a^T M v_b to the central exponent, and reduce.  Each Group holds the law
+as data, and this module is the only place that knows it: M (`cocycle`) is
+[[0, I], [0, 0]] for es1 and es2 and (1/2)[[0, I], [-I, 0]] for the tilde
+kinds; with `es2_shaped` set the central exponent s lands as p.s in the
+Z/p^2 first coordinate, whose own mod-p^2 sum supplies the carry, otherwise
+in the last coordinate z.  `Group.mul`/`inv` (one tuple) and
+`Group.mul_index` (blocks of rows) read that data, with no branch per kind;
+the per-kind formulas above, spelled out, are their test reference in
+tests/test_groups.py.
 
 Element order, centrality, commutators, and the commutator form f (valued in
 the exponent of the central generator) are all computed from the group law
@@ -123,6 +124,9 @@ class Group:
         self.cocycle = tuple(
             tuple(upper if j == i + n else lower if i == j + n else 0 for j in range(2 * n))
             for i in range(2 * n))
+        # its nonzero entries (i, j, M[i][j]): the terms of the tuple law
+        self._terms = tuple((i, j, c) for i, row in enumerate(self.cocycle)
+                            for j, c in enumerate(row) if c)
         # the central generator z: its coordinate slot, its unit there, and its
         # index; z^s times an element with central exponent 0 adds s * z_index
         self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
@@ -154,41 +158,20 @@ class Group:
     # -- the group laws ------------------------------------------------------
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        p, n = self.p, self.n
-        if self.kind == ES1:
-            tw = sum(a[i] * b[n + i] for i in range(n)) % p
-            return tuple((x + y) % p for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1] + tw) % p,)
-        if self.kind == ES1_TILDE:
-            sym = sum(a[i] * b[n + i] - a[n + i] * b[i] for i in range(n))
-            tw = (self.half * sym) % p
-            return tuple((x + y) % p for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1] + tw) % p,)
-        if self.kind == ES2:
-            tw = (b[n] * (a[0] % p) + sum(a[i] * b[n + i] for i in range(1, n))) % p
-            first = (a[0] + b[0] + p * tw) % (p * p)
-            return (first,) + tuple((x + y) % p for x, y in zip(a[1:], b[1:]))
-        # ES2_TILDE
-        au = (a[0] % p,) + a[1:n]
-        bu = (b[0] % p,) + b[1:n]
-        aw = a[n:]
-        bw = b[n:]
-        sym = sum(au[i] * bw[i] - bu[i] * aw[i] for i in range(n))
-        tw = (self.half * sym) % p
-        first = (a[0] + b[0] + p * tw) % (p * p)
-        return (first,) + tuple((x + y) % p for x, y in zip(a[1:], b[1:]))
+        return self._twisted([x + y for x, y in zip(a, b)], a, b)
 
     def inv(self, a: tuple) -> tuple:
-        p, n = self.p, self.n
-        if self.kind == ES1:
-            tw = sum(a[i] * a[n + i] for i in range(n)) % p
-            return tuple(-x % p for x in a[:-1]) + ((tw - a[-1]) % p,)
-        if self.kind == ES1_TILDE:
-            return tuple(-x % p for x in a[:-1]) + (-a[-1] % p,)
-        if self.kind == ES2:
-            tw = (a[n] * (a[0] % p) + sum(a[i] * a[n + i] for i in range(1, n))) % p
-            first = (-a[0] + p * tw) % (p * p)
-            return (first,) + tuple(-x % p for x in a[1:])
-        # ES2_TILDE: the symmetrized cocycle vanishes on (g, g^-1)
-        return (-a[0] % (p * p),) + tuple(-x % p for x in a[1:])
+        # the negated coordinates plus the central term (-v)^T M (-v) = v^T M v,
+        # which makes g g^-1 = e
+        return self._twisted([-x for x in a], a, a)
+
+    def _twisted(self, coords: list, a: tuple, b: tuple) -> tuple:
+        """coords plus z_unit * v_a^T M v_b in the central slot, reduced by ranges.
+
+        v_a is a's first 2n coordinates, unreduced: z_unit * p divides the
+        central slot's range, so the reduction reads them mod p."""
+        coords[self._z_slot] += self._z_unit * sum(c * a[i] * b[j] for i, j, c in self._terms)
+        return tuple(x % r for x, r in zip(coords, self.ranges))
 
     def power(self, a: tuple, k: int) -> tuple:
         if k < 0:

@@ -29,9 +29,9 @@ one boolean mask over the candidate pool (every vector for es1; for es2 the
 first column's top entry is s and later columns lie in V_1).  The frontier
 is cut into row slices, runs of leading columns, so that no candidate mask
 passes FRONTIER_CELLS cells (about 1 MiB of surviving indices).
-`MORPHISM_CAP` is charged per finished block, the block's whole families,
-before any of its matrices reaches a caller, so no image is computed past
-the cap.  The frontier shares no code with the oracle's matrix scans, which
+`MORPHISM_CAP` is charged for the whole enumeration, every block's
+families, before any matrix reaches a caller, so a refusal computes no
+image.  The frontier shares no code with the oracle's matrix scans, which
 count the same matrices by an independent route.
 
 The formula is written once, in `_images`: a numpy kernel over coordinate
@@ -393,18 +393,20 @@ def _central_params(g: Group) -> list:
 
 
 def _charged(g: Group, invertible_only: bool, limit: int | None):
-    """The frontier's blocks, each charged its k p^2n morphisms before it is
-    yielded: raises exactly when the total would exceed the limit, before
-    any matrix or image past it."""
+    """The frontier's blocks, once all their k p^2n morphisms fit the limit.
+
+    The whole frontier is walked, keeping at most limit / p^2n sigmas, before
+    any block is returned, so a refusal comes before any image."""
     limit = cap("MORPHISM_CAP") if limit is None else limit
     what = "automorphism" if invertible_only else "endomorphism"
     size = g.p ** (2 * g.n)
-    count = 0
-    for V, cols, s in _frontier(g, invertible_only):
-        count += len(cols) * size
+    blocks, count = [], 0
+    for block in _frontier(g, invertible_only):
+        count += len(block[1]) * size
         if count > limit:
             raise CapExceeded(f"{what} enumeration of {g.gid} exceeds cap {limit}")
-        yield V, cols, s
+        blocks.append(block)
+    return blocks
 
 
 def _enumerate(g: Group, invertible_only: bool, limit: int | None):
@@ -499,13 +501,16 @@ def _shift_table(g: Group, F):
     """shift[r, c, j] = ((c + z_unit F[r, j]) mod R) radix_z, R = ranges[z]: the
     central part of row r's image under functional j at base central value c.
 
-    int16 while |G| < 2^15; CapExceeded past SHIFT_CELLS cells, before any.
+    int16 while |G| < 2^15; CapExceeded past SHIFT_CELLS cells, before any,
+    and past 2^63 elements, whose indices int64 cannot hold.
     """
     import numpy as np
 
     z, R = g._z_slot, g.ranges[g._z_slot]
     if F.size * R > SHIFT_CELLS:
         raise CapExceeded(f"central shift table for {g.gid} has {F.size * R} cells")
+    if g.size > 1 << 63:
+        raise CapExceeded(f"{g.gid} has {g.size} elements, past the int64 indices")
     dtype = np.int16 if g.size < 1 << 15 else np.int64
     c = np.arange(R, dtype=dtype)[None, :, None]
     return (c + (g._z_unit * F).astype(dtype)[:, None, :]) % R * g.radices[z]
@@ -550,11 +555,14 @@ def _images(g: Group, sigma, s: int, E, shift):
 def f_table(g: Group):
     """The commutator form on all element pairs, computed from the group law.
 
-    F[a, b] is the c with ab = z^c ba, read off the index tables of ab and
-    ba: both lie in one coset of Z(G) = <z>, and an index is its coset
-    representative's plus (central exponent) * z_index.
+    F[a, b] is the c with ab = z^c ba, read off the multiplication table at
+    (a, b) and (b, a), one row block at a time: both products lie in one
+    coset of Z(G) = <z>, and an index is its coset representative's plus
+    (central exponent) * z_index.
     """
     import numpy as np
+
+    from .oracle import mult_table
 
     cached = getattr(g, "_f_table", None)
     if cached is not None:
@@ -562,11 +570,10 @@ def f_table(g: Group):
     if g.size > TABLE_CAP:
         raise CapExceeded(f"commutator-form table for {g.gid} with {g.size} elements")
     p, z = g.p, g.z_index
-    E = g.coords_matrix()
+    T = mult_table(g)
     F = np.empty((g.size, g.size), dtype=np.int64)
     for rows in row_blocks(g.size):
-        ab = g.mul_index(E[rows], E)
-        ba = g.mul_index(E, E[rows]).T
+        ab, ba = T[rows], T[:, rows].T
         s_ab, s_ba = ab // z % p, ba // z % p
         check(np.array_equal(ab - s_ab * z, ba - s_ba * z), "commutator is not central")
         F[rows] = (s_ab - s_ba) % p
@@ -585,10 +592,9 @@ def scalar_action_check(m: Morphism, exhaustive: bool = True,
         F = f_table(g)
         T = m.table()
         return bool(((F[np.ix_(T, T)] - l * F) % g.p == 0).all())
-    pairs = np.random.default_rng(seed).integers(g.size, size=(sample, 2))
-    images = m._apply_rows(g.coords_matrix()[pairs.ravel()]).reshape(sample, 2)
-    for (a, b), (ma, mb) in zip(pairs.tolist(), images.tolist()):
-        lhs = g.symplectic_f(g.coords_at(ma), g.coords_at(mb))
-        if lhs != (l * g.symplectic_f(g.coords_at(a), g.coords_at(b))) % g.p:
-            return False
-    return True
+    rng = np.random.default_rng(seed)
+    E = np.column_stack([rng.integers(r, size=2 * sample) for r in g.ranges])
+    images = m._apply_rows(E).reshape(sample, 2)
+    return all(g.symplectic_f(g.coords_at(ma), g.coords_at(mb))
+               == l * g.symplectic_f(tuple(a), tuple(b)) % g.p
+               for (a, b), (ma, mb) in zip(E.reshape(sample, 2, -1).tolist(), images.tolist()))

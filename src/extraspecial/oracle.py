@@ -20,7 +20,7 @@ search space is out of reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -138,43 +138,27 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
 def hom_table(g: Group, images: tuple) -> np.ndarray:
     """Full map table (index -> index) from generator images, via normal forms.
 
-    Every element is the word prod x_i^{u_i} prod y_j^{w_j} z^t for an
-    exponent t read off the coordinates, so the image is the same word in
-    the generator images.  This route never touches the parametrization.
+    Every element is the word prod x_i^{u_i} prod y_j^{w_j} z^t with
+    z = [x_1, y_1], a relation of both presentations: (u; w) is its quotient
+    vector and t its central exponent minus <u, w>, the central exponent of
+    the word before z^t.  So the image is the same word in the generator
+    images.  This route never touches the parametrization.
     """
     p, n = g.p, g.n
+    presentation(g)  # raises for the tilde kinds, whose words x^u y^w differ
 
-    def powers(x, count):
-        out = [(0,) * len(g.ranges)]
-        for _ in range(count - 1):
-            out.append(g.mul(out[-1], x))
-        return out
+    def powers(x):  # x^0 .. x^(p-1)
+        return list(accumulate([x] * (p - 1), g.mul, initial=(0,) * len(g.ranges)))
 
-    if g.kind == ES1:
-        xp = [powers(images[i], p) for i in range(n)]
-        yp = [powers(images[n + j], p) for j in range(n)]
-        zp = powers(g.commutator(images[0], images[n]), p)
-    elif g.kind == ES2:
-        xp = [powers(images[0], p * p)] + [powers(images[i], p) for i in range(1, n)]
-        yp = [powers(images[n + j], p) for j in range(n)]
-        zp = powers(g.power(images[0], p), p)
-    else:
-        raise ContextError(f"oracle tables cover es1/es2, got {g.gid}")
-
+    gen_powers = [powers(x) for x in images]
+    zp = powers(g.commutator(images[0], images[n]))
     table = np.empty(g.size, dtype=np.int64)
     for idx, c in enumerate(g.elements()):
-        if g.kind == ES1:
-            u, w = c[:n], c[n:2 * n]
-            t = (c[2 * n] - sum(a * b for a, b in zip(u, w))) % p
-        else:
-            u, w = c[:n], c[n:]
-            t = (-(w[0] * (u[0] % p) + sum(a * b for a, b in zip(u[1:], w[1:])))) % p
-        acc = xp[0][c[0]]
-        for i in range(1, n):
-            acc = g.mul(acc, xp[i][c[i]])
-        for j in range(n):
-            acc = g.mul(acc, yp[j][c[n + j]])
-        acc = g.mul(acc, zp[t])
+        # idx // z_index is the central exponent mod p (z^s adds s * z_index)
+        v = g.quotient_coords(c)
+        acc = zp[(idx // g.z_index - sum(v[i] * v[n + i] for i in range(n))) % p]
+        for x, e in zip(gen_powers, v):
+            acc = g.mul(acc, x[e])  # z^t is central, so it may come first
         table[idx] = g.index(acc)
     return table
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ContextError
-from .groups import ES1, ES2, Element, Group
+from .groups import ES1, ES2, TABLE_CAP, Element, Group
 from .modp import Mat, inv_mod
 from .morphisms import build_endo_es2, family_images
 
@@ -187,10 +187,15 @@ def _reach(g: Group, invertible_only: bool, limit: int | None):
     """reach[i, j]: some automorphism (endomorphism) sends element i to j.
 
     Each stacked kernel block is marked by one flat scatter of row * N + image.
+    Refused past TABLE_CAP elements, the limit of every N x N table, and past
+    the morphism cap before any image (morphisms._charged).
     """
     import numpy as np
 
     N = g.size
+    if N > TABLE_CAP:
+        raise CapExceeded(
+            f"reachability table for {g.gid} with {N} elements exceeds TABLE_CAP {TABLE_CAP}")
     reach = np.zeros((N, N), dtype=bool)
     flat = reach.reshape(-1)  # a view: reach is contiguous
     offset = np.arange(N)[:, None] * N
@@ -210,8 +215,6 @@ def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     import numpy as np
 
     _plain_only(g)
-    if g.size > 1024:
-        raise CapExceeded(f"orbit brute force on {g.gid} with {g.size} elements")
     N = g.size
     reach = _reach(g, True, limit)
     partition: dict[bytes, list] = {}
@@ -303,8 +306,6 @@ def partial_order_report(g: Group, verify: bool = True,
 
 def _verify_es1_total_order(g: Group, limit: int | None):
     """Exhaustively confirm the degeneration chain on a desk-scale es1 group."""
-    if g.size > 128:
-        raise CapExceeded(f"es1 partial-order verification on {g.gid} with {g.size} elements")
     reach = _reach(g, False, limit)
     # brute degeneration must agree with the closed form everywhere: row i is
     # the membership mask of element i's image class

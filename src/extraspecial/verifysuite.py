@@ -25,7 +25,7 @@ def check_group_laws(kind: str, p: int, n: int):
     N = len(elems)
     check(N == p ** (2 * n + 1), f"{g.gid} has {N} elements")
     T = oracle.mult_table(g)
-    # the batched law is the tuple law the CLI, Element and the hom-search use
+    # the cocycle data's two readers agree: mul_index and the tuple mul (CLI, hom-search)
     tuple_law = np.array([[g.index(g.mul(a, b)) for b in elems] for a in elems])
     check(np.array_equal(T, tuple_law), f"batched and tuple products differ in {g.gid}")
     ids = np.arange(N)  # the identity is element 0

@@ -11,9 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from extraspecial import counting, oracle, orbits
-from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, delta_iso,
-                                 group, lambda_iso)
+from extraspecial import counting, oracle, orbits, verifysuite
+from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import is_odd_prime
 from extraspecial.morphisms import (enumerate_automorphisms,
                                     enumerate_endomorphisms, enumerate_sigma,
@@ -169,15 +168,10 @@ def test_c8_scalar_law_isos_and_sigma_consequences():
             for m in enumerate_endomorphisms(g):
                 assert scalar_action_check(m, exhaustive=True)
 
+        # bijective and a homomorphism on every pair of elements
         for p, n in ((3, 1), (5, 1), (3, 2)):
-            for tkind, phi in ((ES1_TILDE, lambda_iso), (ES2_TILDE, delta_iso)):
-                gt = group(tkind, p, n)
-                fwd = {c: phi(gt.element(c)).coords for c in gt.elements()}
-                assert len(set(fwd.values())) == gt.size  # bijective
-                target = phi(gt.identity()).group
-                for a, fa in fwd.items():
-                    for b, fb in fwd.items():
-                        assert fwd[gt.mul(a, b)] == target.mul(fa, fb)
+            verifysuite.check_lambda_iso(p, n)
+            verifysuite.check_delta_iso(p, n)
 
         # the consequences are on sigma alone, so check them once per sigma;
         # each sigma carries p^2n automorphisms

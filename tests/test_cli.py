@@ -83,6 +83,31 @@ def test_endo_check_is_exhaustive_up_to_the_table_cap(capsys):
                                         "scalar action check passed (exhaustive)"]
 
 
+def _identity(n):
+    return "[" + ",".join(str(int(i == j)) for i in range(n) for j in range(n)) + "]"
+
+
+def test_endo_check_samples_past_the_element_cap(capsys):
+    # es1(11,3) has 19,487,171 elements, past ELEMENT_CAP: the sampled pairs are
+    # drawn coordinate by coordinate, with no table of all elements
+    one = _identity(3)
+    code, out, _ = run(capsys, "endo", "es1(11,3)", f"A={one}", f"B={one}",
+                       "alpha=[1,0,0]", "--check")
+    assert code == 0
+    assert out.strip().splitlines() == ["valid automorphism, l=1",
+                                        "scalar action check passed (sampled)"]
+
+
+@pytest.mark.parametrize("action", [["--check"], ["--apply", "[1,0,0,0,0|0,0,0,0,0|0]"]])
+def test_endo_past_int64_indices_exit_1(capsys, action):
+    # es1(101,5) has 101^11 > 2^63 elements: refused, not a traceback
+    one = _identity(5)
+    code, out, err = run(capsys, "endo", "es1(101,5)", f"A={one}", f"B={one}", *action)
+    assert code == 1
+    assert out.strip() == "valid automorphism, l=1"
+    assert err.startswith("error:") and "int64" in err
+
+
 def test_endo_es2_lift_tag(capsys):
     code, out, _ = run(capsys, "endo", "es2(3,1)", "A=[1]", "B=[1]", "a=4",
                        "--apply", "[1|0]")

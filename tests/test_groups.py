@@ -255,7 +255,48 @@ def test_caps_guard_enumeration():
     assert config.cap("ELEMENT_CAP") >= 10 ** 6
 
 
-# -- the batched law Group.mul_index against the tuple law -----------------
+# -- the paper's formulas, spelled out per kind: the reference for both laws --
+
+def spelled_mul(g, a, b):
+    """The product as the paper writes each presentation (module docstring of
+    extraspecial.groups), one branch per kind."""
+    p, n = g.p, g.n
+    if g.kind == ES1:
+        tw = sum(a[i] * b[n + i] for i in range(n)) % p
+        return tuple((x + y) % p for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1] + tw) % p,)
+    if g.kind == ES1_TILDE:
+        sym = sum(a[i] * b[n + i] - a[n + i] * b[i] for i in range(n))
+        tw = (g.half * sym) % p
+        return tuple((x + y) % p for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1] + tw) % p,)
+    if g.kind == ES2:
+        tw = (b[n] * (a[0] % p) + sum(a[i] * b[n + i] for i in range(1, n))) % p
+        first = (a[0] + b[0] + p * tw) % (p * p)
+        return (first,) + tuple((x + y) % p for x, y in zip(a[1:], b[1:]))
+    # ES2_TILDE
+    au = (a[0] % p,) + a[1:n]
+    bu = (b[0] % p,) + b[1:n]
+    aw = a[n:]
+    bw = b[n:]
+    sym = sum(au[i] * bw[i] - bu[i] * aw[i] for i in range(n))
+    tw = (g.half * sym) % p
+    first = (a[0] + b[0] + p * tw) % (p * p)
+    return (first,) + tuple((x + y) % p for x, y in zip(a[1:], b[1:]))
+
+
+def spelled_inv(g, a):
+    p, n = g.p, g.n
+    if g.kind == ES1:
+        tw = sum(a[i] * a[n + i] for i in range(n)) % p
+        return tuple(-x % p for x in a[:-1]) + ((tw - a[-1]) % p,)
+    if g.kind == ES1_TILDE:
+        return tuple(-x % p for x in a[:-1]) + (-a[-1] % p,)
+    if g.kind == ES2:
+        tw = (a[n] * (a[0] % p) + sum(a[i] * a[n + i] for i in range(1, n))) % p
+        first = (-a[0] + p * tw) % (p * p)
+        return (first,) + tuple(-x % p for x in a[1:])
+    # ES2_TILDE: the symmetrized cocycle vanishes on (g, g^-1)
+    return (-a[0] % (p * p),) + tuple(-x % p for x in a[1:])
+
 
 ALL_KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
 
@@ -263,10 +304,16 @@ ALL_KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
 def test_mul_index_matches_tuple_mul_exhaustive(kind, p, n):
+    # Group.mul, Group.inv and mul_index against the spelled formulas: every
+    # pair at (3,1) and (3,2), a deterministic slice of the pairs at (5,1)
     g = group(kind, p, n)
     elems = list(g.elements())
-    want = np.array([[g.index(g.mul(a, b)) for b in elems] for a in elems])
-    assert np.array_equal(g.mul_index(g.coords_matrix(), g.coords_matrix()), want)
+    left = elems[::3] if p == 5 else elems
+    want = [[spelled_mul(g, a, b) for b in elems] for a in left]
+    assert [[g.mul(a, b) for b in elems] for a in left] == want
+    assert [g.inv(a) for a in elems] == [spelled_inv(g, a) for a in elems]
+    A = np.array(left, dtype=np.int64)
+    assert g.mul_index(A, g.coords_matrix()).tolist() == [[g.index(c) for c in row] for row in want]
 
 
 @given(data=st.data())
@@ -275,7 +322,7 @@ def test_mul_index_matches_tuple_mul_random(data):
     g = group(data.draw(st.sampled_from(ALL_KINDS)), *data.draw(st.sampled_from([(7, 2), (3, 3)])))
     rows = st.lists(coords_strategy(g), min_size=1, max_size=4)
     A, B = data.draw(rows), data.draw(rows)
-    want = [[g.index(g.mul(a, b)) for b in B] for a in A]
+    want = [[g.index(spelled_mul(g, a, b)) for b in B] for a in A]
     assert g.mul_index(np.array(A), np.array(B)).tolist() == want
 
 

@@ -80,7 +80,9 @@ def test_bruteforce_partition_matches_classifier(es1_31, es2_31):
 
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
-        orbits_bruteforce(group(ES1, 11, 1))
+        orbits_bruteforce(group(ES1, 11, 1))  # 1.6 M automorphisms, past MORPHISM_CAP
+    with pytest.raises(CapExceeded, match="TABLE_CAP"):
+        orbits_bruteforce(group(ES1, 5, 2))  # 3125 elements
 
 
 def test_endo_image_class_frozen(es1_31, es2_31, es2_32):
@@ -133,6 +135,22 @@ def test_partial_order_report_es1(es1_31):
     assert rep.witness is None
     d = rep.to_json_dict()
     assert d["verdict"] == PARTIAL_ORDER and "witness" not in d
+
+
+def test_es1_order_is_verified_past_the_old_size_guard():
+    # es1(7,1), 343 elements: 117,649 endomorphisms on every element
+    rep = partial_order_report(group(ES1, 7, 1))
+    assert rep.verdict == PARTIAL_ORDER and rep.verified
+
+
+def test_es1_order_check_refuses_before_any_image(monkeypatch, es1_32):
+    # es1(3,2) has 28.9 M endomorphisms, past MORPHISM_CAP: no kernel call
+    def kernel(*_args):
+        raise AssertionError("an image was computed before the refusal")
+
+    monkeypatch.setattr(morphisms, "_images", kernel)
+    with pytest.raises(CapExceeded, match="endomorphism enumeration"):
+        partial_order_report(es1_32)
 
 
 def test_es1_order_check_catches_a_wrong_image_class(monkeypatch, es1_31):
@@ -199,14 +217,15 @@ def _watch_kernel(monkeypatch):
 
 
 def test_reach_charges_each_block_before_its_images(monkeypatch, es1_31):
-    # es1(3,1) automorphisms: blocks of 24 sigmas for s = 1 and s = 2, 9 members each
+    # es1(3,1) automorphisms: blocks of 24 sigmas for s = 1 and s = 2, 9 members
+    # each; the whole total is charged first, so a refusal makes no kernel call
     blocks = _watch_kernel(monkeypatch)
-    with pytest.raises(CapExceeded):
-        orbits._reach(es1_31, True, 24 * 9 - 1)
+    for limit in (24 * 9 - 1, 24 * 9, 48 * 9 - 1):
+        with pytest.raises(CapExceeded):
+            orbits._reach(es1_31, True, limit)
     assert blocks == []
-    with pytest.raises(CapExceeded):
-        orbits._reach(es1_31, True, 24 * 9)
-    assert sum(len(b) for b in blocks) == 24
+    orbits._reach(es1_31, True, 48 * 9)
+    assert sum(len(b) for b in blocks) == 48
 
 
 def test_orbit_brute_force_keeps_each_kernel_call_within_the_stack(monkeypatch, es2_32):
