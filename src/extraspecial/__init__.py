@@ -13,9 +13,8 @@ from .errors import (CapExceeded, ContextError, DimensionError,
 from .groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Element, Group, GroupId,
                      delta_iso, format_element, group, lambda_iso,
                      parse_element, parse_group_spec, symplectic_f)
-from .modp import Mat, half, inv_mod, is_odd_prime, p_binomial, rank, rref
-from .symplectic import (Subspace, delta_matrix, enumerate_isotropic,
-                         is_sp_scalar, pairing, symp_scalar_test)
+from .modp import Mat, half, inv_mod, is_odd_prime, p_binomial
+from .symplectic import delta_matrix, is_sp_scalar, pairing, symp_scalar_test
 from .morphisms import (Morphism, build_endo_es1, build_endo_es2, compose,
                         enumerate_automorphisms, enumerate_endomorphisms,
                         inner_automorphism, is_im_phi2_matrix,
@@ -39,9 +38,8 @@ __all__ = [
     "ES1", "ES1_TILDE", "ES2", "ES2_TILDE", "Element", "Group", "GroupId",
     "delta_iso", "format_element", "group", "lambda_iso",
     "parse_element", "parse_group_spec", "symplectic_f",
-    "Mat", "half", "inv_mod", "is_odd_prime", "p_binomial", "rank", "rref",
-    "Subspace", "delta_matrix", "enumerate_isotropic", "is_sp_scalar",
-    "pairing", "symp_scalar_test",
+    "Mat", "half", "inv_mod", "is_odd_prime", "p_binomial",
+    "delta_matrix", "is_sp_scalar", "pairing", "symp_scalar_test",
     "Morphism", "build_endo_es1", "build_endo_es2", "compose",
     "enumerate_automorphisms", "enumerate_endomorphisms",
     "inner_automorphism", "is_im_phi2_matrix",

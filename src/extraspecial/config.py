@@ -9,7 +9,8 @@ Environment overrides (integers):
     EXTRASPECIAL_HOM_CAP        generator-image candidates     (default 10**9)
     EXTRASPECIAL_SCAN_CAP       matrix scans, p^(4n^2) space,  (default 10**8)
                                 surjection scans, p^(2nk) space
-    EXTRASPECIAL_SUBSPACE_CAP   subspace scans                 (default 10**7)
+    EXTRASPECIAL_SUBSPACE_CAP   subspace scans, one echelon    (default 10**7)
+                                matrix per k-subspace of F_p^dim
 """
 
 import os

@@ -146,38 +146,6 @@ class Mat:
         return f"Mat({self.m}, {list(map(list, self.rows))})"
 
 
-def rref(mat: Mat) -> Mat:
-    """Reduced row echelon form over Z/p, zero rows dropped.
-
-    The result is the canonical representative of the row space, so two
-    matrices span the same subspace iff their rref rows coincide.
-    """
-    p = mat.m
-    rows = [list(r) for r in mat.rows]
-    nr, nc = len(rows), mat.ncols
-    pivot_row = 0
-    for col in range(nc):
-        sel = next((r for r in range(pivot_row, nr) if rows[r][col] % p != 0), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = inv_mod(rows[pivot_row][col], p)
-        rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
-        for r in range(nr):
-            if r != pivot_row and rows[r][col] % p:
-                c = rows[r][col] % p
-                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nr:
-            break
-    kept = [r for r in rows if any(x % p for x in r)]
-    return Mat(p, kept) if kept else Mat.zeros(p, 0, nc)
-
-
-def rank(mat: Mat) -> int:
-    return rref(mat).nrows
-
-
 def p_binomial(n: int, k: int, p: int) -> int:
     """Gaussian binomial: the number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:

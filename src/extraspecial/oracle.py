@@ -9,9 +9,13 @@ Three separate recomputation routes:
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
     induced Gram form against the standard symplectic form, by one count
     over the pairing table rather than the similitude parametrization.
-  * subspace scans: walk reduced-row-echelon cells and test isotropy and
-    hyperplane membership directly; the surjection scan tests every
-    k x dim matrix for full rank, in numpy blocks of candidates.
+  * subspace scans: one walk over the reduced-echelon cells, in
+    coordinates along the isotropic flag, tests isotropy and V_1
+    membership on numpy blocks of echelon matrices; cell_polynomial
+    certifies from the same walk that each isotropic count is a polynomial
+    in p with non-negative coefficients, one p^d per cell.  The surjection
+    scan tests every k x dim matrix for full rank, in numpy blocks of
+    candidates.
 
 Caps guard every scan; CapExceeded is raised before work starts when the
 search space is out of reach.
@@ -19,13 +23,14 @@ search space is out of reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
 import numpy as np
 
 from .config import cap
-from .errors import CapExceeded, ContextError
+from .errors import CapExceeded, ContextError, check
 from .groups import ES1, ES2, TABLE_CAP, Group, row_blocks
 
 NULL_FORM = "null"
@@ -300,50 +305,103 @@ def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
 # ---------------------------------------------------------------------------
 # subspace scans via echelon cells
 
-def _pairing_int(v: tuple, w: tuple, p: int) -> int:
-    h = len(v) // 2
-    acc = 0
-    for i in range(h):
-        acc += v[i] * w[h + i] - v[h + i] * w[i]
-    return acc % p
+# int64 entries of one block of echelon matrices; a block's arrays stay
+# within a few times 16 MiB whatever the shape
+_CELL_BLOCK = 1 << 21
 
 
-def scan_subspaces(dim: int, p: int, k: int, isotropic: bool = False,
-                   inside_v1: bool = False, limit: int | None = None) -> int:
-    """Count k-dim subspaces of F_p^dim by walking echelon cells.
+def _flag_order(n: int) -> list:
+    """Indices of the coordinates (u_1..u_n | w_1..w_n) taken along the
+    isotropic flag: w_1..w_n, then u_n..u_1.
 
-    Every subspace has a unique reduced-echelon basis, indexed by the pivot
-    column set and the free entries, so the walk hits each exactly once.
+    In this order the isotropic echelon cells should be affine spaces (the
+    Bruhat cells), which cell_polynomial checks rather than assumes, and
+    V_1 = {u_1 = 0} is the last coordinate.
+    """
+    return list(range(n, 2 * n)) + list(range(n - 1, -1, -1))
+
+
+def _cells(dim: int, p: int, k: int, isotropic: bool = False,
+           inside_v1: bool = False, limit: int | None = None):
+    """Yield (pivots, count) for every reduced-echelon cell of k x dim matrices.
+
+    A cell is a pivot set; its echelon matrices have a 1 at each pivot,
+    zeros left of it and in the other pivot columns, and free entries
+    elsewhere.  Every assignment of the free entries is built, a numpy
+    block at a time, and count keeps those whose rows span an isotropic
+    subspace (zero Gram matrix) or one inside V_1, as asked.  Coordinates
+    run along _flag_order.  Every subspace has exactly one echelon basis,
+    so the walk visits p_binomial(dim, k, p) matrices, charged to
+    SUBSPACE_CAP before any block is built.
     """
     from .modp import p_binomial
 
-    if k < 0 or k > dim:
-        return 0
-    if k == 0:
-        return 1
+    if not 0 <= k <= dim:
+        return
+    if dim % 2 and (isotropic or inside_v1):
+        raise ContextError(f"isotropic and V_1 scans need an even dim, got {dim}")
     space = p_binomial(dim, k, p)
     ceiling = cap("SUBSPACE_CAP") if limit is None else limit
     if space > ceiling:
         raise CapExceeded(f"subspace scan over {space} subspaces exceeds {ceiling}")
-    total = 0
+    if isotropic or inside_v1:
+        order = _flag_order(dim // 2)
+        delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
+        form = delta[np.ix_(order, order)]  # the Gram matrix of the flag basis
+        v1 = order.index(0)
+    rows = max(1, _CELL_BLOCK // max(1, k * dim))
     for pivots in combinations(range(dim), k):
-        if inside_v1 and pivots[0] == 0:
-            # an echelon basis row with pivot in column 0 starts with 1
-            continue
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, dim)
+        base = np.zeros((k, dim), dtype=np.int64)
+        base[range(k), pivots] = 1
+        free = [i * dim + j for i in range(k) for j in range(pivots[i] + 1, dim)
                 if j not in pivots]
-        for assignment in product(range(p), repeat=len(free)):
-            rows = [[0] * dim for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, j), val in zip(free, assignment):
-                rows[i][j] = val
-            basis = [tuple(r) for r in rows]
-            if isotropic and any(_pairing_int(basis[a], basis[b], p)
-                                 for a in range(k) for b in range(a + 1, k)):
-                continue
-            total += 1
-    return total
+        radix = p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+        total = p ** len(free)
+        count = 0
+        for start in range(0, total, rows):
+            idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+            M = np.tile(base.reshape(1, -1), (len(idx), 1))
+            M[:, free] = idx[:, None] // radix % p
+            M = M.reshape(len(idx), k, dim)
+            keep = np.ones(len(M), dtype=bool)
+            if isotropic:
+                # form is a signed permutation: no product exceeds dim * p^2
+                keep &= ~(M @ form @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
+            if inside_v1:
+                keep &= ~M[:, :, v1].any(axis=1)
+            count += int(np.count_nonzero(keep))
+        yield pivots, count
+
+
+def scan_subspaces(dim: int, p: int, k: int, isotropic: bool = False,
+                   inside_v1: bool = False, limit: int | None = None) -> int:
+    """Count k-dim subspaces of F_p^dim, optionally isotropic or inside V_1,
+    by walking the echelon cells."""
+    return sum(count for _, count in _cells(dim, p, k, isotropic, inside_v1, limit))
+
+
+def cell_polynomial(n: int, k: int, inside_v1: bool = False, primes=(3, 5)) -> tuple:
+    """Coefficients c_d of the isotropic k-subspace count of F_p^2n (inside
+    V_1 if asked) as sum_d c_d p^d, certified cell by cell.
+
+    Every non-empty echelon cell must hold exactly p^d subspaces, with one
+    d at every prime, or errors.check fails; c_d is the number of cells of
+    dimension d, so the coefficients are non-negative integers.
+    """
+    if len(set(primes)) < 2:
+        raise ContextError(f"the cell certificate compares two or more primes, got {primes}")
+    walks = [dict(_cells(2 * n, p, k, True, inside_v1)) for p in primes]
+    coeffs = []
+    for pivots in walks[0]:
+        counts = [walk[pivots] for walk in walks]
+        if any(counts):
+            d = round(math.log(max(counts[0], 1), primes[0]))
+            check(counts == [p ** d for p in primes],
+                  f"cell {pivots} of (n={n}, k={k}) holds {counts} at p = {primes}, "
+                  "not one power p^d")
+            coeffs += [0] * (d + 1 - len(coeffs))
+            coeffs[d] += 1
+    return tuple(coeffs)
 
 
 # cells of a candidate matrix filled from one precomputed tail table: the

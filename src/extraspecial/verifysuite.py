@@ -16,7 +16,6 @@ from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
                      group, lambda_iso, row_blocks)
 from .morphisms import (enumerate_automorphisms, enumerate_endomorphisms,
                         family_images, is_im_phi2_matrix, scalar_action_check)
-from .symplectic import enumerate_isotropic
 
 
 def check_group_laws(kind: str, p: int, n: int):
@@ -109,26 +108,27 @@ def check_partial_order(kind: str, p: int, n: int, expected_verdict: str):
 
 
 def check_counting_scans(p: int, n: int):
-    """Every quantity's closed form against its oracle scan, plus the subspace
-    search behind alpha_k and beta_k."""
+    """Every quantity's closed form against its oracle scan."""
     for q in counting.QUANTITIES:
         for k, kind in counting.row_args(q, n):
             check(counting.compute_report(q, p, n, k, kind, oracle=True).match,
                   f"{q}({p},{n}) k={k} group={kind} scan mismatch")
-    for k in range(n + 1):
-        check(counting.alpha_k(p, n, k) == len(enumerate_isotropic(n, p, k)),
-              f"alpha_{k}({p},{n}) subspace search mismatch")
-        check(counting.beta_k(p, n, k) == len(enumerate_isotropic(n, p, k, inside_v1=True)),
-              f"beta_{k}({p},{n}) subspace search mismatch")
 
 
 def check_polynomials(n: int, primes=(3, 5, 7)):
+    """Every twin against its closed form at each prime, and the alpha and
+    beta twins coefficient by coefficient against their echelon cells."""
     for p in primes:
         for q, route in counting.QUANTITIES.items():
             for k, kind in counting.row_args(q, n):
                 a = counting.validate_request(q, p, n, k, kind)
                 check(route.poly(n, a).eval(p) == route.formula(p, n, a),
                       f"{q} polynomial at ({p},{n}) k={k} group={kind}")
+    for q, inside_v1 in (("alpha_k", False), ("beta_k", True)):
+        for k in range(n + 1):
+            check(counting.QUANTITIES[q].poly(n, k).coeffs
+                  == oracle.cell_polynomial(n, k, inside_v1, primes),
+                  f"{q} polynomial at n={n} k={k} differs from its echelon cells")
 
 
 def check_im_phi2(p: int, n: int):
@@ -211,5 +211,7 @@ def checks(suite: str):
         ("counting-scans-(3,2)", lambda: check_counting_scans(3, 2)),
         ("counting-scans-(5,1)", lambda: check_counting_scans(5, 1)),
         ("counting-polynomials-n2", lambda: check_polynomials(2)),
+        # p = 7 is past SUBSPACE_CAP at n = 3
+        ("counting-polynomials-n3", lambda: check_polynomials(3, primes=(3, 5))),
     ]
     return base + extra

@@ -172,7 +172,7 @@ def test_closed_forms_cover_every_quantity_and_twin():
         assert q in _CLOSED_FORMS
     assert {"alpha_poly", "count_X_poly", "end_order_poly"} <= set(_CLOSED_FORMS)
     assert {"scan_matrices", "scan_subspaces", "scan_surjections",
-            "sigma_scan_count"} <= set(_ORACLE_FUNCTIONS)
+            "sigma_scan_count", "cell_polynomial"} <= set(_ORACLE_FUNCTIONS)
 
 
 @pytest.mark.parametrize("q, k, kind", _TABLE_ROWS_31)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from extraspecial.errors import DimensionError
-from extraspecial.modp import (Mat, half, inv_mod, is_odd_prime, p_binomial,
-                               rank, rref)
+from extraspecial.modp import Mat, half, inv_mod, is_odd_prime, p_binomial
 from extraspecial.oracle import scan_subspaces
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -65,16 +64,6 @@ def test_mat_symmetry_and_submatrix():
     assert not Mat(5, ((1, 2), (3, 4))).is_symmetric()
     m = Mat(3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
     assert m.submatrix(range(1, 3), range(0, 2)).rows == ((0, 1), (0, 1))
-
-
-def test_rref_and_rank():
-    m = Mat(3, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
-    # row3 = row1 - 2*row2 mod 3, so the rank drops to 2
-    assert rank(m) == 2
-    r = rref(m)  # zero rows are discarded, pivots normalized to 1
-    assert r.rows == ((1, 0, 1), (0, 1, 1))
-    assert rank(Mat.zeros(3, 2, 2)) == 0
-    assert rank(Mat.identity(7, 4)) == 4
 
 
 def test_p_binomial_frozen():

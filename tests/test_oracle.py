@@ -11,11 +11,43 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import counting, modp, morphisms, oracle
+from extraspecial import counting, modp, morphisms, oracle, polyz
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, group
-from extraspecial.modp import Mat, rank
 from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
+from extraspecial.symplectic import pairing
+
+
+def rref(rows, p):
+    """Reduced row echelon rows over F_p, zero rows dropped: the canonical
+    basis of the row space, so two lists span the same subspace iff their
+    rref coincide."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next((r for r in rows if r[col]), None)
+        if sel is None:
+            continue
+        rows.remove(sel)
+        sel = [x * pow(sel[col], -1, p) % p for x in sel]
+        rows, out = ([[(x - r[col] * y) % p for x, y in zip(r, sel)] for r in part]
+                     for part in (rows, out))
+        out.append(sel)
+    return tuple(map(tuple, out))
+
+
+def rank(rows, p):
+    return len(rref(rows, p))
+
+
+def test_rref_and_rank():
+    m = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
+    # row3 = row1 - 2*row2 mod 3, so the rank drops to 2
+    assert rank(m, 3) == 2
+    assert rref(m, 3) == ((1, 0, 1), (0, 1, 1))  # zero rows dropped, pivots 1
+    assert rref(((2, 2),), 3) == rref(((1, 1),), 3)  # one line, one canonical basis
+    assert rank(((0, 0), (0, 0)), 3) == 0
+    assert rank([[int(i == j) for j in range(4)] for i in range(4)], 7) == 4
 
 
 def test_presentation_shapes(es1_31, es2_31, es2_32):
@@ -169,7 +201,7 @@ def test_scan_matrices_cap():
         oracle.scan_matrices(2, 3, oracle.NULL_FORM, limit=10)
 
 
-def test_scan_subspaces():
+def test_scan_subspaces(monkeypatch):
     # total subspace counts are Gaussian binomials
     assert oracle.scan_subspaces(4, 3, 0) == 1
     assert oracle.scan_subspaces(4, 3, 1) == 40
@@ -178,6 +210,69 @@ def test_scan_subspaces():
     assert oracle.scan_subspaces(2, 3, 1, isotropic=True, inside_v1=True) == 1
     assert oracle.scan_subspaces(4, 3, 2, isotropic=True) == 40
     assert oracle.scan_subspaces(4, 3, 2, isotropic=True, inside_v1=True) == 4
+    with pytest.raises(ContextError):
+        oracle.scan_subspaces(3, 3, 1, isotropic=True)
+    # the cap is charged before the flag or any cell is built
+    monkeypatch.setattr(oracle, "_flag_order", None)
+    with pytest.raises(CapExceeded):
+        oracle.scan_subspaces(4, 3, 2, isotropic=True, limit=129)
+
+
+def _subspaces_by_tuples(dim, p, isotropic, inside_v1):
+    """The tuple reference: counts per k of the subspaces spanned by k-tuples
+    of vectors, each new vector orthogonal to the earlier ones if isotropic
+    and with first coordinate 0 if inside_v1, deduplicated by rref rows."""
+    vecs = [v for v in product(range(p), repeat=dim) if not (inside_v1 and v[0])]
+    level, counts = {()}, [1]
+    for k in range(1, dim + 1):
+        level = {rref(span + (v,), p) for span in level for v in vecs
+                 if not (isotropic and any(pairing(u, v, p) for u in span))}
+        level = {span for span in level if len(span) == k}
+        counts.append(len(level))
+    return counts
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (2, 3)])
+def test_scan_subspaces_matches_tuple_reference(n, p):
+    dim = 2 * n
+    for isotropic, inside_v1 in product((False, True), repeat=2):
+        want = _subspaces_by_tuples(dim, p, isotropic, inside_v1)
+        got = [oracle.scan_subspaces(dim, p, k, isotropic, inside_v1) for k in range(dim + 1)]
+        assert got == want, (isotropic, inside_v1)
+
+
+def test_cell_walk_is_independent_of_the_block_size(monkeypatch):
+    cases = [(4, 3, k, *flags) for k in range(5) for flags in product((False, True), repeat=2)]
+    cases += [(6, 3, 2, *flags) for flags in product((False, True), repeat=2)]
+    want = [list(oracle._cells(*c)) for c in cases]
+    monkeypatch.setattr(oracle, "_CELL_BLOCK", 40)  # one to ten matrices per block
+    assert [list(oracle._cells(*c)) for c in cases] == want
+
+
+def test_cell_polynomial_certifies_the_twins_without_them(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the cell certificate reached a forbidden helper")
+
+    for module in (counting, polyz):
+        for name, value in vars(module).items():
+            if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+    # alpha_2(p, 2) = (p^2 + 1)(p + 1), beta_2(p, 2) = p + 1
+    assert oracle.cell_polynomial(2, 2, False) == (1, 1, 1, 1)
+    assert oracle.cell_polynomial(2, 2, True) == (1, 1)
+    assert oracle.cell_polynomial(2, 1, True, primes=(3, 5, 7)) == (1, 1, 1)
+    assert oracle.cell_polynomial(1, 2, False) == ()  # no isotropic plane in F_p^2
+    with pytest.raises(ContextError):
+        oracle.cell_polynomial(2, 1, False, primes=(3, 3))
+
+
+def test_cell_polynomial_rejects_the_plain_coordinate_order(monkeypatch):
+    # in the order (u_1, u_2, w_1, w_2) the cells are not affine spaces:
+    # cell (0, 2) holds 6 isotropic planes at p = 3; the totals do not notice
+    monkeypatch.setattr(oracle, "_flag_order", lambda n: list(range(2 * n)))
+    assert oracle.scan_subspaces(4, 3, 2, isotropic=True) == 40
+    with pytest.raises(AssertionError, match=r"cell \(0, 2\) .* holds \[6, 20\]"):
+        oracle.cell_polynomial(2, 2, False)
 
 
 def test_scan_surjections():
@@ -188,10 +283,10 @@ def test_scan_surjections():
 
 
 def _surjections_one_by_one(dim, p, k):
-    """The per-matrix reference: one Mat and one rref per candidate."""
+    """The per-matrix reference: one rref per candidate."""
     if k == 0:
         return 1
-    return sum(rank(Mat(p, [entries[i * dim:(i + 1) * dim] for i in range(k)])) == k
+    return sum(rank([entries[i * dim:(i + 1) * dim] for i in range(k)], p) == k
                for entries in product(range(p), repeat=k * dim))
 
 

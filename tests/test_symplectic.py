@@ -1,9 +1,5 @@
-import pytest
-
-from extraspecial.counting import alpha_k, beta_k
 from extraspecial.modp import Mat
-from extraspecial.symplectic import (Subspace, all_vectors, delta_matrix,
-                                     enumerate_isotropic, in_v1, is_sp_scalar,
+from extraspecial.symplectic import (all_vectors, delta_matrix, is_sp_scalar,
                                      pairing, symp_scalar_test)
 
 
@@ -60,43 +56,3 @@ def test_symp_scalar_matches_pairing_definition():
         for v in vecs[::7]:
             for w in vecs[::9]:
                 assert pairing(m.mul_vec(v), m.mul_vec(w), 3) == (l * pairing(v, w, 3)) % 3
-
-
-def test_in_v1():
-    assert in_v1((0, 1, 2, 1))
-    assert not in_v1((2, 0, 0, 0))
-
-
-def test_subspace_basic():
-    s = Subspace.spanned_by(3, 4, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)])
-    assert s.k == 2
-    assert s.contains((1, 2, 0, 0))
-    assert not s.contains((0, 0, 1, 0))
-    assert s.is_isotropic()
-    t = Subspace.spanned_by(3, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    assert not t.is_isotropic()  # contains a hyperbolic pair
-    assert Subspace.spanned_by(3, 4, [(0, 1, 0, 1)]).inside_v1()
-    assert not s.inside_v1()
-
-
-def test_subspace_equality_is_canonical():
-    a = Subspace.spanned_by(3, 2, [(1, 1)])
-    b = Subspace.spanned_by(3, 2, [(2, 2)])
-    assert a == b and hash(a) == hash(b)
-
-
-@pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (2, 3)])
-def test_enumerate_isotropic_counts(n, p):
-    for k in range(n + 1):
-        subs = enumerate_isotropic(n, p, k)
-        assert len(subs) == alpha_k(p, n, k)
-        assert all(s.is_isotropic() and s.k == k for s in subs)
-        inside = enumerate_isotropic(n, p, k, inside_v1=True)
-        assert len(inside) == beta_k(p, n, k)
-        assert all(s.inside_v1() for s in inside)
-        assert set(inside) <= set(subs)
-
-
-def test_enumerate_isotropic_no_duplicates():
-    subs = enumerate_isotropic(2, 3, 2)
-    assert len(subs) == len(set(subs))

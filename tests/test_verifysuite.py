@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extraspecial import verifysuite
+from extraspecial import oracle, verifysuite
 from extraspecial.groups import ES1, ES2, ES2_TILDE, Group, GroupId, group
 from extraspecial.morphisms import f_table
 
@@ -106,3 +106,9 @@ def test_scalar_action_row_fails_on_a_wrong_law(monkeypatch):
                         lambda m, exhaustive=True: m.scalar_mod_p != 2)
     with pytest.raises(AssertionError, match="scalar law fails"):
         verifysuite.check_scalar_action(ES2, 3, 1)
+
+
+def test_polynomial_rows_compare_the_twins_with_the_echelon_cells(monkeypatch):
+    monkeypatch.setattr(oracle, "cell_polynomial", lambda *_args: ())
+    with pytest.raises(AssertionError, match="alpha_k polynomial at n=1 k=0 differs"):
+        verifysuite.check_polynomials(1)
