@@ -2,10 +2,11 @@
 
 Three separate recomputation routes:
 
-  * generator-image search: enumerate candidate images for the standard
-    generators, keep those satisfying the defining relations (von Dyck),
-    and rebuild the full map from normal forms.  No block matrices, no
-    quadratic correction terms.
+  * generator-image search: assign images to the standard generators one
+    at a time on the tuple law, cut every prefix that fails a defining
+    relation of its highest generator, keep the tuples satisfying them all
+    (von Dyck), and rebuild the full map from normal forms.  No block
+    matrices, no quadratic correction terms, no batched law.
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
     induced Gram form against the standard symplectic form, by one count
     over the pairing table rather than the similitude parametrization.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations, product
 
 import numpy as np
@@ -108,25 +110,53 @@ def presentation(g: Group) -> PresentationSpec:
     return PresentationSpec(g.kind, p, n, orders, tuple(rels))
 
 
-def eval_word(g: Group, images: tuple, word: tuple) -> tuple:
-    acc = (0,) * len(g.ranges)
-    for gi, e in word:
-        acc = g.mul(acc, g.power(images[gi], e))
-    return acc
+def eval_word(g: Group, images: tuple, word: tuple, power=None) -> tuple:
+    """The product of images[i]^e over the word's tokens (i, e).
+
+    power(x, e) gives the factors, g.power unless a cache is passed; the
+    empty word is the identity.
+    """
+    if not word:
+        return (0,) * len(g.ranges)
+    power = power or g.power
+    return reduce(g.mul, [power(images[gi], e) for gi, e in word])
 
 
-def satisfies_relations(g: Group, pres: PresentationSpec, images: tuple) -> bool:
-    for lhs, rhs in pres.relations:
-        if eval_word(g, images, lhs) != eval_word(g, images, rhs):
+def satisfies_relations(g: Group, pres: PresentationSpec, images: tuple,
+                        relations: tuple | None = None, power=None) -> bool:
+    """Whether images satisfy every relation of pres, or only the given ones.
+
+    images may be a prefix: it needs an image for each generator the
+    checked relations use.
+    """
+    for lhs, rhs in pres.relations if relations is None else relations:
+        if eval_word(g, images, lhs, power) != eval_word(g, images, rhs, power):
             return False
     return True
 
 
-def enumerate_homs_by_generators(g: Group, limit: int | None = None):
-    """Yield generator-image tuples of every endomorphism of g.
+def _relation_levels(pres: PresentationSpec) -> list:
+    """levels[i]: the relations whose highest generator is i.
 
-    Blind search over all |G|^(2n) candidate tuples; feasible for the
-    desk-scale groups only.
+    Once images of generators 0..i are fixed, levels[i] is decided; every
+    relation sits at exactly one level.
+    """
+    levels = [[] for _ in pres.gen_orders]
+    for rel in pres.relations:
+        levels[max(gi for word in rel for gi, _ in word)].append(rel)
+    return [tuple(level) for level in levels]
+
+
+def enumerate_homs_by_generators(g: Group, limit: int | None = None):
+    """Yield generator-image tuples of every endomorphism of g, in the order
+    of itertools.product over the elements.
+
+    Images are assigned one generator at a time, and each prefix is checked
+    against the relations of its level (_relation_levels), so a prefix that
+    fails is cut with its whole subtree.  Words are products of powers
+    computed once per element and exponent.  The charge to HOM_CAP is the
+    full |G|^(2n) candidate space, before any work; the search stays within
+    reach of the desk-scale groups only.
     """
     pres = presentation(g)
     gens = 2 * g.n
@@ -135,9 +165,24 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
     if space > ceiling:
         raise CapExceeded(f"homomorphism search space {space} exceeds {ceiling}")
     elems = list(g.elements())
-    for images in product(elems, repeat=gens):
-        if satisfies_relations(g, pres, images):
-            yield images
+    exponents = {e for rel in pres.relations for word in rel for _, e in word}
+    powers = {e: {x: g.power(x, e) for x in elems} for e in exponents}
+    levels = _relation_levels(pres)
+
+    def power(x, e):
+        return powers[e][x]
+
+    def extend(prefix):
+        if len(prefix) == gens:
+            yield prefix
+            return
+        relations = levels[len(prefix)]
+        for x in elems:
+            images = prefix + (x,)
+            if satisfies_relations(g, pres, images, relations, power):
+                yield from extend(images)
+
+    yield from extend(())
 
 
 def hom_table(g: Group, images: tuple) -> np.ndarray:
@@ -348,6 +393,10 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False,
         order = _flag_order(dim // 2)
         delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
         form = delta[np.ix_(order, order)]  # the Gram matrix of the flag basis
+        # form is a signed permutation: column j of M @ form is sign[j] times
+        # column src[j] of M
+        src = np.abs(form).argmax(axis=0)
+        sign = form[src, range(dim)]
         v1 = order.index(0)
     rows = max(1, _CELL_BLOCK // max(1, k * dim))
     for pivots in combinations(range(dim), k):
@@ -365,8 +414,8 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False,
             M = M.reshape(len(idx), k, dim)
             keep = np.ones(len(M), dtype=bool)
             if isotropic:
-                # form is a signed permutation: no product exceeds dim * p^2
-                keep &= ~(M @ form @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
+                # int64 is exact: a Gram entry sums dim products of size below p^2
+                keep &= ~(M[:, :, src] * sign @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
             if inside_v1:
                 keep &= ~M[:, :, v1].any(axis=1)
             count += int(np.count_nonzero(keep))

@@ -201,6 +201,8 @@ def checks(suite: str):
         ("delta-iso-(5,1)", lambda: check_delta_iso(5, 1)),
         ("lambda-iso-(3,2)", lambda: check_lambda_iso(3, 2)),
         ("delta-iso-(3,2)", lambda: check_delta_iso(3, 2)),
+        ("hom-search-es1(5,1)", lambda: check_hom_oracle(ES1, 5, 1)),
+        ("hom-search-es2(5,1)", lambda: check_hom_oracle(ES2, 5, 1)),
         ("endo-count-es1(5,1)", lambda: check_endo_count(ES1, 5, 1)),
         ("endo-count-es2(5,1)", lambda: check_endo_count(ES2, 5, 1)),
         ("aut-count-es2(3,2)", lambda: check_aut_count(ES2, 3, 2)),

@@ -37,7 +37,8 @@ def criterion(num, budget, desc):
 
 def both_paths(g):
     """Generator-image index tuples: one per parametrized endomorphism, taken
-    family by family on the generator rows, and the set the blind search finds."""
+    family by family on the generator rows, and the set the generator-image
+    search finds."""
     gens = np.array([x.coords for x in g.generators()], dtype=np.int64)
     param = [tuple(col) for block in family_images(g, gens) for col in block.T.tolist()]
     brute = {tuple(g.index(c) for c in im) for im in oracle.enumerate_homs_by_generators(g)}

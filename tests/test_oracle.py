@@ -6,6 +6,7 @@ against per-matrix references that live only here, not against the
 formulas themselves.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -70,9 +71,46 @@ def test_satisfies_relations_rejects_non_homs(es2_31):
     assert not oracle.satisfies_relations(es2_31, pres, images)
 
 
-def test_hom_search_counts(es1_31, es2_31):
+def test_hom_search_counts(es1_31, es2_31, es1_51, es2_51):
     assert sum(1 for _ in oracle.enumerate_homs_by_generators(es1_31)) == 729
     assert sum(1 for _ in oracle.enumerate_homs_by_generators(es2_31)) == 135
+    for g, want in ((es1_51, 15625), (es2_51, 1125)):
+        assert sum(1 for _ in oracle.enumerate_homs_by_generators(g)) == want
+        assert counting.end_order(g.kind, g.p, g.n) == want
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+def test_pruned_hom_search_matches_blind_reference(kind):
+    g = group(kind, 3, 1)
+    pres = oracle.presentation(g)
+    blind = [images for images in product(list(g.elements()), repeat=2)
+             if oracle.satisfies_relations(g, pres, images)]
+    assert list(oracle.enumerate_homs_by_generators(g)) == blind
+
+
+@pytest.mark.parametrize("kind,n", [(ES1, 1), (ES2, 1), (ES1, 2), (ES2, 2)])
+def test_hom_search_checks_each_relation_at_its_highest_generator(kind, n, monkeypatch):
+    g = group(kind, 3, n)
+    pres = oracle.presentation(g)
+    checked = {}
+    real = oracle.satisfies_relations
+
+    def spy(g_, pres_, images, relations=None, power=None):
+        checked.setdefault(len(images) - 1, set()).add(relations)
+        return real(g_, pres_, images, relations, power)
+
+    monkeypatch.setattr(oracle, "satisfies_relations", spy)
+    # the trivial map comes first, after one check per level; n = 2 is past
+    # HOM_CAP, so the limit lifts the cap for this one lazy step
+    first = next(oracle.enumerate_homs_by_generators(g, limit=g.size ** (2 * n)))
+    assert first == (g.identity().coords,) * (2 * n)
+    assert sorted(checked) == list(range(2 * n))
+    seen = []
+    for level, relation_sets in checked.items():
+        (relations,) = relation_sets
+        assert all(max(gi for word in rel for gi, _ in word) == level for rel in relations)
+        seen += relations
+    assert Counter(seen) == Counter(pres.relations)
 
 
 def test_hom_search_cap(es2_32):
