@@ -16,6 +16,7 @@ failed verification), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -269,6 +270,21 @@ def _partial_order_row(kind, p, n, oracle):
     return row
 
 
+def _census_text(rows, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(rows, indent=2)
+    lines = ["quantity,group,p,n,k,formula,oracle,match"]
+    for r in rows:
+        lines.append(",".join([
+            r["quantity"], r["group"] or "", str(r["p"]), str(r["n"]),
+            "" if r["k"] is None else str(r["k"]),
+            str(r["formula"]),
+            str(r["oracle"]).replace(",", ";"),
+            str(r["match"]),
+        ]))
+    return "\n".join(lines)
+
+
 def cmd_census(args) -> int:
     p_list = _parse_csv_ints(args.p_list, "--p-list")
     n_list = _parse_csv_ints(args.n_list, "--n-list")
@@ -286,25 +302,14 @@ def cmd_census(args) -> int:
     for kind in kinds:
         if kind not in (ES1, ES2):
             raise ParseError(f"unknown group kind {kind!r}", 0)
-    rows = _census_rows(p_list, n_list, quantities, kinds, args.oracle)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2)
-    else:
-        lines = ["quantity,group,p,n,k,formula,oracle,match"]
-        for r in rows:
-            lines.append(",".join([
-                r["quantity"], r["group"] or "", str(r["p"]), str(r["n"]),
-                "" if r["k"] is None else str(r["k"]),
-                str(r["formula"]),
-                str(r["oracle"]).replace(",", ";"),
-                str(r["match"]),
-            ]))
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # open the target before any row is computed, so a bad path costs no work
+    try:
+        target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    with target as fh:
+        rows = _census_rows(p_list, n_list, quantities, kinds, args.oracle)
+        fh.write(_census_text(rows, args.format) + "\n")
     return 0
 
 

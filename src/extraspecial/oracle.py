@@ -5,7 +5,8 @@ Three separate recomputation routes:
   * generator-image search: assign images to the standard generators one
     at a time on the tuple law, cut every prefix that fails a defining
     relation of its highest generator, keep the tuples satisfying them all
-    (von Dyck), and rebuild the full map from normal forms.  No block
+    (von Dyck), and rebuild the full map from normal forms.  A memo per
+    search hands each ordered pair of elements to Group.mul once.  No block
     matrices, no quadratic correction terms, no batched law.
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
     induced Gram form against the standard symplectic form, by one count
@@ -110,27 +111,27 @@ def presentation(g: Group) -> PresentationSpec:
     return PresentationSpec(g.kind, p, n, orders, tuple(rels))
 
 
-def eval_word(g: Group, images: tuple, word: tuple, power=None) -> tuple:
+def eval_word(g: Group, images: tuple, word: tuple, power=None, mul=None) -> tuple:
     """The product of images[i]^e over the word's tokens (i, e).
 
-    power(x, e) gives the factors, g.power unless a cache is passed; the
-    empty word is the identity.
+    power(x, e) gives the factors and mul(a, b) multiplies them, g.power and
+    g.mul unless caches are passed; the empty word is the identity.
     """
     if not word:
         return (0,) * len(g.ranges)
     power = power or g.power
-    return reduce(g.mul, [power(images[gi], e) for gi, e in word])
+    return reduce(mul or g.mul, [power(images[gi], e) for gi, e in word])
 
 
 def satisfies_relations(g: Group, pres: PresentationSpec, images: tuple,
-                        relations: tuple | None = None, power=None) -> bool:
+                        relations: tuple | None = None, power=None, mul=None) -> bool:
     """Whether images satisfy every relation of pres, or only the given ones.
 
     images may be a prefix: it needs an image for each generator the
     checked relations use.
     """
     for lhs, rhs in pres.relations if relations is None else relations:
-        if eval_word(g, images, lhs, power) != eval_word(g, images, rhs, power):
+        if eval_word(g, images, lhs, power, mul) != eval_word(g, images, rhs, power, mul):
             return False
     return True
 
@@ -153,10 +154,13 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
 
     Images are assigned one generator at a time, and each prefix is checked
     against the relations of its level (_relation_levels), so a prefix that
-    fails is cut with its whole subtree.  Words are products of powers
-    computed once per element and exponent.  The charge to HOM_CAP is the
-    full |G|^(2n) candidate space, before any work; the search stays within
-    reach of the desk-scale groups only.
+    fails is cut with its whole subtree.  Each search keeps a product memo
+    keyed by the ordered pair of element tuples, so g.mul runs at most once
+    per pair; words are products of powers computed once per element and
+    exponent through the same memo.  The charge to HOM_CAP is the full
+    |G|^(2n) candidate space, before any work; it also bounds the memo,
+    which holds at most |G|^2 products.  The search stays within reach of
+    the desk-scale groups only.
     """
     pres = presentation(g)
     gens = 2 * g.n
@@ -164,9 +168,23 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
     ceiling = cap("HOM_CAP") if limit is None else limit
     if space > ceiling:
         raise CapExceeded(f"homomorphism search space {space} exceeds {ceiling}")
+    products = {}
+
+    def mul(a, b):
+        key = a, b
+        c = products.get(key)
+        if c is None:
+            c = products[key] = g.mul(a, b)
+        return c
+
     elems = list(g.elements())
+    identity = (0,) * len(g.ranges)
     exponents = {e for rel in pres.relations for word in rel for _, e in word}
-    powers = {e: {x: g.power(x, e) for x in elems} for e in exponents}
+    # x^e as a chain of products through the memo: g.power calls g.mul
+    # directly and would repeat pairs the memo already holds
+    powers = {e: {x: reduce(mul, [g.inv(x) if e < 0 else x] * abs(e), identity)
+                  for x in elems}
+              for e in exponents}
     levels = _relation_levels(pres)
 
     def power(x, e):
@@ -179,7 +197,7 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
         relations = levels[len(prefix)]
         for x in elems:
             images = prefix + (x,)
-            if satisfies_relations(g, pres, images, relations, power):
+            if satisfies_relations(g, pres, images, relations, power, mul):
                 yield from extend(images)
 
     yield from extend(())

@@ -254,6 +254,20 @@ def test_census_out_file(tmp_path, capsys):
     assert text.splitlines()[1] == "sp_order,,3,1,,24,skipped,n/a"
 
 
+@pytest.mark.parametrize("target", ["missing/rows.csv", "."])
+def test_census_unwritable_out_is_rejected_before_any_row(tmp_path, capsys, monkeypatch, target):
+    def no_rows(*_args):
+        raise AssertionError("a row was computed for an unwritable --out")
+
+    monkeypatch.setattr(cli, "_census_rows", no_rows)
+    # a missing directory, then a directory itself
+    code, out, err = run(capsys, "census", "--p-list", "3", "--n-list", "1",
+                         "--quantities", "partial_order", "--oracle",
+                         "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write --out")
+
+
 def test_census_rejects_unknown_inputs(capsys):
     code, _, err = run(capsys, "census", "--quantities", "bogus")
     assert code == 2

@@ -14,7 +14,7 @@ import pytest
 
 from extraspecial import counting, modp, morphisms, oracle, polyz
 from extraspecial.errors import CapExceeded, ContextError
-from extraspecial.groups import ES1, ES2, group
+from extraspecial.groups import ES1, ES2, Group, group
 from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
 from extraspecial.symplectic import pairing
 
@@ -80,12 +80,24 @@ def test_hom_search_counts(es1_31, es2_31, es1_51, es2_51):
 
 
 @pytest.mark.parametrize("kind", [ES1, ES2])
-def test_pruned_hom_search_matches_blind_reference(kind):
+def test_pruned_hom_search_matches_blind_reference(kind, monkeypatch):
     g = group(kind, 3, 1)
     pres = oracle.presentation(g)
     blind = [images for images in product(list(g.elements()), repeat=2)
              if oracle.satisfies_relations(g, pres, images)]
-    assert list(oracle.enumerate_homs_by_generators(g)) == blind
+    # the search's product memo hands each ordered pair to Group.mul once
+    pairs = Counter()
+    real = Group.mul
+
+    def spy(self, a, b):
+        pairs[a, b] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(Group, "mul", spy)
+    found = list(oracle.enumerate_homs_by_generators(g))
+    monkeypatch.undo()
+    assert found == blind
+    assert pairs and max(pairs.values()) == 1
 
 
 @pytest.mark.parametrize("kind,n", [(ES1, 1), (ES2, 1), (ES1, 2), (ES2, 2)])
@@ -95,9 +107,9 @@ def test_hom_search_checks_each_relation_at_its_highest_generator(kind, n, monke
     checked = {}
     real = oracle.satisfies_relations
 
-    def spy(g_, pres_, images, relations=None, power=None):
+    def spy(g_, pres_, images, relations=None, power=None, mul=None):
         checked.setdefault(len(images) - 1, set()).add(relations)
-        return real(g_, pres_, images, relations, power)
+        return real(g_, pres_, images, relations, power, mul)
 
     monkeypatch.setattr(oracle, "satisfies_relations", spy)
     # the trivial map comes first, after one check per level; n = 2 is past

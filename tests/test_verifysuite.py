@@ -2,6 +2,7 @@
 checks still fail when the law or the map under test is wrong."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from extraspecial import oracle, verifysuite
 from extraspecial.groups import ES1, ES2, ES2_TILDE, Group, GroupId, group
 from extraspecial.morphisms import f_table
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # a wrong closed form must still fail its check in an optimized interpreter
 _SCRIPT = """
@@ -112,3 +114,10 @@ def test_polynomial_rows_compare_the_twins_with_the_echelon_cells(monkeypatch):
     monkeypatch.setattr(oracle, "cell_polynomial", lambda *_args: ())
     with pytest.raises(AssertionError, match="alpha_k polynomial at n=1 k=0 differs"):
         verifysuite.check_polynomials(1)
+
+
+@pytest.mark.parametrize("suite", ["quick", "full"])
+def test_readme_states_each_suite_size(suite):
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.findall(rf"`--suite {suite}` runs (\d+)", text)
+    assert stated == [str(len(verifysuite.checks(suite)))]
