@@ -302,6 +302,11 @@ def cmd_census(args) -> int:
     for kind in kinds:
         if kind not in (ES1, ES2):
             raise ParseError(f"unknown group kind {kind!r}", 0)
+    # an empty list would print a bare header: a silent answer
+    for flag, entries in (("--p-list", p_list), ("--n-list", n_list),
+                          ("--quantities", quantities), ("--group", kinds)):
+        if not entries:
+            raise ParseError(f"{flag} names no entry")
     # open the target before any row is computed, so a bad path costs no work
     try:
         target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)

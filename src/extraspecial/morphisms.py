@@ -432,14 +432,16 @@ def enumerate_automorphisms(g: Group, limit: int | None = None):
 
 
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None,
-                  stacked: bool = False):
+                  stacked: bool = False, scalars: bool = False):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
     Yields one (rows x p^2n) block per sigma of enumerate_sigma.  Column j is
     the j-th member in enumerate_endomorphisms (or, with invertible_only,
     enumerate_automorphisms) order; the cap is counted as in those.  With
     stacked, one (sigmas x rows x p^2n) block per kernel call instead: the
-    most sigmas of one frontier block that fit in STACK_CELLS cells.
+    most sigmas of one frontier block that fit in STACK_CELLS cells.  With
+    scalars, each block comes as (s, block), s the scalar of its sigmas:
+    the block's maps are automorphisms exactly when s != 0.
     """
     shift = _shift_table(g, _functional_values(g, E, [
         _functional(g, alpha, beta, t) for alpha, beta, t in _central_params(g)]))
@@ -447,7 +449,8 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
             block = _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
-            yield block if stacked else block[0]
+            block = block if stacked else block[0]
+            yield (s, block) if scalars else block
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:

@@ -11,6 +11,8 @@ Three separate recomputation routes:
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
     induced Gram form against the standard symplectic form, by one count
     over the pairing table rather than the similitude parametrization.
+    Each Gram class (dim, p, s, column restrictions) is counted once per
+    process and memoized, so every later scan of it is a lookup.
   * subspace scans: one walk over the reduced-echelon cells, in
     coordinates along the isotropic flag, tests isotropy and V_1
     membership on numpy blocks of echelon matrices; cell_polynomial
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 
 import numpy as np
@@ -340,6 +342,12 @@ def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
     l goes with FIXED_FORM only.  image_in_v1 restricts all columns to the
     hyperplane v[0] = 0; es2_constrained pins the first row to
     (l, 0, ..., 0 | 0, ..., 0).
+
+    The cap is charged on the raw space p^(dim^2) on every call; the count
+    itself is the sum over s of `_gram_count`, which scans each Gram class
+    once per process (NULL_FORM is the s = 0 class, SCALAR_FORM the sum of
+    all p classes), so `sigma_scan_count`, `census`, `count` and `verify`
+    share one memo.
     """
     if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
@@ -359,10 +367,20 @@ def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
     ceiling = cap("SCAN_CAP") if limit is None else limit
     if space > ceiling:
         raise CapExceeded(f"matrix scan space {space} exceeds {ceiling}")
+    return sum(_gram_count(dim, p, s, image_in_v1, es2_constrained) for s in svals)
 
+
+@lru_cache(maxsize=None)
+def _gram_count(dim: int, p: int, s: int, image_in_v1: bool, es2_constrained: bool) -> int:
+    """Matrices of one Gram class s * Delta, counted once per process.
+
+    The key is the whole class, with s reduced mod p by the caller, so
+    FIXED_FORM l and l + p, and NULL_FORM and FIXED_FORM l = 0, share one
+    count.  The caller
+    charges the scan cap before every lookup, hit or miss.
+    """
     V = _vectors(dim, p)
-    return sum(_count(V, _column_pools(V, dim, s, image_in_v1, es2_constrained), s, p)
-               for s in svals)
+    return _count(V, _column_pools(V, dim, s, image_in_v1, es2_constrained), s, p)
 
 
 # ---------------------------------------------------------------------------

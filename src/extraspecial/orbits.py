@@ -184,11 +184,20 @@ def degeneration(a: Element, b: Element) -> bool:
 
 
 def _reach(g: Group, invertible_only: bool, limit: int | None):
-    """reach[i, j]: some automorphism (endomorphism) sends element i to j.
+    """reach[i, j]: some automorphism (endomorphism) sends element i to j."""
+    return _reach_tables(g, invertible_only, limit)[0]
 
-    Each stacked kernel block is marked by one flat scatter of row * N + image.
-    Refused past TABLE_CAP elements, the limit of every N x N table, and past
-    the morphism cap before any image (morphisms._charged).
+
+def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
+    """(reach under every morphism walked, reach under the automorphisms).
+
+    One walk over the morphisms: the blocks of scalar s != 0 are the
+    automorphisms, so without invertible_only the automorphism table comes
+    from the same pass as the endomorphism one (and is the same array with
+    it).  Each stacked kernel block is marked by one flat scatter of
+    row * N + image.  Refused past TABLE_CAP elements, the limit of every
+    N x N table, and past the morphism cap before any image
+    (morphisms._charged).
     """
     import numpy as np
 
@@ -196,12 +205,31 @@ def _reach(g: Group, invertible_only: bool, limit: int | None):
     if N > TABLE_CAP:
         raise CapExceeded(
             f"reachability table for {g.gid} with {N} elements exceeds TABLE_CAP {TABLE_CAP}")
-    reach = np.zeros((N, N), dtype=bool)
-    flat = reach.reshape(-1)  # a view: reach is contiguous
+    auto = np.zeros((N, N), dtype=bool)
+    reach = auto if invertible_only else np.zeros((N, N), dtype=bool)
     offset = np.arange(N)[:, None] * N
-    for block in family_images(g, g.coords_matrix(), invertible_only, limit, True):
-        flat[offset + block] = True
-    return reach
+    for s, block in family_images(g, g.coords_matrix(), invertible_only, limit, True, True):
+        # reshape is a view: both tables are contiguous
+        (auto if s else reach).reshape(-1)[offset + block] = True
+    if reach is not auto:
+        reach |= auto
+    return reach, auto
+
+
+def _partition(g: Group, reach) -> list[frozenset]:
+    """The classes of an automorphism reach table, rows of members checked equal."""
+    import numpy as np
+
+    partition: dict[bytes, list] = {}
+    for i in range(g.size):
+        partition.setdefault(reach[i].tobytes(), []).append(i)
+    classes = []
+    for key, members in partition.items():
+        support = set(np.flatnonzero(np.frombuffer(key, dtype=bool)).tolist())
+        if support != set(members):
+            raise AssertionError("image rows do not form a partition")
+        classes.append(frozenset(g.coords_at(i) for i in members))
+    return sorted(classes, key=lambda c: (len(c), min(c)))
 
 
 def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
@@ -212,21 +240,8 @@ def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     the automorphisms form a group, the image sets are precisely the orbits.
     Rows of members are asserted identical before returning.
     """
-    import numpy as np
-
     _plain_only(g)
-    N = g.size
-    reach = _reach(g, True, limit)
-    partition: dict[bytes, list] = {}
-    for i in range(N):
-        partition.setdefault(reach[i].tobytes(), []).append(i)
-    classes = []
-    for key, members in partition.items():
-        support = set(np.flatnonzero(np.frombuffer(key, dtype=bool)).tolist())
-        if support != set(members):
-            raise AssertionError("image rows do not form a partition")
-        classes.append(frozenset(g.coords_at(i) for i in members))
-    return sorted(classes, key=lambda c: (len(c), min(c)))
+    return _partition(g, _reach(g, True, limit))
 
 
 @dataclass
@@ -305,8 +320,12 @@ def partial_order_report(g: Group, verify: bool = True,
 
 
 def _verify_es1_total_order(g: Group, limit: int | None):
-    """Exhaustively confirm the degeneration chain on a desk-scale es1 group."""
-    reach = _reach(g, False, limit)
+    """Exhaustively confirm the degeneration chain on a desk-scale es1 group.
+
+    One walk over the endomorphisms fills both the degeneration table and,
+    from its invertible blocks, the automorphism table of the orbits.
+    """
+    reach, auto = _reach_tables(g, False, limit)
     # brute degeneration must agree with the closed form everywhere: row i is
     # the membership mask of element i's image class
     coords = list(g.elements())
@@ -315,7 +334,7 @@ def _verify_es1_total_order(g: Group, limit: int | None):
     if reach.tolist() != [masks[cls] for cls in classes]:
         raise AssertionError("brute degeneration disagrees with image classes")
     # on orbits: reflexive, antisymmetric, total
-    partition = orbits_bruteforce(g, limit)
+    partition = _partition(g, auto)
     reps = [g.index(min(c)) for c in partition]
     for i, r in enumerate(reps):
         for j, s in enumerate(reps):

@@ -301,6 +301,14 @@ def test_census_bad_list_is_a_parse_error(capsys, flag, value):
     assert "non-integer entry" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--p-list", ","), ("--n-list", ""), ("--quantities", " , "), ("--group", ",")])
+def test_census_empty_list_is_a_parse_error(capsys, flag, value):
+    code, out, err = run(capsys, "census", "--quantities", "sp_order", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} names no entry\n"
+
+
 def test_malformed_cap_override_is_a_parse_error(capsys, monkeypatch):
     monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "abc")
     code, _, err = run(capsys, "census", "--quantities", "sp_order", "--oracle")

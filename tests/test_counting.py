@@ -178,6 +178,7 @@ def test_closed_forms_cover_every_quantity_and_twin():
 @pytest.mark.parametrize("q, k, kind", _TABLE_ROWS_31)
 def test_oracle_route_needs_no_closed_form(monkeypatch, q, k, kind):
     want = counting.formula_value(q, 3, 1, k, kind)
+    oracle._gram_count.cache_clear()  # so a matrix-scan route runs the scan
     _patch_to_raise(monkeypatch, counting, _CLOSED_FORMS)
     assert counting.oracle_value(q, 3, 1, k, kind) == want
 

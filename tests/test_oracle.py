@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import counting, modp, morphisms, oracle, polyz
+from extraspecial import counting, modp, morphisms, oracle, polyz, verifysuite
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, Group, group
 from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
@@ -251,6 +251,55 @@ def test_scan_matrices_cap():
         oracle.scan_matrices(2, 3, oracle.NULL_FORM, limit=10)
 
 
+def _spy_on_count(monkeypatch) -> list:
+    """Empty the Gram-class memo and record the s of every _count run."""
+    oracle._gram_count.cache_clear()
+    runs = []
+    real = oracle._count
+
+    def spy(V, pools, s, p):
+        runs.append(s)
+        return real(V, pools, s, p)
+
+    monkeypatch.setattr(oracle, "_count", spy)
+    return runs
+
+
+def test_scan_matrices_counts_each_gram_class_once(monkeypatch):
+    runs = _spy_on_count(monkeypatch)
+    scan = oracle.scan_matrices
+    # FIXED l and l + p are one class; NULL_FORM is FIXED l = 0
+    assert scan(2, 3, oracle.FIXED_FORM, l=1) == scan(2, 3, oracle.FIXED_FORM, l=4) == 24
+    assert scan(2, 3, oracle.NULL_FORM) == scan(2, 3, oracle.FIXED_FORM, l=0) == 33
+    assert runs == [1, 0]
+    # SCALAR_FORM sums the classes: only s = 2 is new
+    assert scan(2, 3, oracle.SCALAR_FORM) == 81
+    assert runs == [1, 0, 2]
+    # the column restrictions never share a class, with each other or with none
+    assert scan(2, 3, oracle.NULL_FORM, image_in_v1=True) == 9
+    assert scan(2, 3, oracle.NULL_FORM, es2_constrained=True) == 9
+    assert scan(2, 3, oracle.FIXED_FORM, l=1, es2_constrained=True) == 3
+    assert scan(2, 3, oracle.FIXED_FORM, l=1, image_in_v1=True, es2_constrained=True) == 0
+    assert runs == [1, 0, 2, 0, 0, 1, 1]
+    assert oracle._gram_count.cache_info().currsize == 7
+
+
+def test_cached_gram_class_still_charges_the_cap():
+    assert oracle.scan_matrices(2, 3, oracle.NULL_FORM) == 33
+    with pytest.raises(CapExceeded):
+        oracle.scan_matrices(2, 3, oracle.NULL_FORM, limit=80)
+    with pytest.raises(CapExceeded):
+        oracle.scan_matrices(2, 3, oracle.SCALAR_FORM, limit=80)
+
+
+def test_counting_scans_run_each_gram_class_once(monkeypatch):
+    runs = _spy_on_count(monkeypatch)
+    for p, n in ((3, 1), (3, 2), (5, 1)):
+        verifysuite.check_counting_scans(p, n)
+    # 55 Gram-class lookups over the three grids, 25 of them distinct
+    assert len(runs) == 25
+
+
 def test_scan_subspaces(monkeypatch):
     # total subspace counts are Gaussian binomials
     assert oracle.scan_subspaces(4, 3, 0) == 1
@@ -366,6 +415,8 @@ def test_scan_surjections_cap_and_independence(monkeypatch):
 def test_scan_matrices_cap_and_independence(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the matrix scan reached a forbidden helper")
+
+    oracle._gram_count.cache_clear()  # so the counts below run the scan
 
     # formula-free: no closed form, Gaussian binomial or sigma enumeration
     for name, value in vars(counting).items():

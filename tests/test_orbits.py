@@ -200,8 +200,23 @@ def _reach_per_sigma(g, invertible_only):
     (ES2, 3, 2, True)])
 def test_reach_matches_the_per_sigma_fill(kind, p, n, invertible_only):
     g = group(kind, p, n)
-    assert np.array_equal(orbits._reach(g, invertible_only, None),
-                          _reach_per_sigma(g, invertible_only))
+    reach, auto = orbits._reach_tables(g, invertible_only, None)
+    assert np.array_equal(reach, _reach_per_sigma(g, invertible_only))
+    # the s != 0 blocks of an endomorphism walk are the automorphisms
+    assert np.array_equal(auto, _reach_per_sigma(g, True))
+
+
+def test_es1_report_walks_the_frontier_once(monkeypatch, es1_31):
+    walks = []
+    frontier = morphisms._frontier
+
+    def spy(g, invertible_only):
+        walks.append(invertible_only)
+        return frontier(g, invertible_only)
+
+    monkeypatch.setattr(morphisms, "_frontier", spy)
+    assert partial_order_report(es1_31).verified
+    assert walks == [False]
 
 
 def _watch_kernel(monkeypatch):
