@@ -26,7 +26,10 @@ Z/p^2 first coordinate, whose own mod-p^2 sum supplies the carry, otherwise
 in the last coordinate z.  `Group.mul`/`inv` (one tuple) and
 `Group.mul_index` (blocks of rows) read that data, with no branch per kind;
 the per-kind formulas above, spelled out, are their test reference in
-tests/test_groups.py.
+tests/test_groups.py.  The law fixes one more datum, the power form omega
+(`power_form`, x^p = z^(omega . v)): 0 for es1 and e_1 for es2, read from
+the law once per group.  The endomorphism parameters (morphisms) and the
+defining relations (oracle.presentation) are built from these data alone.
 
 Element order, centrality, commutators, and the commutator form f (valued in
 the exponent of the central generator) are all computed from the group law
@@ -131,6 +134,9 @@ class Group:
         # index; z^s times an element with central exponent 0 adds s * z_index
         self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
         self.z_index = self._z_unit * self.radices[self._z_slot]
+        # the power form, x_i^p = z^omega_i: read once, so no search pays for it
+        self._omega = tuple(self.index(self.power(x.coords, p)) // self.z_index
+                            for x in self.generators())
         self._np_cache = None
 
     # -- element construction ------------------------------------------------
@@ -210,6 +216,11 @@ class Group:
 
     def central_generator(self) -> "Element":
         return Element(self, self.coords_at(self.z_index))
+
+    def power_form(self) -> tuple:
+        """omega on G/Z, x^p = z^(omega . v) for x over v: all 0 for the es1
+        shape (exponent p), e_1 for the es2 one (x_1 has order p^2)."""
+        return self._omega
 
     # -- quotient by the center ---------------------------------------------
 

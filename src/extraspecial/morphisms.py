@@ -22,30 +22,37 @@ u-coordinates, a functional beta on wtilde, and a lift a in Z/p^2 of a_11:
 with s the same quadratic expression in (utilde, wtilde) and pi dropping the
 first coordinate.  It is an automorphism exactly when a is a unit.
 
+Both are one parametrization (sigma, f, s), read off the group's data:
+sigma the quotient matrix, s its similitude scalar and f in F_p^2n the
+central functional, f = (alpha; beta) for es1 and (t; alpha; beta) with
+a = s + p t for es2.  sigma respects the pairing, sigma^t Delta sigma =
+s Delta, and the power form omega of `Group.power_form` (0 for es1, e_1 for
+es2): phi(x^p) = phi(x)^p reads omega sigma = s omega, the first-row
+constraint.  The builders validate; the Morphism constructor is internal.
+
 The quotient matrices are enumerated as a numpy frontier (`_frontier`):
 one int8 pairing table on F_p^2n, built in row blocks, and every partial
 column tuple extended at once, each Gram entry <<col_i, col_j>> = s Delta_ij
-one boolean mask over the candidate pool (every vector for es1; for es2 the
-first column's top entry is s and later columns lie in V_1).  The frontier
-is cut into row slices, runs of leading columns, so that no candidate mask
-passes FRONTIER_CELLS cells (about 1 MiB of surviving indices).
-`MORPHISM_CAP` is charged for the whole enumeration, every block's
-families, before any matrix reaches a caller, so a refusal computes no
-image.  The frontier shares no code with the oracle's matrix scans, which
-count the same matrices by an independent route.
+one boolean mask over column j's pool {v : omega . v = s omega_j}.  The
+frontier is cut into row slices, runs of leading columns, so that no
+candidate mask passes FRONTIER_CELLS cells (about 1 MiB of surviving
+indices).  `MORPHISM_CAP` is charged for the whole enumeration, every
+block's families, before any matrix reaches a caller, so a refusal computes
+no image.  The frontier shares no code with the oracle's matrix scans,
+which count the same matrices by an independent route.
 
 The formula is written once, in `_images`: a numpy kernel over coordinate
 rows that takes a (k, 2n, 2n) int64 stack of quotient matrices with one
 scalar, and reads the group's own data (quotient vectors, central slot and
 unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
-share one sigma form a family: its base member (alpha = beta = 0, t = 0)
-times the central factor z^f(v), f running over the functionals on G/Z (for
-automorphisms, composition with Inn(G) = G/Z).  A member's central part
-depends only on the row, the base central value and f, so it is read from
-one shift table built per call of `family_images`: each image is one gather
-plus the base index.  `Morphism.table` and `Morphism.apply_coords` pass one
-matrix, `family_images` one per sigma, or with stacked=True runs of one
-frontier block of at most STACK_CELLS output cells (the brute orbits).
+share one sigma form a family: its base member (f = 0) times the central
+factor z^f(v), f running over F_p^2n (for automorphisms, composition with
+Inn(G) = G/Z).  A member's central part depends only on the row, the base
+central value and f, so it is read from one shift table built per call of
+`family_images`: each image is one gather plus the base index.
+`Morphism.table` and `Morphism.apply_coords` pass one matrix,
+`family_images` one per sigma, or with stacked=True runs of one frontier
+block of at most STACK_CELLS output cells (the brute orbits).
 
 The composite of two parametrized maps is recovered from generator images
 rather than symbolic block algebra: one code path serves composition, inner
@@ -60,48 +67,68 @@ from .config import cap
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, check)
 from .groups import ES1, ES2, TABLE_CAP, Element, Group, row_blocks
-from .modp import Mat
+from .modp import Mat, inv_mod
 from .symplectic import all_vectors, symp_scalar_test
 
 
 class Morphism:
-    """A parametrized endomorphism of one es1 or es2 group."""
+    """A parametrized endomorphism (sigma, f, s) of one es1 or es2 group.
 
-    __slots__ = ("group", "A", "B", "C", "D", "alpha", "beta", "scalar", "_table")
+    Internal: the constructor takes the parameters unchecked.  Build one with
+    build_endo_es1, build_endo_es2 or params_from_generator_images.
+    """
 
-    def __init__(self, g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
-                 alpha: tuple, beta: tuple, scalar: int):
+    __slots__ = ("group", "_sigma", "f", "s", "_table")
+
+    def __init__(self, g: Group, sigma: Mat, f: tuple, s: int):
         self.group = g
-        self.A, self.B, self.C, self.D = A, B, C, D
-        self.alpha = alpha
-        self.beta = beta
-        self.scalar = scalar  # l for es1, the central lift a for es2
+        self._sigma = sigma
+        self.f = f  # the central functional on G/Z, 2n coefficients
+        self.s = s  # the similitude scalar
         self._table = None
+
+    A = property(lambda self: split_sigma(self.group, self._sigma)[0])
+    B = property(lambda self: split_sigma(self.group, self._sigma)[1])
+    C = property(lambda self: split_sigma(self.group, self._sigma)[2])
+    D = property(lambda self: split_sigma(self.group, self._sigma)[3])
+
+    @property
+    def alpha(self) -> tuple:
+        """f on the x_i outside the power form's support (es2: x_2..x_n)."""
+        g = self.group
+        return tuple(c for c, w in zip(self.f[:g.n], g.power_form()) if not w)
+
+    @property
+    def beta(self) -> tuple:
+        """f on the y_j."""
+        return self.f[self.group.n:]
+
+    @property
+    def scalar(self) -> int:
+        """s + p (f . omega): l for es1, the central lift a for es2."""
+        g = self.group
+        return self.s + g.p * (sum(c * w for c, w in zip(self.f, g.power_form())) % g.p)
 
     @property
     def is_automorphism(self) -> bool:
-        return self.scalar % self.group.p != 0
+        return self.s != 0
 
     @property
     def scalar_mod_p(self) -> int:
         """The similitude scalar of the induced quotient matrix."""
-        return self.scalar % self.group.p
+        return self.s
 
     def sigma(self) -> Mat:
-        rows = [self.A.rows[i] + self.C.rows[i] for i in range(self.group.n)]
-        rows += [self.D.rows[i] + self.B.rows[i] for i in range(self.group.n)]
-        return Mat(self.group.p, rows)
+        return self._sigma
 
     def _apply_rows(self, E):
-        """Image indices of the coordinate rows E: the formula with this map's
-        own central functional (t with a = s + p t, alpha, beta)."""
+        """Image indices of the coordinate rows E under this map."""
         import numpy as np
 
         g = self.group
-        f = _functional(g, self.alpha, self.beta, self.scalar // g.p)
-        sigma = np.array([self.sigma().rows], dtype=np.int64)
-        shift = _shift_table(g, _functional_values(g, E, [f]))
-        return _images(g, sigma, self.scalar_mod_p, E, shift)[0, :, 0]
+        sigma = np.array([self._sigma.rows], dtype=np.int64)
+        shift = _shift_table(g, _functional_values(g, E, [self.f]))
+        return _images(g, sigma, self.s, E, shift)[0, :, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
         return self.group.coords_at(int(self._apply_rows([c])[0]))
@@ -118,11 +145,10 @@ class Morphism:
         return self._table
 
     def param_key(self) -> tuple:
-        return (self.group.gid, self.A.rows, self.B.rows, self.C.rows, self.D.rows,
-                self.alpha, self.beta, self.scalar)
+        return (self.group.gid, self._sigma.rows, self.f)
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "group": str(self.group.gid),
             "A": [list(r) for r in self.A.rows],
             "B": [list(r) for r in self.B.rows],
@@ -131,9 +157,8 @@ class Morphism:
             "alpha": list(self.alpha),
             "beta": list(self.beta),
             "automorphism": self.is_automorphism,
+            "l" if self.group.kind == ES1 else "a": self.scalar,
         }
-        d["l" if self.group.kind == ES1 else "a"] = self.scalar
-        return d
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Morphism) and other.param_key() == self.param_key()
@@ -160,23 +185,32 @@ def _check_blocks(g: Group, blocks: dict, functionals: dict):
             raise DimensionError(f"{name} must have length {length}")
 
 
-def _similitude_scalar(A: Mat, B: Mat, C: Mat, D: Mat) -> int:
-    """The scalar l of sigma = [[A, C], [D, B]] in symp^scalar.
+def _validated(g: Group, sigma: Mat, f) -> Morphism:
+    """The morphism (sigma, f, s), once sigma respects both forms on G/Z.
 
-    sigma^t Delta sigma = l Delta says exactly that A^t D and C^t B are
-    symmetric and A^t B - D^t C = l Id; raises unless all three hold.
+    First omega sigma = s omega, column by column (for es2 the first-row
+    constraints, named after the first offending column), then
+    sigma^t Delta sigma = s Delta.  Where omega != 0, s is read off omega
+    sigma at omega's first nonzero coefficient.  Every f is allowed.
     """
-    At, Ct = A.transpose(), C.transpose()
-    if not (At * D).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "A^t*D not symmetric")
-    if not (Ct * B).is_symmetric():
-        raise MorphismValidationError("not in symp^scalar", "C^t*B not symmetric")
-    E = At * B - D.transpose() * C
-    l = E.entry(0, 0)
-    if E != Mat.identity(A.m, A.nrows).scale(l):
+    p, n = g.p, g.n
+    omega = g.power_form()
+    image = [sum(w * x for w, x in zip(omega, col)) % p for col in zip(*sigma.rows)]
+    l = symp_scalar_test(sigma)  # None when sigma is no similitude; then l != s below
+    s = next((x * inv_mod(w, p) % p for x, w in zip(image, omega) if w), l or 0)
+    bad = next((j for j, (x, w) in enumerate(zip(image, omega)) if x != s * w % p), None)
+    if bad is not None:
+        raise MorphismValidationError(f"first-row constraint {'ac'[bad >= n]}_{{1j}}=0 violated")
+    if l != s:
         raise MorphismValidationError("not in symp^scalar",
-                                      "A^t*B - D^t*C is not a scalar multiple of the identity")
-    return l
+                                      "sigma^t Delta sigma is not s Delta for one scalar s")
+    return Morphism(g, sigma, tuple(x % p for x in f), s)
+
+
+def _stack(A: Mat, B: Mat, C: Mat, D: Mat) -> Mat:
+    """sigma = [[A, C], [D, B]]."""
+    return Mat(A.m, [a + c for a, c in zip(A.rows, C.rows)]
+               + [d + b for d, b in zip(D.rows, B.rows)])
 
 
 def build_endo_es1(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
@@ -184,33 +218,27 @@ def build_endo_es1(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
     """Validate es1 parameters and return the endomorphism they define."""
     if g.kind != ES1:
         raise ContextError(f"build_endo_es1 expects an es1 group, got {g.gid}")
-    n, p = g.n, g.p
+    n = g.n
     _check_blocks(g, {"A": A, "B": B, "C": C, "D": D},
                   {"alpha": (tuple(alpha), n), "beta": (tuple(beta), n)})
-    l = _similitude_scalar(A, B, C, D)
-    return Morphism(g, A, B, C, D, tuple(x % p for x in alpha), tuple(x % p for x in beta), l)
+    return _validated(g, _stack(A, B, C, D), tuple(alpha) + tuple(beta))
 
 
 def build_endo_es2(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
                    alpha, beta, a: int) -> Morphism:
-    """Validate es2 parameters and return the endomorphism they define."""
+    """Validate es2 parameters and return the endomorphism they define.
+
+    The lift a = a_11 + p t of the corner entry puts t on u_1 bar."""
     if g.kind != ES2:
         raise ContextError(f"build_endo_es2 expects an es2 group, got {g.gid}")
     n, p = g.n, g.p
     _check_blocks(g, {"A": A, "B": B, "C": C, "D": D},
                   {"alpha": (tuple(alpha), n - 1), "beta": (tuple(beta), n)})
-    if any(A.entry(0, j) % p for j in range(1, n)):
-        raise MorphismValidationError("first-row constraint a_{1j}=0 violated")
-    if any(C.entry(0, j) % p for j in range(n)):
-        raise MorphismValidationError("first-row constraint c_{1j}=0 violated")
     a11 = A.entry(0, 0)
-    if _similitude_scalar(A, B, C, D) != a11:
-        raise MorphismValidationError("not in symp^scalar",
-                                      "A^t*B - D^t*C != a_11 * identity")
+    m = _validated(g, _stack(A, B, C, D), ((a - a11) // p,) + tuple(alpha) + tuple(beta))
     if (a - a11) % p != 0:
         raise MorphismValidationError("central scalar a != a_11 mod p")
-    return Morphism(g, A, B, C, D, tuple(x % p for x in alpha), tuple(x % p for x in beta),
-                    a % (p * p))
+    return m
 
 
 def split_sigma(g: Group, sigma: Mat):
@@ -223,42 +251,28 @@ def split_sigma(g: Group, sigma: Mat):
 
 
 def params_from_generator_images(g: Group, images: list) -> Morphism:
-    """Recover block parameters from homomorphic images of the generators.
+    """Recover (sigma, f, s) from homomorphic images of the generators.
 
-    images lists the images of x_1..x_n, y_1..y_n in that order.  The input
-    must extend to a homomorphism; validation rejects anything else that is
-    detectable at the parameter level.
+    images lists the images of x_1..x_n, y_1..y_n in that order.  sigma is
+    read off their quotient vectors and validated; the f = 0 member of its
+    family sends generator j to an element with the same quotient vector,
+    and z^f_j is the difference of the central slots (mod its range, over
+    z_unit).  The input must extend to a homomorphism; validation rejects
+    anything else that is detectable at the parameter level.
     """
-    n, p, h = g.n, g.p, g.half
+    n = g.n
     if len(images) != 2 * n:
         raise DimensionError(f"expected {2 * n} generator images")
     for e in images:
         if e.group.gid != g.gid:
             raise ContextError("generator images must lie in the same group")
-    cols = [g.quotient_coords(e.coords) for e in images]
-    sigma = Mat.from_cols(p, cols)
-    A, B, C, D = split_sigma(g, sigma)
-    AtD = A.transpose() * D
-    CtB = C.transpose() * B
-    if g.kind == ES1:
-        alpha = tuple((images[i].coords[-1] - h * AtD.entry(i, i)) % p for i in range(n))
-        beta = tuple((images[n + j].coords[-1] - h * CtB.entry(j, j)) % p for j in range(n))
-        return build_endo_es1(g, A, B, C, D, alpha, beta)
-    # es2: the first coordinate of each image carries a / alpha / beta
-    a = (images[0].coords[0] - p * ((h * AtD.entry(0, 0)) % p)) % (p * p)
-    alpha = []
-    for i in range(1, n):
-        q, r = divmod(images[i].coords[0], p)
-        if r:
-            raise MorphismValidationError("generator image x_i lies outside the index-p subgroup")
-        alpha.append((q - h * AtD.entry(i, i)) % p)
-    beta = []
-    for j in range(n):
-        q, r = divmod(images[n + j].coords[0], p)
-        if r:
-            raise MorphismValidationError("generator image y_j lies outside the index-p subgroup")
-        beta.append((q - h * CtB.entry(j, j)) % p)
-    return build_endo_es2(g, A, B, C, D, tuple(alpha), tuple(beta), a)
+    sigma = Mat.from_cols(g.p, [g.quotient_coords(e.coords) for e in images])
+    base = _validated(g, sigma, (0,) * (2 * n))
+    z, R = g._z_slot, g.ranges[g._z_slot]
+    images_0 = base._apply_rows([x.coords for x in g.generators()]).tolist()
+    f = tuple((e.coords[z] - g.coords_at(i)[z]) % R // g._z_unit
+              for e, i in zip(images, images_0))
+    return Morphism(g, sigma, f, base.s)
 
 
 def compose(m1: Morphism, m2: Morphism) -> Morphism:
@@ -315,36 +329,45 @@ def _frontier(g: Group, invertible_only: bool):
     """Yield (V, cols, s): blocks of quotient matrices with scalar s.
 
     Row r of the int16 block cols lists the vector indices of one matrix's
-    columns; its matrix is V[cols[r]].T.  Blocks come grouped by s and, inside
+    columns; its matrix is V[cols[r]].T.  Column j is drawn from the vectors
+    v with omega . v = s omega_j (omega sigma = s omega), each pool with its
+    own columns of the pairing table.  Blocks come grouped by s and, inside
     one s, in lexicographic order of the column tuples.
     """
     import numpy as np
 
     if g.kind not in (ES1, ES2):
         raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
-    p, n = g.p, g.n
+    p, n, omega = g.p, g.n, g.power_form()
     if p ** (4 * n) > PAIRING_CELLS:
         raise CapExceeded(f"pairing table for the quotient of {g.gid} has {p ** (4 * n)} cells")
     V = np.array(all_vectors(2 * n, p), dtype=np.int64)
     T = _pairing_int8(V, p)
+    level = V @ np.array(omega, dtype=np.int64) % p  # omega . v
     every = np.arange(len(V), dtype=np.int16)
-    pool = every
-    if g.kind == ES2:  # columns after the first lie in V_1: table columns for those only
-        pool = every[V[:, 0] == 0]
-        T = T[:, pool]
+    pools = {}
+
+    def pool(c):  # {v : omega . v = c} and its columns of the pairing table
+        if c not in pools:
+            pools[c] = every[level == c], T[:, level == c]
+        return pools[c]
+
     for s in range(1, p) if invertible_only else range(p):
-        first = every[V[:, 0] == s] if g.kind == ES2 else every
-        for cols in _extend(first[:, None], T, pool, s, n):
+        first = every[level == s * omega[0] % p]
+        later = [pool(s * w % p) for w in omega[1:]]
+        for cols in _extend(first[:, None], later, s, n):
             yield V, cols, s
 
 
-def _extend(F, T, pool, s: int, n: int):
-    """Complete the partial column tuples F (rows of vector indices) from pool.
+def _extend(F, later, s: int, n: int):
+    """Complete the partial column tuples F (rows of vector indices).
 
-    Column j's candidates are masked by one table comparison per earlier
-    column i: <<col_i, col_j>> = s when j = i + n and 0 otherwise, the Gram
-    conditions of sigma^t Delta sigma = s Delta.  F is cut into row slices
-    whose mask has at most FRONTIER_CELLS cells, taken in order.
+    later[j - 1] is (pool, table) for column j: its candidate vectors and
+    the pairing table restricted to them.  Column j's candidates are masked
+    by one table comparison per earlier column i: <<col_i, col_j>> = s when
+    j = i + n and 0 otherwise, the Gram conditions of
+    sigma^t Delta sigma = s Delta.  F is cut into row slices whose mask has
+    at most FRONTIER_CELLS cells, taken in order.
     """
     import numpy as np
 
@@ -352,6 +375,7 @@ def _extend(F, T, pool, s: int, n: int):
     if j == 2 * n:
         yield F
         return
+    pool, T = later[j - 1]
     step = max(1, FRONTIER_CELLS // len(pool))
     for lo in range(0, len(F), step):
         block = F[lo:lo + step]
@@ -359,7 +383,7 @@ def _extend(F, T, pool, s: int, n: int):
         for i in range(1, j):
             ok &= T[block[:, i]] == (s if j == i + n else 0)
         rows, picks = np.nonzero(ok)
-        yield from _extend(np.column_stack([block[rows], pool[picks]]), T, pool, s, n)
+        yield from _extend(np.column_stack([block[rows], pool[picks]]), later, s, n)
 
 
 def enumerate_sigma(g: Group, invertible_only: bool = False):
@@ -367,9 +391,10 @@ def enumerate_sigma(g: Group, invertible_only: bool = False):
 
     The matrices come from a numpy frontier over one int8 pairing table on
     F_p^2n: all partial column tuples are extended at once, each Gram entry
-    <<col_i, col_j>> = s Delta_ij one boolean mask over the candidate pool
-    (every vector for es1; for es2 the first column's pool has top entry s
-    and every later column's is V_1, the first row constraints).  Inside one
+    <<col_i, col_j>> = s Delta_ij one boolean mask over column j's pool
+    {v : omega . v = s omega_j} (every vector for es1; for es2 the first
+    column's pool has top entry s and every later column's is V_1, the first
+    row constraints).  Inside one
     s the order is lexicographic in the column tuple, vectors themselves
     ordered lexicographically.  Raises CapExceeded before building a table
     of more than PAIRING_CELLS cells.
@@ -379,17 +404,10 @@ def enumerate_sigma(g: Group, invertible_only: bool = False):
             yield Mat(g.p, V[c].T.tolist()), s
 
 
-def _central_params(g: Group) -> list:
-    """The p^2n (alpha, beta, t) triples that share one quotient matrix.
-
-    Listed in enumeration order: alpha outermost, then beta, then (es2 only)
-    the lift index t of a = s + p t; es1 has t = 0 throughout.
-    """
-    p, n = g.p, g.n
-    alphas = list(product(range(p), repeat=(n if g.kind == ES1 else n - 1)))
-    betas = list(product(range(p), repeat=n))
-    ts = range(p) if g.kind == ES2 else (0,)
-    return list(product(alphas, betas, ts))
+def _functionals(g: Group) -> list:
+    """The p^2n central functionals f in F_p^2n that share one quotient
+    matrix, in enumeration (lexicographic) order."""
+    return list(product(range(g.p), repeat=2 * g.n))
 
 
 def _charged(g: Group, invertible_only: bool, limit: int | None):
@@ -410,15 +428,12 @@ def _charged(g: Group, invertible_only: bool, limit: int | None):
 
 
 def _enumerate(g: Group, invertible_only: bool, limit: int | None):
-    n, p = g.n, g.p
-    params = _central_params(g)
+    fs = _functionals(g)
     for V, cols, s in _charged(g, invertible_only, limit):
         for c in cols:
-            sigma = V[c].T
-            A, C = Mat(p, sigma[:n, :n].tolist()), Mat(p, sigma[:n, n:].tolist())
-            D, B = Mat(p, sigma[n:, :n].tolist()), Mat(p, sigma[n:, n:].tolist())
-            for alpha, beta, t in params:
-                yield Morphism(g, A, B, C, D, alpha, beta, s + p * t)
+            sigma = Mat(g.p, V[c].T.tolist())
+            for f in fs:
+                yield Morphism(g, sigma, f, s)
 
 
 def enumerate_endomorphisms(g: Group, limit: int | None = None):
@@ -432,25 +447,23 @@ def enumerate_automorphisms(g: Group, limit: int | None = None):
 
 
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None,
-                  stacked: bool = False, scalars: bool = False):
+                  stacked: bool = False):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
-    Yields one (rows x p^2n) block per sigma of enumerate_sigma.  Column j is
-    the j-th member in enumerate_endomorphisms (or, with invertible_only,
-    enumerate_automorphisms) order; the cap is counted as in those.  With
-    stacked, one (sigmas x rows x p^2n) block per kernel call instead: the
-    most sigmas of one frontier block that fit in STACK_CELLS cells.  With
-    scalars, each block comes as (s, block), s the scalar of its sigmas:
-    the block's maps are automorphisms exactly when s != 0.
+    Yields (s, block), one (rows x p^2n) block per sigma of enumerate_sigma,
+    s its scalar: the block's maps are automorphisms exactly when s != 0.
+    Column j is the j-th member in enumerate_endomorphisms (or, with
+    invertible_only, enumerate_automorphisms) order; the cap is counted as
+    in those.  With stacked, one (sigmas x rows x p^2n) block per kernel
+    call instead: the most sigmas of one frontier block that fit in
+    STACK_CELLS cells.
     """
-    shift = _shift_table(g, _functional_values(g, E, [
-        _functional(g, alpha, beta, t) for alpha, beta, t in _central_params(g)]))
+    shift = _shift_table(g, _functional_values(g, E, _functionals(g)))
     k = max(1, STACK_CELLS // (len(E) * g.p ** (2 * g.n))) if stacked else 1
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
             block = _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
-            block = block if stacked else block[0]
-            yield (s, block) if scalars else block
+            yield s, (block if stacked else block[0])
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -484,12 +497,6 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 
 
 # -- the endomorphism formula -----------------------------------------------
-
-
-def _functional(g: Group, alpha, beta, t: int) -> tuple:
-    """The central functional on G/Z as 2n coefficients: alpha(u) + beta(w) for
-    es1, t u_1 bar + alpha(u_2..u_n) + beta(wtilde) for es2 (a = s + p t)."""
-    return ((t,) if g.kind == ES2 else ()) + tuple(alpha) + tuple(beta)
 
 
 def _functional_values(g: Group, E, functionals):

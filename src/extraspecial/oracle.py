@@ -5,8 +5,10 @@ Three separate recomputation routes:
   * generator-image search: assign images to the standard generators one
     at a time on the tuple law, cut every prefix that fails a defining
     relation of its highest generator, keep the tuples satisfying them all
-    (von Dyck), and rebuild the full map from normal forms.  A memo per
-    search hands each ordered pair of elements to Group.mul once.  No block
+    (von Dyck), and rebuild the full map from normal forms.  The relations
+    are read off the group's data (power form, cocycle), not spelled per
+    kind; the spelled ones are their test reference.  A memo per search
+    hands each ordered pair of elements to Group.mul once.  No block
     matrices, no quadratic correction terms, no batched law.
   * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
     induced Gram form against the standard symplectic form, by one count
@@ -37,6 +39,7 @@ import numpy as np
 from .config import cap
 from .errors import CapExceeded, ContextError, check
 from .groups import ES1, ES2, TABLE_CAP, Group, row_blocks
+from .modp import inv_mod
 
 NULL_FORM = "null"
 SCALAR_FORM = "scalar"
@@ -65,52 +68,31 @@ def _comm(a: int, b: int) -> tuple:
 
 
 def presentation(g: Group) -> PresentationSpec:
-    p, n = g.p, g.n
-    gens = 2 * n
-    rels = []
-    if g.kind == ES1:
-        orders = (p,) * gens
-        z = _comm(0, n)
-        for i in range(gens):
-            rels.append((((i, p),), ()))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append((_comm(i, j), ()))
-                rels.append((_comm(n + i, n + j), ()))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rels.append((_comm(i, n + j), ()))
-        for i in range(1, n):
-            rels.append((_comm(i, n + i), z))
-        # commutator central and of order p: makes the presented group
-        # class 2 of order p^(2n+1), so relation-checking is sufficient
-        for i in range(gens):
-            rels.append((z + ((i, 1),) + _comm(n, 0) + ((i, -1),), ()))
-        rels.append((z * p, ()))
-    elif g.kind == ES2:
-        orders = (p * p,) + (p,) * (gens - 1)
-        z = ((0, p),)
-        rels.append((((0, p * p),), ()))
-        for i in range(1, n):
-            rels.append((((i, p),), ()))
-        for j in range(n):
-            rels.append((((n + j, p),), ()))
-        for i in range(n):
-            for j in range(i + 1, n):
-                rels.append((_comm(i, j), ()))
-                rels.append((_comm(n + i, n + j), ()))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rels.append((_comm(i, n + j), ()))
-        for i in range(n):
-            rels.append((_comm(i, n + i), z))
-        for i in range(gens):
-            rels.append((((0, p), (i, 1), (0, -p), (i, -1)), ()))
-    else:
+    """The defining relations, read off the group's data.
+
+    With the power form omega and the cocycle M of the group law, and z the
+    central generator:
+      x_i^p = z^(omega_i) for every generator (y_j after x_n);
+      [g_i, g_j] = z^((M - M^t)_ij) for i < j;
+      z central, and z^p = 1.
+    z is the word x_1^(p/omega_1) where omega_1 != 0 (es2) and [x_1, y_1]
+    otherwise (es1); a relation whose two sides are one word is dropped.
+    z central and of order p make the presented group class 2 of order
+    p^(2n+1), so relation-checking is sufficient.
+    """
+    if g.kind not in (ES1, ES2):
         raise ContextError(f"presentations cover es1/es2, got {g.gid}")
-    return PresentationSpec(g.kind, p, n, orders, tuple(rels))
+    p, n, omega, M = g.p, g.n, g.power_form(), g.cocycle
+    gens = 2 * n
+    z = ((0, p * inv_mod(omega[0], p)),) if omega[0] else _comm(0, n)
+    rels = [(((i, p),), z * w) for i, w in enumerate(omega)]
+    rels += [(_comm(i, j), z * ((M[i][j] - M[j][i]) % p))
+             for i in range(gens) for j in range(i + 1, gens)]
+    z_inv = tuple((gi, -e) for gi, e in reversed(z))
+    rels += [(z + ((i, 1),) + z_inv + ((i, -1),), ()) for i in range(gens)]
+    rels.append((z * p, ()))
+    orders = tuple(p * p if w else p for w in omega)
+    return PresentationSpec(g.kind, p, n, orders, tuple(r for r in rels if r[0] != r[1]))
 
 
 def eval_word(g: Group, images: tuple, word: tuple, power=None, mul=None) -> tuple:

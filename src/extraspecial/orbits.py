@@ -172,7 +172,7 @@ def endo_image_set_bruteforce(e: Element, limit: int | None = None) -> set:
 
     g = e.group
     row = np.array([e.coords], dtype=np.int64)
-    return {g.coords_at(i) for block in family_images(g, row, False, limit)
+    return {g.coords_at(i) for _, block in family_images(g, row, False, limit)
             for i in block[0].tolist()}
 
 
@@ -181,11 +181,6 @@ def degeneration(a: Element, b: Element) -> bool:
     if a.group.gid != b.group.gid:
         raise ContextError("degeneration compares elements of one group")
     return image_contains(a.group, endo_image_class(a), b.coords)
-
-
-def _reach(g: Group, invertible_only: bool, limit: int | None):
-    """reach[i, j]: some automorphism (endomorphism) sends element i to j."""
-    return _reach_tables(g, invertible_only, limit)[0]
 
 
 def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
@@ -208,7 +203,7 @@ def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
     auto = np.zeros((N, N), dtype=bool)
     reach = auto if invertible_only else np.zeros((N, N), dtype=bool)
     offset = np.arange(N)[:, None] * N
-    for s, block in family_images(g, g.coords_matrix(), invertible_only, limit, True, True):
+    for s, block in family_images(g, g.coords_matrix(), invertible_only, limit, True):
         # reshape is a view: both tables are contiguous
         (auto if s else reach).reshape(-1)[offset + block] = True
     if reach is not auto:
@@ -236,12 +231,12 @@ def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     """The exact orbit partition under the full automorphism group.
 
     Every automorphism is applied to every element, a stack of sigmas per
-    kernel call, and marked in a dense reachability matrix (`_reach`).  Since
-    the automorphisms form a group, the image sets are precisely the orbits.
-    Rows of members are asserted identical before returning.
+    kernel call, and marked in a dense reachability matrix (`_reach_tables`).
+    Since the automorphisms form a group, the image sets are precisely the
+    orbits.  Rows of members are asserted identical before returning.
     """
     _plain_only(g)
-    return _partition(g, _reach(g, True, limit))
+    return _partition(g, _reach_tables(g, True, limit)[0])
 
 
 @dataclass
@@ -312,7 +307,7 @@ def partial_order_report(g: Group, verify: bool = True,
             raise AssertionError("witness endomorphisms do not exchange the witness pair")
         row = np.array([g1.coords], dtype=np.int64)
         target = g.index(g2.coords)
-        for block in family_images(g, row, True, limit):
+        for _, block in family_images(g, row, True, limit):
             if (block == target).any():
                 raise AssertionError("witness pair unexpectedly automorphic")
         verified = True

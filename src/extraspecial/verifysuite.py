@@ -162,7 +162,7 @@ def check_hom_oracle(kind: str, p: int, n: int):
     oracle_images = {tuple(g.index(c) for c in im)
                      for im in oracle.enumerate_homs_by_generators(g)}
     gens = np.array([x.coords for x in g.generators()], dtype=np.int64)
-    param_images = {tuple(col) for block in family_images(g, gens)
+    param_images = {tuple(col) for _, block in family_images(g, gens)
                     for col in block.T.tolist()}
     check(oracle_images == param_images,
           "generator-image search and parametrization disagree")

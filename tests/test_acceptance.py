@@ -40,7 +40,7 @@ def both_paths(g):
     family by family on the generator rows, and the set the generator-image
     search finds."""
     gens = np.array([x.coords for x in g.generators()], dtype=np.int64)
-    param = [tuple(col) for block in family_images(g, gens) for col in block.T.tolist()]
+    param = [tuple(col) for _, block in family_images(g, gens) for col in block.T.tolist()]
     brute = {tuple(g.index(c) for c in im) for im in oracle.enumerate_homs_by_generators(g)}
     return param, brute
 
@@ -158,9 +158,9 @@ def test_c7_degeneration_reports():
         assert orbits.classify(g1) != orbits.classify(g2)
         assert fwd.apply(g1) == g2 and back.apply(g2) == g1
         blocks = list(family_images(g, np.array([g1.coords]), invertible_only=True))
-        assert sum(b.shape[1] for b in blocks) == 54
+        assert sum(b.shape[1] for _, b in blocks) == 54
         target = g.index(g2.coords)
-        assert not any((b == target).any() for b in blocks)  # exhaustive non-automorphy
+        assert not any((b == target).any() for _, b in blocks)  # exhaustive non-automorphy
 
 
 def test_c8_scalar_law_isos_and_sigma_consequences():

@@ -195,6 +195,19 @@ def test_element_wrapper_ops():
         x * h.identity()  # mixed groups never combine silently
 
 
+@pytest.mark.parametrize("kind", [ES1, ES2, ES1_TILDE, ES2_TILDE])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_form(kind, n):
+    # exponent p for the es1 shape; the es2 shape's x_1 has order p^2, its
+    # p-th power the central generator
+    g = group(kind, 3, n)
+    want = tuple(int(kind in (ES2, ES2_TILDE) and i == 0) for i in range(2 * n))
+    assert g.power_form() == want
+    z = g.central_generator()
+    for x, w in zip(g.generators(), g.power_form(), strict=True):
+        assert x ** 3 == z ** w
+
+
 def test_generators_against_presentation():
     from extraspecial.oracle import presentation, satisfies_relations
     for kind, p, n in ((ES1, 3, 1), (ES2, 3, 1), (ES1, 3, 2), (ES2, 3, 2), (ES2, 5, 1)):

@@ -124,8 +124,8 @@ def test_family_images_match_morphism_tables(kind, p, invertible_only):
     E = g.coords_matrix()
     enum = enumerate_automorphisms(g) if invertible_only else enumerate_endomorphisms(g)
     blocks = list(family_images(g, E, invertible_only))
-    assert len(blocks) == len(list(enumerate_sigma(g, invertible_only)))
-    for block in blocks:
+    assert [s for s, _ in blocks] == [s for _, s in enumerate_sigma(g, invertible_only)]
+    for _, block in blocks:
         assert block.shape == (g.size, p ** 2)
         for col in block.T:
             assert np.array_equal(col, next(enum).table())
@@ -137,7 +137,7 @@ def test_family_images_one_row_is_a_row_of_the_full_block(es2_31):
     i = g.index((4, 2))
     full = family_images(g, g.coords_matrix())
     one = family_images(g, g.coords_matrix()[i:i + 1])
-    for a, b in zip(full, one, strict=True):
+    for (_, a), (_, b) in zip(full, one, strict=True):
         assert b.shape == (1, 9)
         assert np.array_equal(a[i], b[0])
 
@@ -209,6 +209,50 @@ def test_enumerate_sigma_matches_a_brute_filter(kind, p, invertible_only):
     assert keys == sorted(keys)
 
 
+def _sigma_keys(g):
+    """{key: s} over the matrices of enumerate_sigma (the frontier's), in its
+    order; a matrix's key reads its entries, row by row, as base-p digits."""
+    digits = g.p ** np.arange((2 * g.n) ** 2)
+    return {key: s for V, cols, s in morphisms._frontier(g, False)
+            for key in (V[cols].transpose(0, 2, 1).reshape(len(cols), -1) @ digits).tolist()}
+
+
+def _builds(build, *args):
+    try:
+        return build(*args)
+    except MorphismValidationError:
+        return None
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
+def test_builders_accept_exactly_the_enumerated_sigmas(p, n):
+    # every 2 x 2 matrix; at n = 2 a fixed-seed sample of uniform 4 x 4
+    # matrices plus some enumerated ones of each kind, so both verdicts occur
+    dim = 2 * n
+    es1, es2 = group(ES1, p, n), group(ES2, p, n)
+    keys1, keys2 = _sigma_keys(es1), _sigma_keys(es2)
+    digits = p ** np.arange(dim * dim)
+    keys = range(p ** (dim * dim))
+    if n > 1:
+        keys = (np.random.default_rng(0).integers(len(keys), size=400).tolist()
+                + list(keys1)[::1999] + list(keys2)[::199])
+    accepted = [0, 0]
+    for key in keys:
+        sigma = Mat(p, (key // digits % p).reshape(dim, dim).tolist())
+        A, B, C, D = morphisms.split_sigma(es1, sigma)
+        m = _builds(build_endo_es1, es1, A, B, C, D, (0,) * n, (0,) * n)
+        assert (m is not None) == (key in keys1)
+        assert m is None or (m.sigma() == sigma and m.scalar_mod_p == keys1[key])
+        for t in range(p):
+            a = A.entry(0, 0) + p * t
+            m2 = _builds(build_endo_es2, es2, A, B, C, D, (0,) * (n - 1), (0,) * n, a)
+            assert (m2 is not None) == (key in keys2)
+            assert m2 is None or (m2.sigma() == sigma and m2.scalar == a)
+        accepted[0] += m is not None
+        accepted[1] += m2 is not None
+    assert min(accepted) > 0 and accepted[1] < len(keys)
+
+
 @pytest.mark.parametrize("kind,invertible_only,count", [
     (ES1, True, 103_680), (ES1, False, 356_481), (ES2, True, 1_296), (ES2, False, 27_297)])
 def test_frontier_counts_match_the_matrix_scan(kind, invertible_only, count):
@@ -249,7 +293,7 @@ def test_cap_is_charged_per_block_before_images():
 
 def _member_shift(g, E):
     """The kernel's shift table of the rows of E for all p^2n central functionals."""
-    funcs = [morphisms._functional(g, a, b, t) for a, b, t in morphisms._central_params(g)]
+    funcs = morphisms._functionals(g)
     return morphisms._shift_table(g, morphisms._functional_values(g, E, funcs))
 
 
@@ -271,11 +315,11 @@ def test_stacked_kernel_equals_one_sigma_calls(kind, p, n, step):
 def test_stacked_blocks_are_the_per_sigma_blocks_in_order(es1_31):
     E = es1_31.coords_matrix()
     stacks = list(family_images(es1_31, E, stacked=True))
-    assert all(b.size <= morphisms.STACK_CELLS for b in stacks)
-    flat = [block for stack in stacks for block in stack]
+    assert all(b.size <= morphisms.STACK_CELLS for _, b in stacks)
+    flat = [(s, block) for s, stack in stacks for block in stack]
     singles = list(family_images(es1_31, E))
     assert len(flat) == len(singles) == 81
-    assert all(np.array_equal(a, b) for a, b in zip(flat, singles))
+    assert all(s == t and np.array_equal(a, b) for (s, a), (t, b) in zip(flat, singles))
 
 
 def test_shift_table_refuses_past_its_cell_count():
@@ -307,13 +351,13 @@ def test_induced_quotient_matrix_is_the_quotient_action(endos_es2_31):
             assert img == m.sigma().mul_vec(g.quotient_coords(c))
 
 
-def test_params_from_generator_images_round_trip(es1_31, endos_es2_31):
+def test_params_from_generator_images_round_trip(es1_31, endos_es1_31, endos_es2_31, es2_51):
     g = es1_31
     one, zero = Mat.identity(3, 1), Mat.zeros(3, 1, 1)
     m = build_endo_es1(g, zero, zero, one, one, (1,), (2,))
     recovered = params_from_generator_images(g, [m.apply(x) for x in g.generators()])
     assert recovered == m
-    for m in endos_es2_31[::11]:
+    for m in endos_es1_31 + endos_es2_31 + list(enumerate_endomorphisms(es2_51)):
         imgs = [m.apply(x) for x in m.group.generators()]
         assert params_from_generator_images(m.group, imgs) == m
 

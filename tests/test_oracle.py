@@ -64,6 +64,55 @@ def test_presentation_shapes(es1_31, es2_31, es2_32):
         assert oracle.satisfies_relations(g, pr, gens)
 
 
+def _comm(a, b):
+    return ((a, 1), (b, 1), (a, -1), (b, -1))
+
+
+def spelled_relations(g):
+    """The paper's defining relations of es1 and es2, spelled out per kind:
+    the reference that the data-built oracle.presentation is held to."""
+    p, n = g.p, g.n
+    gens = 2 * n
+    rels = []
+    if g.kind == ES1:
+        z = _comm(0, n)
+        rels += [(((i, p),), ()) for i in range(gens)]
+    else:
+        z = ((0, p),)
+        rels.append((((0, p * p),), ()))
+        rels += [(((i, p),), ()) for i in range(1, gens)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rels.append((_comm(i, j), ()))
+            rels.append((_comm(n + i, n + j), ()))
+    rels += [(_comm(i, n + j), ()) for i in range(n) for j in range(n) if i != j]
+    rels += [(_comm(i, n + i), z) for i in range(0 if g.kind == ES2 else 1, n)]
+    z_inv = _comm(n, 0) if g.kind == ES1 else ((0, -p),)
+    rels += [(z + ((i, 1),) + z_inv + ((i, -1),), ()) for i in range(gens)]
+    if g.kind == ES1:
+        rels.append((z * p, ()))
+    return tuple(rels)
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_spelled_relations_hold_on_the_generators(kind, p, n):
+    g = group(kind, p, n)
+    gens = tuple(x.coords for x in g.generators())
+    pres = oracle.presentation(g)
+    assert oracle.satisfies_relations(g, pres, gens)
+    assert oracle.satisfies_relations(g, pres, gens, spelled_relations(g))
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+def test_hom_search_finds_the_maps_the_spelled_relations_cut(kind):
+    g = group(kind, 3, 1)
+    pres, spelled = oracle.presentation(g), spelled_relations(g)
+    blind = [images for images in product(list(g.elements()), repeat=2)
+             if oracle.satisfies_relations(g, pres, images, spelled)]
+    assert list(oracle.enumerate_homs_by_generators(g)) == blind
+
+
 def test_satisfies_relations_rejects_non_homs(es2_31):
     pres = oracle.presentation(es2_31)
     # sending x1 to an order-3 element cannot respect x1^9 normal closure

@@ -189,7 +189,7 @@ def _reach_per_sigma(g, invertible_only):
     N = g.size
     reach = np.zeros((N, N), dtype=bool)
     rows = np.arange(N)[:, None]
-    for block in family_images(g, g.coords_matrix(), invertible_only):
+    for _, block in family_images(g, g.coords_matrix(), invertible_only):
         reach[rows, block] = True
     return reach
 
@@ -237,9 +237,9 @@ def test_reach_charges_each_block_before_its_images(monkeypatch, es1_31):
     blocks = _watch_kernel(monkeypatch)
     for limit in (24 * 9 - 1, 24 * 9, 48 * 9 - 1):
         with pytest.raises(CapExceeded):
-            orbits._reach(es1_31, True, limit)
+            orbits._reach_tables(es1_31, True, limit)
     assert blocks == []
-    orbits._reach(es1_31, True, 48 * 9)
+    orbits._reach_tables(es1_31, True, 48 * 9)
     assert sum(len(b) for b in blocks) == 48
 
 
