@@ -14,7 +14,7 @@ from .groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Element, Group, GroupId,
                      delta_iso, format_element, group, lambda_iso,
                      parse_element, parse_group_spec, symplectic_f)
 from .modp import Mat, half, inv_mod, is_odd_prime, p_binomial
-from .symplectic import delta_matrix, is_sp_scalar, pairing, symp_scalar_test
+from .symplectic import pairing, symp_scalar_test
 from .morphisms import (Morphism, build_endo_es1, build_endo_es2, compose,
                         enumerate_automorphisms, enumerate_endomorphisms,
                         inner_automorphism, is_im_phi2_matrix,
@@ -39,7 +39,7 @@ __all__ = [
     "delta_iso", "format_element", "group", "lambda_iso",
     "parse_element", "parse_group_spec", "symplectic_f",
     "Mat", "half", "inv_mod", "is_odd_prime", "p_binomial",
-    "delta_matrix", "is_sp_scalar", "pairing", "symp_scalar_test",
+    "pairing", "symp_scalar_test",
     "Morphism", "build_endo_es1", "build_endo_es2", "compose",
     "enumerate_automorphisms", "enumerate_endomorphisms",
     "inner_automorphism", "is_im_phi2_matrix",

@@ -88,8 +88,10 @@ def _parse_endo_params(g, tokens: list) -> dict:
             raise ParseError(f"expected key=value, got {tok!r}", 0)
         key, _, val = tok.partition("=")
         key = key.strip()
-        if key not in params:
-            raise ParseError(f"unknown parameter {key!r}", 0)
+        if key not in params or (key == "a" and g.kind != ES2):
+            raise ParseError(f"unknown parameter {key!r} for {g.gid}", 0)
+        if params[key] is not None:
+            raise ParseError(f"parameter {key!r} given twice", 0)
         if key == "a":
             try:
                 params[key] = int(val)
@@ -147,6 +149,7 @@ def cmd_classify(args) -> int:
 def cmd_endo(args) -> int:
     g = _group_arg(args.group)
     parsed = _parse_endo_params(g, args.params)
+    e = None if args.apply is None else _element_arg(g, args.apply)
     m = parsed["mats"]
     try:
         if g.kind == ES1:
@@ -168,14 +171,12 @@ def cmd_endo(args) -> int:
     kindword = "automorphism" if morph.is_automorphism else "endomorphism"
     print(f"valid {kindword}, {tag}")
     if args.check:
-        exhaustive = g.size <= TABLE_CAP  # the f_table size limit
-        if not scalar_action_check(morph, exhaustive=exhaustive, sample=200, seed=7):
+        if not scalar_action_check(morph):
             print("scalar action check FAILED")
             return 1
-        mode = "exhaustive" if exhaustive else "sampled"
+        mode = "exhaustive" if g.size <= TABLE_CAP else "sampled"
         print(f"scalar action check passed ({mode})")
-    if args.apply is not None:
-        e = _element_arg(g, args.apply)
+    if e is not None:
         print(format_element(morph.apply(e)))
     return 0
 

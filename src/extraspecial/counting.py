@@ -207,13 +207,13 @@ QUANTITIES = {
         lambda p, n, k: _scans().scan_surjections(2 * n, p, k)),
     "count_X": Quantity(
         None, lambda p, n, _: count_X(p, n), lambda n, _: count_X_poly(n),
-        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().NULL_FORM)),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, 0)),
     "count_Y": Quantity(
         None, lambda p, n, _: count_Y(p, n), lambda n, _: count_Y_poly(n),
-        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().NULL_FORM, image_in_v1=True)),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, 0, image_in_v1=True)),
     "sp_order": Quantity(
         None, lambda p, n, _: sp_order(n, p), lambda n, _: sp_order_poly(n),
-        lambda p, n, _: _scans().scan_matrices(2 * n, p, _scans().FIXED_FORM, l=1)),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, 1)),
     "im_phi2_order": Quantity(
         None, lambda p, n, _: im_phi2_order(n, p), lambda n, _: im_phi2_order_poly(n),
         lambda p, n, _: _scans().sigma_scan_count(ES2, p, n, True)),
@@ -257,18 +257,23 @@ class CountReport:
 
 def validate_request(quantity: str | None, p: int, n: int, k: int | None = None,
                      group_kind: str | None = None):
-    """Raise ContextError for an invalid (p, n), an unknown quantity or a
-    missing k or group kind; return the argument the quantity's routes take."""
+    """Raise ContextError for an invalid (p, n), an unknown quantity, a
+    missing or negative k, a missing group kind, or a k or group kind the
+    quantity does not take; return the argument its routes take.  k > n is
+    valid: those counts are 0."""
     validate_p_n(p, n)
     if quantity is None:  # (p, n) alone
         return None
     if quantity not in QUANTITIES:
         raise ContextError(f"unknown quantity {quantity!r}")
     arg = QUANTITIES[quantity].arg
-    if arg == "k" and k is None:
-        raise ContextError(f"{quantity} needs a subspace dimension k")
+    if arg == "k" and (k is None or k < 0):
+        raise ContextError(f"{quantity} needs a subspace dimension k >= 0, got {k}")
     if arg == "group" and group_kind not in (ES1, ES2):
         raise ContextError(f"{quantity} needs a group kind es1 or es2")
+    for name, value in (("k", k), ("group", group_kind)):
+        if value is not None and arg != name:
+            raise ContextError(f"{quantity} takes no {name}, got {value}")
     return {"k": k, "group": group_kind}.get(arg)
 
 
@@ -292,9 +297,7 @@ def oracle_value(quantity: str, p: int, n: int, k: int | None = None,
 def compute_report(quantity: str, p: int, n: int, k: int | None = None,
                    group_kind: str | None = None, oracle: bool = False) -> CountReport:
     fv = formula_value(quantity, p, n, k, group_kind)
-    arg = QUANTITIES[quantity].arg
-    rep = CountReport(quantity, group_kind if arg == "group" else None,
-                      p, n, k if arg == "k" else None, fv)
+    rep = CountReport(quantity, group_kind, p, n, k, fv)
     if oracle:
         ov = oracle_value(quantity, p, n, k, group_kind)
         rep.oracle_value = ov

@@ -238,9 +238,9 @@ class Group:
 
     # -- enumeration ---------------------------------------------------------
 
-    def elements(self, limit: int | None = None):
+    def elements(self):
         """Yield all coordinate tuples in lexicographic order."""
-        limit = cap("ELEMENT_CAP") if limit is None else limit
+        limit = cap("ELEMENT_CAP")
         if self.size > limit:
             raise CapExceeded(f"{self.gid} has {self.size} elements, cap is {limit}")
         return product(*(range(r) for r in self.ranges))

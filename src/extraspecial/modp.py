@@ -84,32 +84,8 @@ class Mat:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "Mat":
         return Mat(self.m, zip(*self.rows)) if self.rows else self
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._compat(other, same_shape=True)
-        return Mat(self.m, [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._compat(other, same_shape=True)
-        return Mat(self.m, [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.m, [[-x for x in r] for r in self.rows])
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        self._compat(other)
-        if self.ncols != other.nrows:
-            raise DimensionError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows))
-        return Mat(self.m, [[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self.rows])
 
     def scale(self, c: int) -> "Mat":
         return Mat(self.m, [[c * x for x in r] for r in self.rows])
@@ -119,22 +95,8 @@ class Mat:
             raise DimensionError(f"matrix has {self.ncols} columns, vector has {len(v)} entries")
         return tuple(sum(x * y for x, y in zip(r, v)) % self.m for r in self.rows)
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
     def submatrix(self, row_range, col_range) -> "Mat":
         return Mat(self.m, [[self.rows[i][j] for j in col_range] for i in row_range])
-
-    def _compat(self, other: "Mat", same_shape: bool = False):
-        if not isinstance(other, Mat):
-            raise TypeError(f"expected Mat, got {type(other).__name__}")
-        if self.m != other.m:
-            raise DimensionError(f"moduli differ: {self.m} vs {other.m}")
-        if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("shapes differ")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.m == other.m and self.rows == other.rows

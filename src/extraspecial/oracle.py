@@ -10,11 +10,12 @@ Three separate recomputation routes:
     kind; the spelled ones are their test reference.  A memo per search
     hands each ordered pair of elements to Group.mul once.  No block
     matrices, no quadratic correction terms, no batched law.
-  * matrix scans: count 2x2 and 4x4 matrices over F_p by the value of the
-    induced Gram form against the standard symplectic form, by one count
-    over the pairing table rather than the similitude parametrization.
-    Each Gram class (dim, p, s, column restrictions) is counted once per
-    process and memoized, so every later scan of it is a lookup.
+  * matrix scans: count the 2x2 or 4x4 matrices N over F_p with
+    N^t Delta N = s Delta for one Gram scalar s (s = 0 the zero form), by
+    one count over the pairing table rather than the similitude
+    parametrization.  Each Gram class (dim, p, s, column restrictions) is
+    counted once per process and memoized, so every later scan of it is a
+    lookup.
   * subspace scans: one walk over the reduced-echelon cells, in
     coordinates along the isotropic flag, tests isotropy and V_1
     membership on numpy blocks of echelon matrices; cell_polynomial
@@ -40,10 +41,6 @@ from .config import cap
 from .errors import CapExceeded, ContextError, check
 from .groups import ES1, ES2, TABLE_CAP, Group, row_blocks
 from .modp import inv_mod
-
-NULL_FORM = "null"
-SCALAR_FORM = "scalar"
-FIXED_FORM = "fixed"
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +227,6 @@ def mult_table(g: Group) -> np.ndarray:
     return M
 
 
-def is_hom_table(g: Group, table: np.ndarray) -> bool:
-    """sigma(ab) = sigma(a) sigma(b) for all pairs, via the full mult table."""
-    M = mult_table(g)
-    T = np.asarray(table)
-    return bool(np.array_equal(T[M], M[np.ix_(T, T)]))
-
-
-def hom_check_on_generators(g: Group, table: np.ndarray) -> bool:
-    """sigma(a h) = sigma(a) sigma(h) for every a and every generator h.
-
-    Generators generate, so by induction on word length this already forces
-    the full homomorphism property; unlike is_hom_table it needs no N x N
-    table and stays usable at |G| in the tens of thousands.
-    """
-    T = np.asarray(table)
-    C = g.coords_matrix()
-    gens = [g.index(x.coords) for x in g.generators()]
-    right = getattr(g, "_gen_right_mul", None)
-    if right is None:
-        right = [g.mul_index(C, C[h:h + 1])[:, 0] for h in gens]
-        g._gen_right_mul = right
-    CT = C[T]
-    for h, col in zip(gens, right):
-        if not np.array_equal(T[col], g.mul_index(CT, CT[h:h + 1])[:, 0]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # matrix scans via pairing tables
 
@@ -314,52 +283,34 @@ def _count(V: np.ndarray, pools: list, s: int, p: int) -> int:
     return total
 
 
-def scan_matrices(dim: int, p: int, predicate: str, l: int | None = None,
-                  image_in_v1: bool = False, es2_constrained: bool = False,
-                  limit: int | None = None) -> int:
-    """Count dim x dim matrices N over F_p with N^t Delta N prescribed.
+def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
+                  es2_constrained: bool = False, limit: int | None = None) -> int:
+    """Count dim x dim matrices N over F_p with N^t Delta N = s Delta.
 
-    predicate: NULL_FORM for the zero form, FIXED_FORM for l * Delta with
-    the given l, SCALAR_FORM for l * Delta with l arbitrary (zero included);
-    l goes with FIXED_FORM only.  image_in_v1 restricts all columns to the
+    s = 0 is the zero form.  image_in_v1 restricts all columns to the
     hyperplane v[0] = 0; es2_constrained pins the first row to
-    (l, 0, ..., 0 | 0, ..., 0).
+    (s, 0, ..., 0 | 0, ..., 0).
 
     The cap is charged on the raw space p^(dim^2) on every call; the count
-    itself is the sum over s of `_gram_count`, which scans each Gram class
-    once per process (NULL_FORM is the s = 0 class, SCALAR_FORM the sum of
-    all p classes), so `sigma_scan_count`, `census`, `count` and `verify`
-    share one memo.
+    itself is `_gram_count`, which scans each Gram class once per process,
+    so `sigma_scan_count`, `census`, `count` and `verify` share one memo.
     """
     if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
-    if predicate not in (NULL_FORM, SCALAR_FORM, FIXED_FORM):
-        raise ContextError(f"unknown scan predicate {predicate!r}")
-    if predicate == FIXED_FORM:
-        if l is None:
-            raise ContextError("FIXED_FORM needs the multiplier l")
-        svals = [l % p]
-    elif l is not None:
-        raise ContextError(f"predicate {predicate!r} takes no multiplier l, got {l}")
-    elif predicate == NULL_FORM:
-        svals = [0]
-    else:
-        svals = list(range(p))
     space = p ** (dim * dim)
     ceiling = cap("SCAN_CAP") if limit is None else limit
     if space > ceiling:
         raise CapExceeded(f"matrix scan space {space} exceeds {ceiling}")
-    return sum(_gram_count(dim, p, s, image_in_v1, es2_constrained) for s in svals)
+    return _gram_count(dim, p, s % p, image_in_v1, es2_constrained)
 
 
 @lru_cache(maxsize=None)
 def _gram_count(dim: int, p: int, s: int, image_in_v1: bool, es2_constrained: bool) -> int:
     """Matrices of one Gram class s * Delta, counted once per process.
 
-    The key is the whole class, with s reduced mod p by the caller, so
-    FIXED_FORM l and l + p, and NULL_FORM and FIXED_FORM l = 0, share one
-    count.  The caller
-    charges the scan cap before every lookup, hit or miss.
+    The key is the whole class, with s reduced mod p by the caller, so s
+    and s + p share one count.  The caller charges the scan cap before
+    every lookup, hit or miss.
     """
     V = _vectors(dim, p)
     return _count(V, _column_pools(V, dim, s, image_in_v1, es2_constrained), s, p)
@@ -535,6 +486,5 @@ def sigma_scan_count(kind: str, p: int, n: int, invertible_only: bool) -> int:
     """
     if kind not in (ES1, ES2):
         raise ContextError(f"sigma counts cover es1/es2, got {kind!r}")
-    lvals = range(1, p) if invertible_only else range(p)
-    return sum(scan_matrices(2 * n, p, FIXED_FORM, l=l, es2_constrained=kind == ES2)
-               for l in lvals)
+    return sum(scan_matrices(2 * n, p, s, es2_constrained=kind == ES2)
+               for s in (range(1, p) if invertible_only else range(p)))

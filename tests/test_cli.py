@@ -1,6 +1,7 @@
 """Command-line surface: output conventions, exit codes, census determinism."""
 
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -133,6 +134,19 @@ def test_endo_bad_params_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["es1(3,1)", "A=[1]", "B=[1]", "a=5"],  # es1 has no central lift
+    ["es1(3,1)", "A=[1]", "B=[1]", "A=[2]"],
+    ["es2(3,1)", "A=[1]", "B=[1]", "a=1", "a=4"],
+    ["es1(3,1)", "A=[1]", "B=[1]", "--apply", "[1|0]"],
+    ["es1(3,1)", "A=[1]", "B=[1]", "--check", "--apply", "[1|x|0]"],
+])
+def test_endo_malformed_input_exits_2_before_any_output(capsys, argv):
+    code, out, err = run(capsys, "endo", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_orbits_inventory(capsys):
     code, out, _ = run(capsys, "orbits", "es2(3,2)")
     assert code == 0
@@ -159,6 +173,27 @@ def test_count_missing_k_or_group_exit_2(capsys):
     code, out, err = run(capsys, "count", "--quantity", "aut_order", "--p", "3", "--n", "1",
                          "--oracle")
     assert code == 2 and out == "" and "needs a group kind" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quantity", "alpha_k", "-k", "-2", "--oracle"],
+    ["--quantity", "sp_order", "-k", "4"],
+    ["--quantity", "count_X", "--group", "es1", "--oracle"],
+    ["--quantity", "alpha_k", "-k", "1", "--group", "es2"],
+    ["--quantity", "aut_order", "--group", "es1", "-k", "1"],
+])
+def test_count_negative_or_unused_argument_exits_2(capsys, argv):
+    code, out, err = run(capsys, "count", "-p", "3", "-n", "1", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_count_k_past_n_is_a_zero_count(capsys):
+    code, out, _ = run(capsys, "count", "--quantity", "beta_k", "-p", "3", "-n", "1",
+                       "-k", "2", "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["formula"], doc["oracle"], doc["match"]) == (0, 0, True)
 
 
 def test_count_unknown_quantity_is_a_usage_error(capsys):
@@ -234,6 +269,20 @@ def test_census_deterministic(capsys):
     assert first == second
     rows = first.strip().splitlines()[1:]
     assert rows == sorted(rows, key=lambda r: (r.split(",")[0], int(r.split(",")[2])))
+
+
+def test_census_oracle_grid_is_pinned(capsys, monkeypatch):
+    # the whole --oracle grid, byte for byte, under the default caps
+    for name in ("ELEMENT", "MORPHISM", "HOM", "SCAN", "SUBSPACE"):
+        monkeypatch.delenv(f"EXTRASPECIAL_{name}_CAP", raising=False)
+    code, out, _ = run(capsys, "census", "--p-list", "3,5", "--n-list", "1,2",
+                       "--oracle", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 70
+    assert sum(r["oracle"] == "skipped" for r in rows) == 11
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55ee8cbb82b5224c349f7f4077165950ca36abf781c086f62c097ec964998d7a")
 
 
 def test_census_json_format(capsys):

@@ -136,6 +136,23 @@ def test_compute_report_roundtrip():
         counting.compute_report("aut_order", 3, 1, oracle=True)
 
 
+def test_negative_k_or_an_argument_the_quantity_does_not_take_is_rejected():
+    # alpha_k with k = -2 once answered 0 = 0; a stray k or group was dropped
+    for k in (-1, -2):
+        with pytest.raises(ContextError, match="needs a subspace dimension k >= 0"):
+            counting.compute_report("alpha_k", 3, 1, k=k, oracle=True)
+    with pytest.raises(ContextError, match="sp_order takes no k"):
+        counting.formula_value("sp_order", 3, 1, k=4)
+    with pytest.raises(ContextError, match="alpha_k takes no group"):
+        counting.oracle_value("alpha_k", 3, 1, k=1, group_kind=ES1)
+    with pytest.raises(ContextError, match="end_order takes no k"):
+        counting.validate_request("end_order", 3, 1, k=0, group_kind=ES2)
+    # k > n stays valid: no isotropic subspace of that size exists
+    for q in ("alpha_k", "beta_k"):
+        rep = counting.compute_report(q, 3, 1, k=2, oracle=True)
+        assert (rep.formula_value, rep.oracle_value, rep.match) == (0, 0, True)
+
+
 @pytest.mark.parametrize("p, n", [(4, 1), (1, 1), (3, 0), (3, -1)])
 def test_invalid_p_or_n_is_rejected(p, n):
     # p=4 once gave an aut_order formula value of 2880 with no error

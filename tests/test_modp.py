@@ -39,29 +39,25 @@ def test_half():
 
 def test_mat_basic_ops():
     a = Mat(3, ((1, 2), (0, 1)))
-    b = Mat(3, ((1, 0), (1, 1)))
-    assert (a * b).rows == ((0, 2), (1, 1))
-    assert (a + b).rows == ((2, 2), (1, 2))
-    assert (a - b).rows == ((0, 2), (2, 0))
+    assert Mat(3, ((4, -1), (3, 1))) == a  # entries reduced mod m
     assert a.transpose().rows == ((1, 0), (2, 1))
     assert a.scale(2).rows == ((2, 1), (0, 2))
     assert a.mul_vec((1, 1)) == (0, 1)
-    assert Mat.identity(3, 2) * a == a
+    assert Mat.identity(3, 2).mul_vec((2, 1)) == (2, 1)
     assert Mat.from_cols(3, [(1, 0), (2, 1)]) == a
 
 
 def test_mat_shape_checks():
-    a = Mat(3, ((1, 2),))
     with pytest.raises(DimensionError):
-        a * a
+        Mat(3, ((1, 2), (1,)))
     with pytest.raises(DimensionError):
-        a + Mat(3, ((1,), (2,)))
+        Mat(3, ((1, 2),)).mul_vec((1,))
 
 
 def test_mat_symmetry_and_submatrix():
     s = Mat(5, ((1, 2), (2, 4)))
-    assert s.is_symmetric()
-    assert not Mat(5, ((1, 2), (3, 4))).is_symmetric()
+    assert s.transpose() == s
+    assert Mat(5, ((1, 2), (3, 4))).transpose() != Mat(5, ((1, 2), (3, 4)))
     m = Mat(3, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
     assert m.submatrix(range(1, 3), range(0, 2)).rows == ((0, 1), (0, 1))
 

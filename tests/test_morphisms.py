@@ -190,7 +190,7 @@ def _brute_sigmas(g, invertible_only):
         if s is None or (invertible_only and s == 0):
             continue
         # es2: the first row is (a_11, a_12..a_1n | c_11..c_1n) = (s, 0, .., 0)
-        if g.kind == ES2 and (mat.entry(0, 0) != s or any(mat.row(0)[1:])):
+        if g.kind == ES2 and (mat.entry(0, 0) != s or any(mat.rows[0][1:])):
             continue
         out.add((mat, s))
     return out
@@ -382,10 +382,23 @@ def test_compose_matches_pointwise(endos_es2_31):
                 assert c.apply_coords(x) == m1.apply_coords(m2.apply_coords(x))
 
 
-def test_scalar_action_check_modes(endos_es1_31):
+def test_scalar_action_check_modes(endos_es1_31, monkeypatch):
     for m in endos_es1_31[::101]:
-        assert scalar_action_check(m, exhaustive=True)
-        assert scalar_action_check(m, exhaustive=False, sample=200, seed=3)
+        assert scalar_action_check(m)  # 27 elements: every pair, through f_table
+    # es1(3,3), past TABLE_CAP: 200 sampled pairs, through symplectic_f
+    g = Group(GroupId(ES1, 3, 3))  # uncached, so nothing is built yet
+    one, zero = Mat.identity(3, 3), Mat.zeros(3, 3, 3)
+    m = build_endo_es1(g, one.scale(2), one, zero, zero, (1, 0, 0), (0, 0, 0))
+    assert scalar_action_check(m)
+    assert g._np_cache is None  # no table of all elements
+    calls = []
+    law = g.symplectic_f
+    monkeypatch.setattr(g, "symplectic_f", lambda a, b: calls.append(a) or law(a, b))
+    assert scalar_action_check(m)
+    assert len(calls) == 2 * 200  # both sides of every sampled pair
+    # f shifted by 1: f(m(a), m(b)) = 2 f(a, b) + 1 != 2 (f(a, b) + 1), caught
+    monkeypatch.setattr(g, "symplectic_f", lambda a, b: (law(a, b) + 1) % 3)
+    assert not scalar_action_check(m)
 
 
 def test_whole_group_tables_refuse_past_the_table_cap():
@@ -393,14 +406,10 @@ def test_whole_group_tables_refuse_past_the_table_cap():
     # would be 38 MiB, and es2(3,3)'s would be 3.1 GB
     g = Group(GroupId(ES1, 3, 3))  # uncached, so nothing is built yet
     assert g.size == TABLE_CAP + 139
-    one, zero = Mat.identity(3, 3), Mat.zeros(3, 3, 3)
-    m = build_endo_es1(g, one, one, zero, zero, (0, 0, 0), (0, 0, 0))
     with pytest.raises(CapExceeded):
         f_table(g)
     with pytest.raises(CapExceeded):
         oracle.mult_table(g)
-    with pytest.raises(CapExceeded):
-        scalar_action_check(m)  # exhaustive by default, so it needs f_table
     assert g._np_cache is None  # refused before even the coordinate matrix
 
 

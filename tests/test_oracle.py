@@ -210,65 +210,34 @@ def test_mult_table(es2_31):
     assert T[i, j] == es2_31.index((3, 1))
 
 
-def test_is_hom_table(es1_31):
-    gens = tuple(x.coords for x in es1_31.generators())
-    t = oracle.hom_table(es1_31, gens)
-    assert oracle.is_hom_table(es1_31, t)
-    bad = t.copy()
-    bad[[3, 4]] = bad[[4, 3]]
-    assert not oracle.is_hom_table(es1_31, bad)
-
-
-def test_hom_check_on_generators_agrees(es2_31, endos_es2_31):
-    for m in endos_es2_31[::31]:
-        assert oracle.hom_check_on_generators(es2_31, m.table())
-    # swap two non-generator images: generator words notice through products
-    t = endos_es2_31[1].table().copy()
-    t[[5, 6]] = t[[6, 5]]
-    assert oracle.hom_check_on_generators(es2_31, t) == oracle.is_hom_table(es2_31, t)
-
-
 def test_scan_matrices_dim2():
-    # NULL counts singular matrices, FIXED l=1 counts SL_2, SCALAR counts all
-    assert oracle.scan_matrices(2, 3, oracle.NULL_FORM) == 33
-    assert oracle.scan_matrices(2, 3, oracle.FIXED_FORM, l=1) == 24
-    assert oracle.scan_matrices(2, 3, oracle.SCALAR_FORM) == 81
-    assert oracle.scan_matrices(2, 5, oracle.NULL_FORM) == 145
-    assert oracle.scan_matrices(2, 5, oracle.FIXED_FORM, l=1) == 120
-    with pytest.raises(ContextError):
-        oracle.scan_matrices(2, 3, oracle.FIXED_FORM)
-    with pytest.raises(ContextError):
-        oracle.scan_matrices(3, 3, oracle.NULL_FORM)
-    # l goes with FIXED_FORM only; NULL_FORM with l=1 once returned 33
-    for predicate in (oracle.NULL_FORM, oracle.SCALAR_FORM):
-        with pytest.raises(ContextError):
-            oracle.scan_matrices(2, 3, predicate, l=1)
+    # s = 0 counts singular matrices, s = 1 counts SL_2
+    assert oracle.scan_matrices(2, 3, 0) == 33
+    assert oracle.scan_matrices(2, 3, 1) == 24
+    assert sum(oracle.scan_matrices(2, 3, s) for s in range(3)) == 81
+    assert oracle.scan_matrices(2, 5, 0) == 145
+    assert oracle.scan_matrices(2, 5, 1) == 120
+    with pytest.raises(ContextError, match="matrix scans cover dim 2 and 4, got 3"):
+        oracle.scan_matrices(3, 3, 0)
 
 
 def test_scan_matrices_constrained_dim2():
     # es2 pools at n = 1: first column (s, *) only, second column (0, *)
-    assert oracle.scan_matrices(2, 3, oracle.FIXED_FORM, l=1,
-                                es2_constrained=True) == 3
-    total_units = sum(oracle.scan_matrices(2, 3, oracle.FIXED_FORM, l=l,
-                                           es2_constrained=True)
-                      for l in (1, 2))
+    assert oracle.scan_matrices(2, 3, 1, es2_constrained=True) == 3
+    total_units = sum(oracle.scan_matrices(2, 3, s, es2_constrained=True) for s in (1, 2))
     assert total_units == counting.im_phi2_order(1, 3)
-    assert oracle.scan_matrices(2, 3, oracle.NULL_FORM, image_in_v1=True) == 9
+    assert oracle.scan_matrices(2, 3, 0, image_in_v1=True) == 9
 
 
-def _gram_one_by_one(dim, p, predicate, l, image_in_v1, es2_constrained):
+def _gram_one_by_one(dim, p, s, image_in_v1, es2_constrained):
     """The per-matrix reference: one Gram form N^t Delta N per candidate."""
     h = dim // 2
     eye = np.eye(h, dtype=np.int64)
     delta = np.block([[0 * eye, eye], [-eye, 0 * eye]])
-    svals = {oracle.NULL_FORM: [0], oracle.FIXED_FORM: [l],
-             oracle.SCALAR_FORM: range(p)}[predicate]
     total = 0
     for entries in product(range(p), repeat=dim * dim):
         N = np.array(entries, dtype=np.int64).reshape(dim, dim)
-        gram = (N.T @ delta @ N) % p
-        s = int(gram[0, h])
-        if s not in svals or not np.array_equal(gram, (s * delta) % p):
+        if not np.array_equal((N.T @ delta @ N) % p, (s * delta) % p):
             continue
         if image_in_v1 and N[0].any():
             continue
@@ -280,24 +249,21 @@ def _gram_one_by_one(dim, p, predicate, l, image_in_v1, es2_constrained):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_scan_matrices_dim2_matches_per_matrix_gram(p):
-    cases = [(oracle.NULL_FORM, None), (oracle.SCALAR_FORM, None)]
-    cases += [(oracle.FIXED_FORM, l) for l in range(p)]
-    for (predicate, l), image_in_v1, es2_constrained in product(
-            cases, (False, True), (False, True)):
-        args = (2, p, predicate, l, image_in_v1, es2_constrained)
+    for s, image_in_v1, es2_constrained in product(range(p), (False, True), (False, True)):
+        args = (2, p, s, image_in_v1, es2_constrained)
         assert oracle.scan_matrices(*args) == _gram_one_by_one(*args), args
 
 
 def test_scan_matrices_dim4():
-    assert oracle.scan_matrices(4, 3, oracle.NULL_FORM) == 252801
-    assert oracle.scan_matrices(4, 3, oracle.FIXED_FORM, l=1) == 51840
+    assert oracle.scan_matrices(4, 3, 0) == 252801
+    assert oracle.scan_matrices(4, 3, 1) == 51840
 
 
 def test_scan_matrices_cap():
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(4, 7, oracle.NULL_FORM)
+        oracle.scan_matrices(4, 7, 0)
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, oracle.NULL_FORM, limit=10)
+        oracle.scan_matrices(2, 3, 0, limit=10)
 
 
 def _spy_on_count(monkeypatch) -> list:
@@ -317,28 +283,25 @@ def _spy_on_count(monkeypatch) -> list:
 def test_scan_matrices_counts_each_gram_class_once(monkeypatch):
     runs = _spy_on_count(monkeypatch)
     scan = oracle.scan_matrices
-    # FIXED l and l + p are one class; NULL_FORM is FIXED l = 0
-    assert scan(2, 3, oracle.FIXED_FORM, l=1) == scan(2, 3, oracle.FIXED_FORM, l=4) == 24
-    assert scan(2, 3, oracle.NULL_FORM) == scan(2, 3, oracle.FIXED_FORM, l=0) == 33
+    # s and s + p are one class
+    assert scan(2, 3, 1) == scan(2, 3, 4) == 24
+    assert scan(2, 3, 0) == scan(2, 3, 3) == 33
     assert runs == [1, 0]
-    # SCALAR_FORM sums the classes: only s = 2 is new
-    assert scan(2, 3, oracle.SCALAR_FORM) == 81
+    assert scan(2, 3, 2) == 24
     assert runs == [1, 0, 2]
     # the column restrictions never share a class, with each other or with none
-    assert scan(2, 3, oracle.NULL_FORM, image_in_v1=True) == 9
-    assert scan(2, 3, oracle.NULL_FORM, es2_constrained=True) == 9
-    assert scan(2, 3, oracle.FIXED_FORM, l=1, es2_constrained=True) == 3
-    assert scan(2, 3, oracle.FIXED_FORM, l=1, image_in_v1=True, es2_constrained=True) == 0
+    assert scan(2, 3, 0, image_in_v1=True) == 9
+    assert scan(2, 3, 0, es2_constrained=True) == 9
+    assert scan(2, 3, 1, es2_constrained=True) == 3
+    assert scan(2, 3, 1, image_in_v1=True, es2_constrained=True) == 0
     assert runs == [1, 0, 2, 0, 0, 1, 1]
     assert oracle._gram_count.cache_info().currsize == 7
 
 
 def test_cached_gram_class_still_charges_the_cap():
-    assert oracle.scan_matrices(2, 3, oracle.NULL_FORM) == 33
+    assert oracle.scan_matrices(2, 3, 0) == 33
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, oracle.NULL_FORM, limit=80)
-    with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, oracle.SCALAR_FORM, limit=80)
+        oracle.scan_matrices(2, 3, 0, limit=80)
 
 
 def test_counting_scans_run_each_gram_class_once(monkeypatch):
@@ -473,15 +436,15 @@ def test_scan_matrices_cap_and_independence(monkeypatch):
             monkeypatch.setattr(counting, name, forbidden)
     monkeypatch.setattr(modp, "p_binomial", forbidden)
     monkeypatch.setattr(morphisms, "enumerate_sigma", forbidden)
-    assert oracle.scan_matrices(4, 3, oracle.NULL_FORM, image_in_v1=True) == 26001
+    assert oracle.scan_matrices(4, 3, 0, image_in_v1=True) == 26001
     assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == 1296
     # the cap raises before the vectors or the pairing table are built
     monkeypatch.setattr(oracle, "_vectors", forbidden)
     monkeypatch.setattr(oracle, "_pairing_table", forbidden)
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(4, 5, oracle.NULL_FORM)
+        oracle.scan_matrices(4, 5, 0)
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, oracle.SCALAR_FORM, limit=3 ** 4 - 1)
+        oracle.scan_matrices(2, 3, 2, limit=3 ** 4 - 1)
 
 
 def test_sigma_scan_count(es1_31, es2_31, es2_32):

@@ -63,6 +63,7 @@ def test_group_laws_catch_one_wrong_tuple_product(monkeypatch):
             return out[:-1] + ((out[-1] + 1) % self.p,)
         return out
 
+    group(ES1, 3, 1)  # cache the group, and its power form, under the true law
     monkeypatch.setattr(Group, "mul", wrong)
     with pytest.raises(AssertionError, match="batched and tuple products differ"):
         verifysuite.check_group_laws(ES1, 3, 1)
@@ -93,9 +94,9 @@ def test_scalar_action_rows_cover_every_scalar(monkeypatch, kind, count):
     law = verifysuite.scalar_action_check
     seen = []
 
-    def record(m, exhaustive=True):
+    def record(m):
         seen.append(m.scalar_mod_p)
-        return law(m, exhaustive)
+        return law(m)
 
     monkeypatch.setattr(verifysuite, "scalar_action_check", record)
     verifysuite.check_scalar_action(kind, 3, 1)
@@ -105,9 +106,30 @@ def test_scalar_action_rows_cover_every_scalar(monkeypatch, kind, count):
 
 def test_scalar_action_row_fails_on_a_wrong_law(monkeypatch):
     monkeypatch.setattr(verifysuite, "scalar_action_check",
-                        lambda m, exhaustive=True: m.scalar_mod_p != 2)
+                        lambda m: m.scalar_mod_p != 2)
     with pytest.raises(AssertionError, match="scalar law fails"):
         verifysuite.check_scalar_action(ES2, 3, 1)
+
+
+@pytest.mark.parametrize("kind,p,n", [(ES1, 3, 1), (ES2, 3, 2)])
+def test_aut_count_row_fails_on_a_map_that_is_not_bijective(monkeypatch, kind, p, n):
+    verifysuite.check_aut_count(kind, p, n)
+    real = verifysuite.family_images
+
+    def merged(*args):  # one map of the last block sends element 1 where 0 goes
+        blocks = list(real(*args))
+        blocks[-1][1][1, -1] = blocks[-1][1][0, -1]
+        return iter(blocks)
+
+    monkeypatch.setattr(verifysuite, "family_images", merged)
+    with pytest.raises(AssertionError, match="not bijective"):
+        verifysuite.check_aut_count(kind, p, n)
+
+
+def test_aut_count_row_fails_on_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(verifysuite.counting, "aut_order", lambda *args: 431)
+    with pytest.raises(AssertionError, match=r"\|Aut es1\(3,1\)\| enumerated 432 != formula 431"):
+        verifysuite.check_aut_count(ES1, 3, 1)
 
 
 def test_polynomial_rows_compare_the_twins_with_the_echelon_cells(monkeypatch):
@@ -121,3 +143,14 @@ def test_readme_states_each_suite_size(suite):
     text = " ".join((ROOT / "README.md").read_text().split())
     stated = re.findall(rf"`--suite {suite}` runs (\d+)", text)
     assert stated == [str(len(verifysuite.checks(suite)))]
+
+
+def test_readme_library_example_runs_and_prints_its_comments(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["(1, 1, 1)", "True 1", "432", "729", "252801"]
+    # each print's comment states what it prints
+    comments = [line.split("#")[1].strip() for line in block.splitlines() if "print(" in line]
+    assert all(c.startswith(o) for c, o in zip(comments, out, strict=True))
