@@ -10,7 +10,8 @@
     extraspecial verify --suite quick
 
 Exit codes: 0 success, 1 domain failure (invalid morphism, cap exceeded,
-failed verification), 2 malformed input.
+failed verification), 2 malformed input, 141 (128 + SIGPIPE) when stdout
+closes early, e.g. under `| head`: the rest of the output is dropped quietly.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import counting, orbits
@@ -27,10 +29,6 @@ from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
                      parse_element, parse_group_spec)
 from .modp import Mat
 from .morphisms import build_endo_es1, build_endo_es2, scalar_action_check
-
-
-def _group_arg(text: str):
-    return parse_group_spec(text)
 
 
 def _element_arg(g, text: str) -> Element:
@@ -79,8 +77,11 @@ def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None
         raise ParseError(str(exc)) from None
 
 
-def _parse_endo_params(g, tokens: list) -> dict:
+def _endo_call(g, tokens: list):
+    """g's builder and its arguments after g from key=value tokens: A, B, C, D
+    (zero if omitted), alpha, beta and for es2 the lift a (default a_11)."""
     n, p = g.n, g.p
+    lifted = g.kind == ES2
     params = {"A": None, "B": None, "C": None, "D": None,
               "alpha": None, "beta": None, "a": None}
     for tok in tokens:
@@ -88,7 +89,7 @@ def _parse_endo_params(g, tokens: list) -> dict:
             raise ParseError(f"expected key=value, got {tok!r}", 0)
         key, _, val = tok.partition("=")
         key = key.strip()
-        if key not in params or (key == "a" and g.kind != ES2):
+        if key not in params or (key == "a" and not lifted):
             raise ParseError(f"unknown parameter {key!r} for {g.gid}", 0)
         if params[key] is not None:
             raise ParseError(f"parameter {key!r} given twice", 0)
@@ -107,14 +108,18 @@ def _parse_endo_params(g, tokens: list) -> dict:
         if len(flat) != n * n:
             raise ParseError(f"{key} wants {n * n} entries row-major, got {len(flat)}", 0)
         mats[key] = Mat(p, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-    alen = n - 1 if g.kind == ES2 else n
+    alen = g.power_form()[:n].count(0)  # f on the x_i outside the power form's support
     alpha = params["alpha"] if params["alpha"] is not None else [0] * alen
     beta = params["beta"] if params["beta"] is not None else [0] * n
     if len(alpha) != alen:
         raise ParseError(f"alpha wants {alen} entries, got {len(alpha)}", 0)
     if len(beta) != n:
         raise ParseError(f"beta wants {n} entries, got {len(beta)}", 0)
-    return {"mats": mats, "alpha": tuple(alpha), "beta": tuple(beta), "a": params["a"]}
+    args = [mats[key] for key in "ABCD"] + [tuple(alpha), tuple(beta)]
+    if not lifted:
+        return build_endo_es1, args
+    a = params["a"]
+    return build_endo_es2, args + [mats["A"].entry(0, 0) if a is None else a]
 
 
 def cmd_mul(args) -> int:
@@ -147,29 +152,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_endo(args) -> int:
-    g = _group_arg(args.group)
-    parsed = _parse_endo_params(g, args.params)
+    g = parse_group_spec(args.group)
+    build, params = _endo_call(g, args.params)
     e = None if args.apply is None else _element_arg(g, args.apply)
-    m = parsed["mats"]
     try:
-        if g.kind == ES1:
-            morph = build_endo_es1(g, m["A"], m["B"], m["C"], m["D"],
-                                   parsed["alpha"], parsed["beta"])
-            tag = f"l={morph.scalar}"
-        elif g.kind == ES2:
-            a = parsed["a"]
-            if a is None:
-                a = m["A"].entry(0, 0)  # default lift: t = 0
-            morph = build_endo_es2(g, m["A"], m["B"], m["C"], m["D"],
-                                   parsed["alpha"], parsed["beta"], a)
-            tag = f"a={morph.scalar}"
-        else:
-            raise ContextError(f"endomorphism parameters cover es1/es2, got {g.gid}")
+        morph = build(g, *params)
     except MorphismValidationError as exc:
         print(str(exc))
         return 1
     kindword = "automorphism" if morph.is_automorphism else "endomorphism"
-    print(f"valid {kindword}, {tag}")
+    print(f"valid {kindword}, {morph.scalar_name}={morph.scalar}")
     if args.check:
         if not scalar_action_check(morph):
             print("scalar action check FAILED")
@@ -181,25 +173,12 @@ def cmd_endo(args) -> int:
     return 0
 
 
-_CARDINALITY_FORMULAS = {
-    "IDENTITY": "1",
-    "CENTRAL_NONID": "p-1",
-    "ES1_NONCENTRAL": "p^(2n+1)-p",
-    "ES2_OB": "p",
-    "ES2_H_MINUS_K": "p^(2n)-p^2",
-    "ES2_ORDER_P2": "p^(2n+1)-p^(2n)",
-}
-
-
 def cmd_orbits(args) -> int:
-    g = _group_arg(args.group)
-    rows = []
-    for label in orbits.orbit_labels(g):
-        rows.append({
-            "label": str(label),
-            "cardinality_formula": _CARDINALITY_FORMULAS[label.tag],
-            "cardinality_value": orbits.orbit_cardinality(label, g),
-        })
+    g = parse_group_spec(args.group)
+    rows = [{"label": str(label),
+             "cardinality_formula": orbits.orbit_row(g, label.tag).formula,
+             "cardinality_value": orbits.orbit_cardinality(label, g)}
+            for label in orbits.orbit_labels(g)]
     print(json.dumps(rows, indent=2))
     return 0
 
@@ -265,8 +244,7 @@ def _partial_order_row(kind, p, n, oracle):
     if rep.witness is not None:
         row["oracle"] = "witness " + " <-> ".join(str(w) for w in rep.witness)
     else:
-        row["oracle"] = "chain " + " < ".join(
-            c for c in ("IDENTITY", "CENTRAL_NONID", "ES1_NONCENTRAL"))
+        row["oracle"] = "chain " + " < ".join(r.tag for r in orbits.ORBIT_TABLE[kind])
     row.update(match="yes", reason=None)
     return row
 
@@ -397,7 +375,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

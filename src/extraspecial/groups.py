@@ -27,9 +27,10 @@ in the last coordinate z.  `Group.mul`/`inv` (one tuple) and
 `Group.mul_index` (blocks of rows) read that data, with no branch per kind;
 the per-kind formulas above, spelled out, are their test reference in
 tests/test_groups.py.  The law fixes one more datum, the power form omega
-(`power_form`, x^p = z^(omega . v)): 0 for es1 and e_1 for es2, read from
-the law once per group.  The endomorphism parameters (morphisms) and the
-defining relations (oracle.presentation) are built from these data alone.
+(`power_form`, x^p = z^(omega . v)): 0 for es1 and e_1 for es2, read off
+the ranges once per group (the cocycle's zero diagonal makes x_i^p = p e_i).
+The endomorphism parameters (morphisms) and the defining relations
+(oracle.presentation) are built from these data alone.
 
 Element order, centrality, commutators, and the commutator form f (valued in
 the exponent of the central generator) are all computed from the group law
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+import operator
+from itertools import accumulate, product
 
 from .config import cap
 from .errors import CapExceeded, ContextError, DimensionError, ParseError, check
@@ -111,15 +113,17 @@ class Group:
         if self.es2_shaped:
             # (u_1, u_2..u_n, w_1, w_2..w_n): 2n coordinates, first mod p^2
             self.ranges = (p * p,) + (p,) * (2 * n - 1)
+            segments = (("u1", 1), ("u", n - 1), ("w1", 1), ("w", n - 1))
         else:
             # (u_1..u_n, w_1..w_n, z): 2n+1 coordinates mod p
             self.ranges = (p,) * (2 * n + 1)
-        radix = []
-        acc = 1
-        for r in reversed(self.ranges):
-            radix.append(acc)
-            acc *= r
-        self.radices = tuple(reversed(radix))
+            segments = (("u", n), ("w", n), ("z", 1))
+        # the text syntax: a name and a coordinate slice per segment, empty ones dropped
+        ends = accumulate(width for _, width in segments)
+        self.layout = tuple((name, slice(end - width, end))
+                            for (name, width), end in zip(segments, ends) if width)
+        # radices[i], the product of the ranges after slot i: index = sum c_i radices[i]
+        self.radices = tuple(accumulate(reversed(self.ranges[1:]), operator.mul, initial=1))[::-1]
         # the cocycle M on quotient vectors (u; w): v_a^T M v_b mod p
         tilde = gid.kind in (ES1_TILDE, ES2_TILDE)
         upper = self.half if tilde else 1          # M[i][n+i]
@@ -134,9 +138,10 @@ class Group:
         # index; z^s times an element with central exponent 0 adds s * z_index
         self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
         self.z_index = self._z_unit * self.radices[self._z_slot]
-        # the power form, x_i^p = z^omega_i: read once, so no search pays for it
-        self._omega = tuple(self.index(self.power(x.coords, p)) // self.z_index
-                            for x in self.generators())
+        # the power form, x_i^p = z^omega_i: the cocycle's diagonal is zero, so
+        # x_i^p = p e_i, whose index is (p mod ranges[i]) radices[i]
+        self._omega = tuple(p % r * radix // self.z_index
+                            for r, radix in zip(self.ranges[:2 * n], self.radices))
         self._np_cache = None
 
     # -- element construction ------------------------------------------------
@@ -393,7 +398,8 @@ def delta_iso(e: Element) -> Element:
 #   es2(p,n):[u_1|u_2,..,u_n|w_1|w_2,..,w_n]      (n >= 2)
 #   es2(p,1):[u_1|w_1]
 #
-# Output is canonical; parsing accepts optional whitespace around tokens.
+# The segments are the group's `layout`, read by one loop each way.  Output
+# is canonical; parsing accepts optional whitespace around tokens.
 
 
 def parse_group_spec(text: str, offset: int = 0) -> Group:
@@ -440,48 +446,23 @@ def parse_element(text: str) -> Element:
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError("coordinates must be enclosed in [...]", body_off)
-    inner = body[1:-1]
-    segs = inner.split("|")
-    n = g.n
-    if g.kind == ES1:
-        if len(segs) != 3:
-            raise ParseError(f"es1 elements use [u|w|z] with 3 segments, got {len(segs)}", body_off)
-        u = _parse_csv(segs[0], body_off + 1)
-        w = _parse_csv(segs[1], body_off + 2 + len(segs[0]))
-        z = _parse_csv(segs[2], body_off + 3 + len(segs[0]) + len(segs[1]))
-        if len(u) != n or len(w) != n or len(z) != 1:
-            raise ParseError(f"es1({g.p},{n}) needs {n}+{n}+1 coordinates", body_off)
-        return g.element(u + w + z)
-    if len(segs) == 2 and n == 1:
-        u1 = _parse_csv(segs[0], body_off + 1)
-        w1 = _parse_csv(segs[1], body_off + 2 + len(segs[0]))
-        if len(u1) != 1 or len(w1) != 1:
-            raise ParseError("es2(p,1) elements use [u1|w1]", body_off)
-        return g.element(u1 + w1)
-    if len(segs) != 4:
-        raise ParseError(f"es2 elements use [u1|u|w1|w] with 4 segments, got {len(segs)}", body_off)
+    segs = body[1:-1].split("|")
+    shape = "|".join(name for name, _ in g.layout)
+    widths = [sl.stop - sl.start for _, sl in g.layout]
+    wrong = ParseError(f"{g.gid} elements use [{shape}] with "
+                       f"{'+'.join(map(str, widths))} coordinates", body_off)
+    if len(segs) != len(widths):
+        raise wrong
     off = body_off + 1
     parts = []
     for seg in segs:
         parts.append(_parse_csv(seg, off))
         off += len(seg) + 1
-    u1, u, w1, w = parts
-    if len(u1) != 1 or len(u) != n - 1 or len(w1) != 1 or len(w) != n - 1:
-        raise ParseError(f"es2({g.p},{n}) needs 1+{n - 1}+1+{n - 1} coordinates", body_off)
-    return g.element(u1 + u + w1 + w)
+    if [len(part) for part in parts] != widths:
+        raise wrong
+    return g.element(sum(parts, ()))
 
 
 def format_element(e: Element) -> str:
-    g = e.group
-    n = g.n
-    c = e.coords
-    spec = f"{g.kind}({g.p},{g.n})"
-    if g.kind in (ES1, ES1_TILDE):
-        u = ",".join(map(str, c[:n]))
-        w = ",".join(map(str, c[n:2 * n]))
-        return f"{spec}:[{u}|{w}|{c[-1]}]"
-    if n == 1:
-        return f"{spec}:[{c[0]}|{c[1]}]"
-    u = ",".join(map(str, c[1:n]))
-    w = ",".join(map(str, c[n + 1:]))
-    return f"{spec}:[{c[0]}|{u}|{c[n]}|{w}]"
+    segs = "|".join(",".join(map(str, e.coords[sl])) for _, sl in e.group.layout)
+    return f"{e.group.gid}:[{segs}]"

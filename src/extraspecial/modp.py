@@ -24,20 +24,10 @@ def is_odd_prime(p: int) -> bool:
 
 def inv_mod(x: int, m: int) -> int:
     """Multiplicative inverse of x mod m; raises ZeroDivisionError if none."""
-    x %= m
-    g, s, _ = _xgcd(x, m)
-    if g != 1:
-        raise ZeroDivisionError(f"{x} is not invertible mod {m}")
-    return s % m
-
-
-def _xgcd(a: int, b: int):
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+    try:
+        return pow(x, -1, m)
+    except ValueError:
+        raise ZeroDivisionError(f"{x % m} is not invertible mod {m}") from None
 
 
 def half(p: int) -> int:

@@ -110,6 +110,11 @@ class Morphism:
         return self.s + g.p * (sum(c * w for c, w in zip(self.f, g.power_form())) % g.p)
 
     @property
+    def scalar_name(self) -> str:
+        """The scalar's name: l for es1, a for the es2 lift."""
+        return "l" if self.group.kind == ES1 else "a"
+
+    @property
     def is_automorphism(self) -> bool:
         return self.s != 0
 
@@ -157,7 +162,7 @@ class Morphism:
             "alpha": list(self.alpha),
             "beta": list(self.beta),
             "automorphism": self.is_automorphism,
-            "l" if self.group.kind == ES1 else "a": self.scalar,
+            self.scalar_name: self.scalar,
         }
 
     def __eq__(self, other) -> bool:
@@ -167,8 +172,7 @@ class Morphism:
         return hash(self.param_key())
 
     def __repr__(self) -> str:
-        name = "l" if self.group.kind == ES1 else "a"
-        return f"Morphism({self.group.gid}, {name}={self.scalar})"
+        return f"Morphism({self.group.gid}, {self.scalar_name}={self.scalar})"
 
 
 def _check_blocks(g: Group, blocks: dict, functionals: dict):
@@ -427,23 +431,23 @@ def _charged(g: Group, invertible_only: bool, limit: int | None):
     return blocks
 
 
-def _enumerate(g: Group, invertible_only: bool, limit: int | None):
+def _enumerate(g: Group, invertible_only: bool):
     fs = _functionals(g)
-    for V, cols, s in _charged(g, invertible_only, limit):
+    for V, cols, s in _charged(g, invertible_only, None):
         for c in cols:
             sigma = Mat(g.p, V[c].T.tolist())
             for f in fs:
                 yield Morphism(g, sigma, f, s)
 
 
-def enumerate_endomorphisms(g: Group, limit: int | None = None):
+def enumerate_endomorphisms(g: Group):
     """Yield every endomorphism exactly once (the parametrization is injective)."""
-    yield from _enumerate(g, False, limit)
+    yield from _enumerate(g, False)
 
 
-def enumerate_automorphisms(g: Group, limit: int | None = None):
+def enumerate_automorphisms(g: Group):
     """Yield every automorphism exactly once (scalar restricted to units)."""
-    yield from _enumerate(g, True, limit)
+    yield from _enumerate(g, True)
 
 
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None,

@@ -129,7 +129,7 @@ def _relation_levels(pres: PresentationSpec) -> list:
     return [tuple(level) for level in levels]
 
 
-def enumerate_homs_by_generators(g: Group, limit: int | None = None):
+def enumerate_homs_by_generators(g: Group):
     """Yield generator-image tuples of every endomorphism of g, in the order
     of itertools.product over the elements.
 
@@ -146,7 +146,7 @@ def enumerate_homs_by_generators(g: Group, limit: int | None = None):
     pres = presentation(g)
     gens = 2 * g.n
     space = g.size ** gens
-    ceiling = cap("HOM_CAP") if limit is None else limit
+    ceiling = cap("HOM_CAP")
     if space > ceiling:
         raise CapExceeded(f"homomorphism search space {space} exceeds {ceiling}")
     products = {}
@@ -284,7 +284,7 @@ def _count(V: np.ndarray, pools: list, s: int, p: int) -> int:
 
 
 def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
-                  es2_constrained: bool = False, limit: int | None = None) -> int:
+                  es2_constrained: bool = False) -> int:
     """Count dim x dim matrices N over F_p with N^t Delta N = s Delta.
 
     s = 0 is the zero form.  image_in_v1 restricts all columns to the
@@ -298,7 +298,7 @@ def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
     if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
     space = p ** (dim * dim)
-    ceiling = cap("SCAN_CAP") if limit is None else limit
+    ceiling = cap("SCAN_CAP")
     if space > ceiling:
         raise CapExceeded(f"matrix scan space {space} exceeds {ceiling}")
     return _gram_count(dim, p, s % p, image_in_v1, es2_constrained)
@@ -335,8 +335,7 @@ def _flag_order(n: int) -> list:
     return list(range(n, 2 * n)) + list(range(n - 1, -1, -1))
 
 
-def _cells(dim: int, p: int, k: int, isotropic: bool = False,
-           inside_v1: bool = False, limit: int | None = None):
+def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = False):
     """Yield (pivots, count) for every reduced-echelon cell of k x dim matrices.
 
     A cell is a pivot set; its echelon matrices have a 1 at each pivot,
@@ -355,7 +354,7 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False,
     if dim % 2 and (isotropic or inside_v1):
         raise ContextError(f"isotropic and V_1 scans need an even dim, got {dim}")
     space = p_binomial(dim, k, p)
-    ceiling = cap("SUBSPACE_CAP") if limit is None else limit
+    ceiling = cap("SUBSPACE_CAP")
     if space > ceiling:
         raise CapExceeded(f"subspace scan over {space} subspaces exceeds {ceiling}")
     if isotropic or inside_v1:
@@ -392,10 +391,10 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False,
 
 
 def scan_subspaces(dim: int, p: int, k: int, isotropic: bool = False,
-                   inside_v1: bool = False, limit: int | None = None) -> int:
+                   inside_v1: bool = False) -> int:
     """Count k-dim subspaces of F_p^dim, optionally isotropic or inside V_1,
     by walking the echelon cells."""
-    return sum(count for _, count in _cells(dim, p, k, isotropic, inside_v1, limit))
+    return sum(count for _, count in _cells(dim, p, k, isotropic, inside_v1))
 
 
 def cell_polynomial(n: int, k: int, inside_v1: bool = False, primes=(3, 5)) -> tuple:
@@ -436,7 +435,7 @@ def _projective_lines(k: int, p: int) -> np.ndarray:
     return np.array(reps, dtype=np.int64).reshape(-1, k)
 
 
-def scan_surjections(dim: int, p: int, k: int, limit: int | None = None) -> int:
+def scan_surjections(dim: int, p: int, k: int) -> int:
     """Count k x dim matrices of full rank k, i.e. surjections onto F_p^k.
 
     Every candidate matrix M is tested: its rows are independent iff
@@ -451,7 +450,7 @@ def scan_surjections(dim: int, p: int, k: int, limit: int | None = None) -> int:
         return 1
     cells = k * dim
     space = p ** cells
-    ceiling = cap("SCAN_CAP") if limit is None else limit
+    ceiling = cap("SCAN_CAP")
     if space > ceiling:
         raise CapExceeded(f"surjection scan space {space} exceeds {ceiling}")
     if k > dim:

@@ -12,6 +12,11 @@ H\\Z(G) share the endomorphism image H even though they fall into p
 distinct orbits, which kills any partial order on orbits: two different
 O_b orbits degenerate onto each other without being automorphic.
 
+ORBIT_TABLE writes this inventory once: per kind, one row per orbit tag
+with its size (as text and at (p, n)) and image class, in the order of the
+es1 chain and of the es2 orbit sizes.  The orbit labels and sizes, the
+image classes, the es1 chain and the CLI's `orbits` command all read it.
+
 orbits_bruteforce recomputes the partition by applying every automorphism
 to every element, so the closed-form classifier above can be checked
 against it wholesale; it and the es1 order check feed the kernel stacks of
@@ -21,6 +26,8 @@ quotient matrices (morphisms.family_images, stacked=True).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, TABLE_CAP, Element, Group
@@ -30,6 +37,7 @@ from .morphisms import build_endo_es2, family_images
 IDENTITY = "IDENTITY"
 CENTRAL_NONID = "CENTRAL_NONID"
 ES1_NONCENTRAL = "ES1_NONCENTRAL"
+ES2_OB = "ES2_OB"
 ES2_ORDER_P2 = "ES2_ORDER_P2"
 ES2_H_MINUS_K = "ES2_H_MINUS_K"
 
@@ -54,12 +62,43 @@ class OrbitLabel:
 
 
 def ob_label(b: int) -> OrbitLabel:
-    return OrbitLabel("ES2_OB", b)
+    return OrbitLabel(ES2_OB, b)
 
 
-def _plain_only(g: Group):
-    if g.kind not in (ES1, ES2):
+class OrbitRow(NamedTuple):
+    tag: str
+    formula: str  # the orbit size as text, as the `orbits` command prints it
+    size: Callable[[int, int], int]  # the same at (p, n); 0 means no such orbit
+    image: str  # the image class of the orbit's elements
+
+
+_CENTRE_ROWS = (OrbitRow(IDENTITY, "1", lambda p, n: 1, TRIVIAL),
+                OrbitRow(CENTRAL_NONID, "p-1", lambda p, n: p - 1, CENTER))
+# the ES2_OB row stands for the p - 1 orbits O_b, b = 1..p-1, each of size p
+ORBIT_TABLE = {
+    ES1: _CENTRE_ROWS + (
+        OrbitRow(ES1_NONCENTRAL, "p^(2n+1)-p", lambda p, n: p ** (2 * n + 1) - p, WHOLE_GROUP),),
+    ES2: _CENTRE_ROWS + (
+        OrbitRow(ES2_OB, "p", lambda p, n: p, SUBGROUP_H),
+        OrbitRow(ES2_H_MINUS_K, "p^(2n)-p^2", lambda p, n: p ** (2 * n) - p * p, SUBGROUP_H),
+        OrbitRow(ES2_ORDER_P2, "p^(2n+1)-p^(2n)", lambda p, n: p ** (2 * n + 1) - p ** (2 * n),
+                 WHOLE_GROUP)),
+}
+
+
+def _plain_only(g: Group) -> tuple:
+    """g's rows of ORBIT_TABLE; ContextError for the kinds it does not cover."""
+    if g.kind not in ORBIT_TABLE:
         raise ContextError(f"orbit classification covers es1/es2 only, got {g.gid}")
+    return ORBIT_TABLE[g.kind]
+
+
+def orbit_row(g: Group, tag: str) -> OrbitRow:
+    """The row of one orbit tag in g's table."""
+    row = next((r for r in _plain_only(g) if r.tag == tag), None)
+    if row is None:
+        raise ContextError(f"{tag} is no orbit tag of {g.gid}")
+    return row
 
 
 def in_h(e: Element) -> bool:
@@ -98,56 +137,21 @@ def classify(e: Element) -> OrbitLabel:
 
 
 def orbit_labels(g: Group) -> list[OrbitLabel]:
-    """All orbit labels of g, identity first, largest orbit last."""
-    _plain_only(g)
-    out = [OrbitLabel(IDENTITY), OrbitLabel(CENTRAL_NONID)]
-    if g.kind == ES1:
-        out.append(OrbitLabel(ES1_NONCENTRAL))
-        return out
-    out.extend(ob_label(b) for b in range(1, g.p))
-    if g.n > 1:
-        out.append(OrbitLabel(ES2_H_MINUS_K))
-    out.append(OrbitLabel(ES2_ORDER_P2))
-    return out
+    """All orbit labels of g in table order, identity first, largest orbit last."""
+    return [OrbitLabel(r.tag, b) for r in _plain_only(g) if r.size(g.p, g.n)
+            for b in (range(1, g.p) if r.tag == ES2_OB else (None,))]
 
 
 def orbit_cardinality(label: OrbitLabel, g: Group) -> int:
-    _plain_only(g)
-    p, n = g.p, g.n
-    if label.tag == IDENTITY:
-        return 1
-    if label.tag == CENTRAL_NONID:
-        return p - 1
-    if label.tag == ES1_NONCENTRAL:
-        if g.kind != ES1:
-            raise ContextError("ES1_NONCENTRAL is an es1 label")
-        return p ** (2 * n + 1) - p
-    if g.kind != ES2:
-        raise ContextError(f"{label} is an es2 label")
-    if label.tag == "ES2_OB":
-        if not 1 <= label.b <= p - 1:
-            raise ContextError(f"ES2_OB parameter must be a unit mod {p}")
-        return p
-    if label.tag == ES2_ORDER_P2:
-        return p ** (2 * n + 1) - p ** (2 * n)
-    if label.tag == ES2_H_MINUS_K:
-        if n == 1:
-            raise ContextError("H = K when n = 1; no such orbit")
-        return p ** (2 * n) - p * p
-    raise ContextError(f"unknown label {label}")
+    if label not in orbit_labels(g):
+        raise ContextError(f"{label} is no orbit label of {g.gid}")
+    return orbit_row(g, label.tag).size(g.p, g.n)
 
 
 def endo_image_class(e: Element) -> str:
-    """Which subgroup {m(e) : m an endomorphism} fills out."""
-    g = e.group
-    _plain_only(g)
-    if e.is_identity():
-        return TRIVIAL
-    if e.is_central():
-        return CENTER
-    if g.kind == ES2 and in_h(e):
-        return SUBGROUP_H
-    return WHOLE_GROUP
+    """Which subgroup {m(e) : m an endomorphism} fills out: the image class
+    of the row of e's orbit."""
+    return orbit_row(e.group, classify(e).tag).image
 
 
 def image_contains(g: Group, image_class: str, coords: tuple) -> bool:
@@ -166,13 +170,13 @@ def image_subgroup_coords(g: Group, image_class: str) -> set:
     return {c for c in g.elements() if image_contains(g, image_class, c)}
 
 
-def endo_image_set_bruteforce(e: Element, limit: int | None = None) -> set:
+def endo_image_set_bruteforce(e: Element) -> set:
     """Coordinates of m(e) over every endomorphism m, by full enumeration."""
     import numpy as np
 
     g = e.group
     row = np.array([e.coords], dtype=np.int64)
-    return {g.coords_at(i) for _, block in family_images(g, row, False, limit)
+    return {g.coords_at(i) for _, block in family_images(g, row)
             for i in block[0].tolist()}
 
 
@@ -227,7 +231,7 @@ def _partition(g: Group, reach) -> list[frozenset]:
     return sorted(classes, key=lambda c: (len(c), min(c)))
 
 
-def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
+def orbits_bruteforce(g: Group) -> list[frozenset]:
     """The exact orbit partition under the full automorphism group.
 
     Every automorphism is applied to every element, a stack of sigmas per
@@ -236,7 +240,7 @@ def orbits_bruteforce(g: Group, limit: int | None = None) -> list[frozenset]:
     orbits.  Rows of members are asserted identical before returning.
     """
     _plain_only(g)
-    return _partition(g, _reach_tables(g, True, limit)[0])
+    return _partition(g, _reach_tables(g, True, None)[0])
 
 
 @dataclass
@@ -289,10 +293,9 @@ def partial_order_report(g: Group, verify: bool = True,
     apply every morphism through morphisms.family_images; the es2 one feeds
     it only the first witness's row, so each sigma's block is 1 x p^2n.
     """
-    _plain_only(g)
+    rows = _plain_only(g)
     if g.kind == ES1:
-        chains = ((IDENTITY, CENTRAL_NONID), (IDENTITY, ES1_NONCENTRAL),
-                  (CENTRAL_NONID, ES1_NONCENTRAL))
+        chains = tuple(combinations((r.tag for r in rows), 2))  # the rows' order
         verified = False
         if verify:
             _verify_es1_total_order(g, limit)

@@ -4,12 +4,24 @@ import concurrent.futures
 import hashlib
 import json
 import multiprocessing
+import os
+import re
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from extraspecial import cli
 from extraspecial.groups import parse_element
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -158,6 +170,43 @@ def test_orbits_inventory(capsys):
     assert sum(r["cardinality_value"] for r in rows) == 3 ** 5
 
 
+def test_orbits_formula_text_evaluates_to_the_value(capsys):
+    formulas = set()
+    for kind in ("es1", "es2"):
+        for p, n in ((3, 1), (3, 2), (5, 1), (5, 3), (7, 2)):
+            code, out, _ = run(capsys, "orbits", f"{kind}({p},{n})")
+            assert code == 0
+            for row in json.loads(out):
+                # "p^(2n+1)-p" -> "p**(2*n+1)-p"
+                text = re.sub(r"(\d)([pn])", r"\1*\2", row["cardinality_formula"])
+                value = eval(text.replace("^", "**"), {"p": p, "n": n})
+                assert value == row["cardinality_value"], (kind, p, n, row)
+                formulas.add(row["cardinality_formula"])
+    assert formulas == {"1", "p-1", "p^(2n+1)-p", "p", "p^(2n)-p^2", "p^(2n+1)-p^(2n)"}
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the CLI starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "extraspecial.cli", "orbits", "es2(7,3)"],
+                              stdout=write, stderr=subprocess.PIPE, env=_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert b"Traceback" not in done.stderr and b"BrokenPipe" not in done.stderr
+    assert done.returncode == 141
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported inside the functions that use it, so start-up stays fast
+    script = "import sys, extraspecial, extraspecial.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_count_json(capsys):
     code, out, _ = run(capsys, "count", "--quantity", "end_order", "--group", "es1",
                        "--p", "3", "--n", "1", "--oracle")
@@ -230,7 +279,8 @@ def test_census_partial_order_rows(capsys):
     lines = out.strip().splitlines()
     es1_row = next(l for l in lines if l.startswith("partial_order,es1"))
     es2_row = next(l for l in lines if l.startswith("partial_order,es2"))
-    assert "PARTIAL_ORDER" in es1_row and "chain" in es1_row
+    assert es1_row.endswith(
+        ",PARTIAL_ORDER,chain IDENTITY < CENTRAL_NONID < ES1_NONCENTRAL,yes")
     assert "NO_PARTIAL_ORDER" in es2_row and "witness" in es2_row
     # witness serialization swaps commas so the CSV stays 8 columns wide
     assert all(len(l.split(",")) == 8 for l in lines[1:])

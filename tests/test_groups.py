@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extraspecial.errors import ContextError, ParseError
-from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, delta_iso,
-                                 format_element, group, lambda_iso,
+from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Group, GroupId,
+                                 delta_iso, format_element, group, lambda_iso,
                                  parse_element, parse_group_spec)
 from extraspecial.morphisms import f_table
 
@@ -208,6 +208,20 @@ def test_power_form(kind, n):
         assert x ** 3 == z ** w
 
 
+@pytest.mark.parametrize("kind", [ES1, ES2, ES1_TILDE, ES2_TILDE])
+def test_power_form_does_not_read_the_law(kind, monkeypatch):
+    # a group built while the law is patched (and then cached by group())
+    # must not keep a power form read through that law
+    def broken(self, a, b):
+        raise AssertionError("Group.mul called while building a group")
+
+    monkeypatch.setattr(Group, "mul", broken)
+    for p, n in ((3, 1), (3, 2), (5, 3), (7, 2)):
+        g = Group(GroupId(kind, p, n))
+        want = tuple(int(kind in (ES2, ES2_TILDE) and i == 0) for i in range(2 * n))
+        assert g.power_form() == want
+
+
 def test_generators_against_presentation():
     from extraspecial.oracle import presentation, satisfies_relations
     for kind, p, n in ((ES1, 3, 1), (ES2, 3, 1), (ES1, 3, 2), (ES2, 3, 2), (ES2, 5, 1)):
@@ -257,6 +271,31 @@ def test_parse_element_errors_carry_position():
         parse_element("es2(3,2):[1|2|3]")  # wrong segment count
     with pytest.raises(ParseError):
         parse_element("es1(3,1):[1|x|0]")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("es2(3,1):[1|2|3]", "es2(3,1) elements use [u1|w1] with 1+1 coordinates"),
+    ("es2(3,1):[1||2|]", "es2(3,1) elements use [u1|w1] with 1+1 coordinates"),
+    ("es2(3,1):[1,2|0]", "es2(3,1) elements use [u1|w1] with 1+1 coordinates"),
+    ("es2(3,3):[1|2|3]", "es2(3,3) elements use [u1|u|w1|w] with 1+2+1+2 coordinates"),
+    ("es1(3,2):[1|2|0]", "es1(3,2) elements use [u|w|z] with 2+2+1 coordinates"),
+    ("es1(3,1):[1|2]", "es1(3,1) elements use [u|w|z] with 1+1+1 coordinates"),
+])
+def test_parse_errors_name_the_group_and_its_layout(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_element(text)
+    assert exc.value.position == 9
+    assert str(exc.value) == f"parse error at position 9: {message}"
+
+
+@pytest.mark.parametrize("kind,n,names", [
+    (ES1, 1, ["u", "w", "z"]), (ES1, 2, ["u", "w", "z"]), (ES1_TILDE, 1, ["u", "w", "z"]),
+    (ES2, 1, ["u1", "w1"]), (ES2, 2, ["u1", "u", "w1", "w"]), (ES2_TILDE, 3, ["u1", "u", "w1", "w"])])
+def test_layout_covers_the_coordinates_in_order(kind, n, names):
+    g = group(kind, 3, n)
+    assert [name for name, _ in g.layout] == names
+    covered = [i for _, sl in g.layout for i in range(len(g.ranges))[sl]]
+    assert covered == list(range(len(g.ranges)))
 
 
 def test_caps_guard_enumeration():

@@ -142,14 +142,15 @@ def test_family_images_one_row_is_a_row_of_the_full_block(es2_31):
         assert np.array_equal(a[i], b[0])
 
 
-def test_family_images_cap_counts_whole_families(es2_31):
+def test_family_images_cap_counts_whole_families(es2_31, monkeypatch):
     # es2(3,1) has 54 automorphisms: 6 quotient matrices of 9 members each
     E = es2_31.coords_matrix()
     assert len(list(family_images(es2_31, E, True, limit=54))) == 6
     with pytest.raises(CapExceeded):
         list(family_images(es2_31, E, True, limit=53))
+    monkeypatch.setenv("EXTRASPECIAL_MORPHISM_CAP", "53")
     with pytest.raises(CapExceeded):
-        list(enumerate_automorphisms(es2_31, limit=53))
+        list(enumerate_automorphisms(es2_31))
 
 
 def test_enumeration_counts(endos_es1_31, endos_es2_31, autos_es1_31, autos_es2_31):
@@ -427,4 +428,7 @@ def test_to_json_dict_keys(endos_es1_31, endos_es2_31):
     assert "l" in d1 and "a" not in d1
     d2 = endos_es2_31[0].to_json_dict()
     assert "a" in d2 and "l" not in d2
+    # the repr names the scalar the same way
+    assert repr(endos_es1_31[0]) == f"Morphism(es1(3,1), l={d1['l']})"
+    assert repr(endos_es2_31[0]) == f"Morphism(es2(3,1), a={d2['a']})"
     assert set(d1) >= {"group", "A", "B", "C", "D", "alpha", "beta", "automorphism"}

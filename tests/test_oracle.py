@@ -162,8 +162,9 @@ def test_hom_search_checks_each_relation_at_its_highest_generator(kind, n, monke
 
     monkeypatch.setattr(oracle, "satisfies_relations", spy)
     # the trivial map comes first, after one check per level; n = 2 is past
-    # HOM_CAP, so the limit lifts the cap for this one lazy step
-    first = next(oracle.enumerate_homs_by_generators(g, limit=g.size ** (2 * n)))
+    # HOM_CAP, so the cap is lifted for this one lazy step
+    monkeypatch.setenv("EXTRASPECIAL_HOM_CAP", str(g.size ** (2 * n)))
+    first = next(oracle.enumerate_homs_by_generators(g))
     assert first == (g.identity().coords,) * (2 * n)
     assert sorted(checked) == list(range(2 * n))
     seen = []
@@ -259,11 +260,12 @@ def test_scan_matrices_dim4():
     assert oracle.scan_matrices(4, 3, 1) == 51840
 
 
-def test_scan_matrices_cap():
+def test_scan_matrices_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         oracle.scan_matrices(4, 7, 0)
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "10")
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, 0, limit=10)
+        oracle.scan_matrices(2, 3, 0)
 
 
 def _spy_on_count(monkeypatch) -> list:
@@ -298,10 +300,11 @@ def test_scan_matrices_counts_each_gram_class_once(monkeypatch):
     assert oracle._gram_count.cache_info().currsize == 7
 
 
-def test_cached_gram_class_still_charges_the_cap():
+def test_cached_gram_class_still_charges_the_cap(monkeypatch):
     assert oracle.scan_matrices(2, 3, 0) == 33
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "80")
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, 0, limit=80)
+        oracle.scan_matrices(2, 3, 0)
 
 
 def test_counting_scans_run_each_gram_class_once(monkeypatch):
@@ -325,8 +328,9 @@ def test_scan_subspaces(monkeypatch):
         oracle.scan_subspaces(3, 3, 1, isotropic=True)
     # the cap is charged before the flag or any cell is built
     monkeypatch.setattr(oracle, "_flag_order", None)
+    monkeypatch.setenv("EXTRASPECIAL_SUBSPACE_CAP", "129")
     with pytest.raises(CapExceeded):
-        oracle.scan_subspaces(4, 3, 2, isotropic=True, limit=129)
+        oracle.scan_subspaces(4, 3, 2, isotropic=True)
 
 
 def _subspaces_by_tuples(dim, p, isotropic, inside_v1):
@@ -409,7 +413,8 @@ def test_scan_surjections_matches_per_matrix_rank(dim, p, k):
 
 
 def test_scan_surjections_cap_and_independence(monkeypatch):
-    assert oracle.scan_surjections(4, 5, 2, limit=5 ** 8) == 386_880
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8))
+    assert oracle.scan_surjections(4, 5, 2) == 386_880
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the surjection scan reached a forbidden helper")
@@ -420,8 +425,9 @@ def test_scan_surjections_cap_and_independence(monkeypatch):
     assert oracle.scan_surjections(4, 3, 2) == (81 - 1) * (81 - 3)
     # the cap raises before any candidate table is built
     monkeypatch.setattr(oracle, "_vectors", forbidden)
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8 - 1))
     with pytest.raises(CapExceeded):
-        oracle.scan_surjections(4, 5, 2, limit=5 ** 8 - 1)
+        oracle.scan_surjections(4, 5, 2)
 
 
 def test_scan_matrices_cap_and_independence(monkeypatch):
@@ -443,8 +449,9 @@ def test_scan_matrices_cap_and_independence(monkeypatch):
     monkeypatch.setattr(oracle, "_pairing_table", forbidden)
     with pytest.raises(CapExceeded):
         oracle.scan_matrices(4, 5, 0)
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(3 ** 4 - 1))
     with pytest.raises(CapExceeded):
-        oracle.scan_matrices(2, 3, 2, limit=3 ** 4 - 1)
+        oracle.scan_matrices(2, 3, 2)
 
 
 def test_sigma_scan_count(es1_31, es2_31, es2_32):

@@ -130,8 +130,9 @@ def test_partial_order_report_es1(es1_31):
     rep = partial_order_report(es1_31)
     assert rep.verdict == PARTIAL_ORDER
     assert rep.verified
-    assert (IDENTITY, CENTRAL_NONID) in rep.order_chains
-    assert (CENTRAL_NONID, ES1_NONCENTRAL) in rep.order_chains
+    # every strict pair of the chain, in the es1 rows' order
+    assert rep.order_chains == ((IDENTITY, CENTRAL_NONID), (IDENTITY, ES1_NONCENTRAL),
+                                (CENTRAL_NONID, ES1_NONCENTRAL))
     assert rep.witness is None
     d = rep.to_json_dict()
     assert d["verdict"] == PARTIAL_ORDER and "witness" not in d
