@@ -423,16 +423,16 @@ def parse_group_spec(text: str, offset: int = 0) -> Group:
 
 
 def _parse_csv(seg: str, offset: int) -> tuple:
-    seg = seg.strip()
-    if not seg:
+    if not seg.strip():
         return ()
     out = []
     pos = offset
     for tok in seg.split(","):
         try:
-            out.append(int(tok.strip()))
+            out.append(int(tok))
         except ValueError:
-            raise ParseError(f"expected integer, got {tok.strip()!r}", pos) from None
+            raise ParseError(f"expected integer, got {tok.strip()!r}",
+                             pos + len(tok) - len(tok.lstrip())) from None
         pos += len(tok) + 1
     return tuple(out)
 
@@ -442,7 +442,7 @@ def parse_element(text: str) -> Element:
         raise ParseError("expected ':' separating group spec from coordinates", len(text))
     spec, _, body = text.partition(":")
     g = parse_group_spec(spec)
-    body_off = len(spec) + 1
+    body_off = len(text) - len(body.lstrip())  # the body's first character
     body = body.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ParseError("coordinates must be enclosed in [...]", body_off)

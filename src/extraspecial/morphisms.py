@@ -48,11 +48,11 @@ unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
 share one sigma form a family: its base member (f = 0) times the central
 factor z^f(v), f running over F_p^2n (for automorphisms, composition with
 Inn(G) = G/Z).  A member's central part depends only on the row, the base
-central value and f, so it is read from one shift table built per call of
-`family_images`: each image is one gather plus the base index.
-`Morphism.table` and `Morphism.apply_coords` pass one matrix,
-`family_images` one per sigma, or with stacked=True runs of one frontier
-block of at most STACK_CELLS output cells (the brute orbits).
+central value and f(v), so it is read from one shift table per call: each
+image is one gather plus the base index.  `Morphism.table`, `apply_coords`
+and `family_images` pass one matrix, with a column per member; `image_sets`
+passes runs of sigmas (the brute orbits) with a column per value of f(v),
+at most p: the family's image set of each row.
 
 The composite of two parametrized maps is recovered from generator images
 rather than symbolic block algebra: one code path serves composition, inner
@@ -306,9 +306,9 @@ def inner_automorphism(h: Element) -> Morphism:
 # column indices at 2n = 4
 FRONTIER_CELLS = 1 << 17
 
-# output cells of one stacked kernel call (sigmas x rows x p^2n), 128 KiB of
-# int16 indices; and the largest central-shift table (rows x ranges[z] x
-# p^2n), 8 MiB of int16
+# sigmas per image_sets kernel call: as many as fill this many cells of
+# (sigmas x rows x p^2n), 128 KiB of int16; and the largest central-shift
+# table (rows x ranges[z] x columns), 8 MiB of int16
 STACK_CELLS = 1 << 16
 SHIFT_CELLS = 1 << 22
 
@@ -450,24 +450,38 @@ def enumerate_automorphisms(g: Group):
     yield from _enumerate(g, True)
 
 
-def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None,
-                  stacked: bool = False):
+def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
     Yields (s, block), one (rows x p^2n) block per sigma of enumerate_sigma,
     s its scalar: the block's maps are automorphisms exactly when s != 0.
     Column j is the j-th member in enumerate_endomorphisms (or, with
     invertible_only, enumerate_automorphisms) order; the cap is counted as
-    in those.  With stacked, one (sigmas x rows x p^2n) block per kernel
-    call instead: the most sigmas of one frontier block that fit in
-    STACK_CELLS cells.
+    in those.
     """
     shift = _shift_table(g, _functional_values(g, E, _functionals(g)))
-    k = max(1, STACK_CELLS // (len(E) * g.p ** (2 * g.n))) if stacked else 1
+    for V, cols, s in _charged(g, invertible_only, limit):
+        for c in cols:
+            yield s, _images(g, V[c].T[None], s, E, shift)[0]
+
+
+def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = None):
+    """Each family's image set of the coordinate rows E, as in family_images.
+
+    Yields (s, block), one (sigmas x rows x p) block of sigmas of one frontier
+    block (see STACK_CELLS) per kernel call.  `_images` reads a member only
+    through its value F[r, j] on row r, so row r needs one column per value
+    F[r, :] takes, padded with F[r, 0]."""
+    import numpy as np
+
+    F = _functional_values(g, E, _functionals(g))
+    values = np.arange(g.p)
+    seen = np.stack([(F == c).any(1) for c in values], 1)
+    shift = _shift_table(g, np.where(seen, values, F[:, :1]))
+    k = max(1, STACK_CELLS // (len(E) * F.shape[1]))
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
-            block = _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
-            yield s, (block if stacked else block[0])
+            yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:

@@ -19,8 +19,8 @@ image classes, the es1 chain and the CLI's `orbits` command all read it.
 
 orbits_bruteforce recomputes the partition by applying every automorphism
 to every element, so the closed-form classifier above can be checked
-against it wholesale; it and the es1 order check feed the kernel stacks of
-quotient matrices (morphisms.family_images, stacked=True).
+against it wholesale; it and the es1 order check read each family's image
+set of every element, stacked over quotient matrices (morphisms.image_sets).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, TABLE_CAP, Element, Group
 from .modp import Mat, inv_mod
-from .morphisms import build_endo_es2, family_images
+from .morphisms import build_endo_es2, family_images, image_sets
 
 IDENTITY = "IDENTITY"
 CENTRAL_NONID = "CENTRAL_NONID"
@@ -176,8 +176,8 @@ def endo_image_set_bruteforce(e: Element) -> set:
 
     g = e.group
     row = np.array([e.coords], dtype=np.int64)
-    return {g.coords_at(i) for _, block in family_images(g, row)
-            for i in block[0].tolist()}
+    return {g.coords_at(i) for _, block in image_sets(g, row)
+            for i in block.ravel().tolist()}
 
 
 def degeneration(a: Element, b: Element) -> bool:
@@ -193,7 +193,7 @@ def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
     One walk over the morphisms: the blocks of scalar s != 0 are the
     automorphisms, so without invertible_only the automorphism table comes
     from the same pass as the endomorphism one (and is the same array with
-    it).  Each stacked kernel block is marked by one flat scatter of
+    it).  Each morphisms.image_sets block is marked by one flat scatter of
     row * N + image.  Refused past TABLE_CAP elements, the limit of every
     N x N table, and past the morphism cap before any image
     (morphisms._charged).
@@ -207,7 +207,7 @@ def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
     auto = np.zeros((N, N), dtype=bool)
     reach = auto if invertible_only else np.zeros((N, N), dtype=bool)
     offset = np.arange(N)[:, None] * N
-    for s, block in family_images(g, g.coords_matrix(), invertible_only, limit, True):
+    for s, block in image_sets(g, g.coords_matrix(), invertible_only, limit):
         # reshape is a view: both tables are contiguous
         (auto if s else reach).reshape(-1)[offset + block] = True
     if reach is not auto:
@@ -234,10 +234,11 @@ def _partition(g: Group, reach) -> list[frozenset]:
 def orbits_bruteforce(g: Group) -> list[frozenset]:
     """The exact orbit partition under the full automorphism group.
 
-    Every automorphism is applied to every element, a stack of sigmas per
-    kernel call, and marked in a dense reachability matrix (`_reach_tables`).
-    Since the automorphisms form a group, the image sets are precisely the
-    orbits.  Rows of members are asserted identical before returning.
+    Every automorphism is applied to every element, as each family's image
+    set (morphisms.image_sets), and marked in a dense reachability matrix
+    (`_reach_tables`).  Since the automorphisms form a group, the image sets
+    are precisely the orbits.  Rows of members are asserted identical before
+    returning.
     """
     _plain_only(g)
     return _partition(g, _reach_tables(g, True, None)[0])
@@ -290,8 +291,8 @@ def partial_order_report(g: Group, verify: bool = True,
     orbit partition and brute image sets must realize the stated total chain;
     for es2 the witness pair must be exchanged by the exhibited endomorphisms
     yet lie in different orbits of the full automorphism group.  Both checks
-    apply every morphism through morphisms.family_images; the es2 one feeds
-    it only the first witness's row, so each sigma's block is 1 x p^2n.
+    apply every morphism: es1 through morphisms.image_sets, es2 through
+    family_images on the first witness's row, a 1 x p^2n block per sigma.
     """
     rows = _plain_only(g)
     if g.kind == ES1:

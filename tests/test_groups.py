@@ -273,6 +273,14 @@ def test_parse_element_errors_carry_position():
         parse_element("es1(3,1):[1|x|0]")
 
 
+@pytest.mark.parametrize("text", [
+    "es1(3,1): [1|x|0]", "es1(3,1):[1| x|0]", "es1(3,1):[1, x|0|0]"])
+def test_parse_error_position_is_the_offending_tokens_first_character(text):
+    with pytest.raises(ParseError, match="got 'x'") as exc:
+        parse_element(text)
+    assert exc.value.position == 13 == text.index("x")
+
+
 @pytest.mark.parametrize("text,message", [
     ("es2(3,1):[1|2|3]", "es2(3,1) elements use [u1|w1] with 1+1 coordinates"),
     ("es2(3,1):[1||2|]", "es2(3,1) elements use [u1|w1] with 1+1 coordinates"),

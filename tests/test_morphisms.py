@@ -13,9 +13,9 @@ from extraspecial.modp import Mat
 from extraspecial.morphisms import (build_endo_es1, build_endo_es2, compose,
                                     enumerate_automorphisms,
                                     enumerate_endomorphisms, enumerate_sigma,
-                                    f_table, family_images, inner_automorphism,
-                                    is_im_phi2_matrix, params_from_generator_images,
-                                    scalar_action_check)
+                                    f_table, family_images, image_sets,
+                                    inner_automorphism, is_im_phi2_matrix,
+                                    params_from_generator_images, scalar_action_check)
 from extraspecial.symplectic import symp_scalar_test
 
 
@@ -313,14 +313,32 @@ def test_stacked_kernel_equals_one_sigma_calls(kind, p, n, step):
             assert np.array_equal(morphisms._images(g, one[None], s, E, shift)[0], block)
 
 
-def test_stacked_blocks_are_the_per_sigma_blocks_in_order(es1_31):
-    E = es1_31.coords_matrix()
-    stacks = list(family_images(es1_31, E, stacked=True))
-    assert all(b.size <= morphisms.STACK_CELLS for _, b in stacks)
-    flat = [(s, block) for s, stack in stacks for block in stack]
-    singles = list(family_images(es1_31, E))
-    assert len(flat) == len(singles) == 81
-    assert all(s == t and np.array_equal(a, b) for (s, a), (t, b) in zip(flat, singles))
+@pytest.mark.parametrize("invertible_only", [False, True])
+@pytest.mark.parametrize("kind,p", [(ES1, 3), (ES2, 3), (ES1, 5), (ES2, 5)])
+def test_image_sets_are_the_family_image_sets_in_sigma_order(kind, p, invertible_only):
+    g = group(kind, p, 1)
+    E = g.coords_matrix()
+    stacks = list(image_sets(g, E, invertible_only))
+    assert all(b.shape[1:] == (g.size, p) for _, b in stacks)
+    flat = [(s, sets) for s, stack in stacks for sets in stack]
+    singles = list(family_images(g, E, invertible_only))
+    assert len(flat) == len(singles)
+    for (s, sets), (t, block) in zip(flat, singles):
+        assert s == t
+        assert [set(r) for r in sets.tolist()] == [set(r) for r in block.tolist()]
+
+
+@pytest.mark.parametrize("invertible_only", [False, True])
+def test_image_sets_refuse_one_morphism_short_before_any_image(monkeypatch, es2_31,
+                                                               invertible_only):
+    g, E = es2_31, es2_31.coords_matrix()
+    total = sum(len(cols) for _, cols, _ in morphisms._frontier(g, invertible_only)) * 9
+    kernel, calls = morphisms._images, []
+    monkeypatch.setattr(morphisms, "_images", lambda *a: calls.append(a) or kernel(*a))
+    with pytest.raises(CapExceeded):
+        next(image_sets(g, E, invertible_only, total - 1))
+    assert calls == []
+    assert sum(len(b) for _, b in image_sets(g, E, invertible_only, total)) * 9 == total
 
 
 def test_shift_table_refuses_past_its_cell_count():

@@ -248,6 +248,7 @@ def test_orbit_brute_force_keeps_each_kernel_call_within_the_stack(monkeypatch, 
     blocks = _watch_kernel(monkeypatch)
     partition = orbits_bruteforce(es2_32)
     assert max(b.size for b in blocks) <= morphisms.STACK_CELLS
-    # still every one of the 104,976 automorphisms on every element
-    assert sum(b.size for b in blocks) == 104_976 * 243
+    # every one of the 1,296 sigmas on every element, with one column per
+    # central value: the 3 images each family of 81 automorphisms gives it
+    assert sum(b.size for b in blocks) == 1_296 * 243 * 3
     assert sorted(len(c) for c in partition) == [1, 2, 3, 3, 72, 162]
