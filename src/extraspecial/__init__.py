@@ -15,8 +15,7 @@ from .groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Element, Group, GroupId,
                      parse_element, parse_group_spec, symplectic_f)
 from .modp import Mat, half, inv_mod, is_odd_prime, p_binomial
 from .symplectic import pairing, symp_scalar_test
-from .morphisms import (Morphism, build_endo_es1, build_endo_es2, compose,
-                        enumerate_automorphisms, enumerate_endomorphisms,
+from .morphisms import (Morphism, build_endo, compose, enumerate_morphisms,
                         inner_automorphism, is_im_phi2_matrix,
                         params_from_generator_images, scalar_action_check)
 from .orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL, ES2_H_MINUS_K,
@@ -40,8 +39,7 @@ __all__ = [
     "parse_element", "parse_group_spec", "symplectic_f",
     "Mat", "half", "inv_mod", "is_odd_prime", "p_binomial",
     "pairing", "symp_scalar_test",
-    "Morphism", "build_endo_es1", "build_endo_es2", "compose",
-    "enumerate_automorphisms", "enumerate_endomorphisms",
+    "Morphism", "build_endo", "compose", "enumerate_morphisms",
     "inner_automorphism", "is_im_phi2_matrix",
     "params_from_generator_images", "scalar_action_check",
     "CENTER", "CENTRAL_NONID", "ES1_NONCENTRAL", "ES2_H_MINUS_K",

@@ -28,7 +28,7 @@ from .errors import (CapExceeded, ContextError, DimensionError,
 from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
                      parse_element, parse_group_spec)
 from .modp import Mat
-from .morphisms import build_endo_es1, build_endo_es2, scalar_action_check
+from .morphisms import build_endo, scalar_action_check
 
 
 def _element_arg(g, text: str) -> Element:
@@ -42,30 +42,25 @@ def _element_arg(g, text: str) -> Element:
 def _parse_int_list(text: str, what: str) -> list:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"{what} wants a bracketed list like [1,0,2]", 0)
-    inner = text[1:-1].strip()
-    if not inner:
+        raise ParseError(f"{what} wants a bracketed list like [1,0,2]")
+    if not text[1:-1].strip():
         return []
-    out = []
-    for tok in inner.split(","):
-        tok = tok.strip()
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"{what} has a non-integer entry {tok!r}", text.find(tok))
-    return out
+    return _parse_csv_ints(text[1:-1], what, offset=1, skip_empty=False)
 
 
-def _parse_csv_ints(text: str, what: str) -> list:
+def _parse_csv_ints(text: str, what: str, offset: int = 0, skip_empty: bool = True) -> list:
+    """The comma-separated integers of text; an error names the bad entry's
+    position, counting text as starting at offset."""
     out = []
+    pos = offset
     for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"{what} has a non-integer entry {tok!r}", text.find(tok)) from None
+        if tok.strip() or not skip_empty:
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ParseError(f"{what} has a non-integer entry {tok.strip()!r}",
+                                 pos + len(tok) - len(tok.lstrip())) from None
+        pos += len(tok) + 1
     return out
 
 
@@ -77,49 +72,38 @@ def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None
         raise ParseError(str(exc)) from None
 
 
-def _endo_call(g, tokens: list):
-    """g's builder and its arguments after g from key=value tokens: A, B, C, D
-    (zero if omitted), alpha, beta and for es2 the lift a (default a_11)."""
+def _endo_call(g, tokens: list) -> dict:
+    """build_endo's keyword arguments after g from key=value tokens: A, B, C, D
+    (zero if omitted), alpha and beta (zero if omitted), and the lift a where
+    g's power form is nonzero."""
     n, p = g.n, g.p
-    lifted = g.kind == ES2
-    params = {"A": None, "B": None, "C": None, "D": None,
-              "alpha": None, "beta": None, "a": None}
+    omega = g.power_form()
+    keys = ("A", "B", "C", "D", "alpha", "beta") + (("a",) if any(omega) else ())
+    params = {}
     for tok in tokens:
         if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", 0)
+            raise ParseError(f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
         key = key.strip()
-        if key not in params or (key == "a" and not lifted):
-            raise ParseError(f"unknown parameter {key!r} for {g.gid}", 0)
-        if params[key] is not None:
-            raise ParseError(f"parameter {key!r} given twice", 0)
+        if key not in keys:
+            raise ParseError(f"unknown parameter {key!r} for {g.gid}")
+        if key in params:
+            raise ParseError(f"parameter {key!r} given twice")
         if key == "a":
             try:
                 params[key] = int(val)
             except ValueError:
-                raise ParseError(f"a wants an integer, got {val!r}", 0)
+                raise ParseError(f"a wants an integer, got {val!r}") from None
         else:
             params[key] = _parse_int_list(val, key)
-    mats = {}
     for key in "ABCD":
-        flat = params[key]
-        if flat is None:
-            flat = [0] * (n * n)
+        flat = params.get(key, [0] * (n * n))
         if len(flat) != n * n:
-            raise ParseError(f"{key} wants {n * n} entries row-major, got {len(flat)}", 0)
-        mats[key] = Mat(p, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-    alen = g.power_form()[:n].count(0)  # f on the x_i outside the power form's support
-    alpha = params["alpha"] if params["alpha"] is not None else [0] * alen
-    beta = params["beta"] if params["beta"] is not None else [0] * n
-    if len(alpha) != alen:
-        raise ParseError(f"alpha wants {alen} entries, got {len(alpha)}", 0)
-    if len(beta) != n:
-        raise ParseError(f"beta wants {n} entries, got {len(beta)}", 0)
-    args = [mats[key] for key in "ABCD"] + [tuple(alpha), tuple(beta)]
-    if not lifted:
-        return build_endo_es1, args
-    a = params["a"]
-    return build_endo_es2, args + [mats["A"].entry(0, 0) if a is None else a]
+            raise ParseError(f"{key} wants {n * n} entries row-major, got {len(flat)}")
+        params[key] = Mat(p, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+    params.setdefault("alpha", [0] * omega[:n].count(0))  # the x_i outside omega's support
+    params.setdefault("beta", [0] * n)
+    return params
 
 
 def cmd_mul(args) -> int:
@@ -153,10 +137,12 @@ def cmd_classify(args) -> int:
 
 def cmd_endo(args) -> int:
     g = parse_group_spec(args.group)
-    build, params = _endo_call(g, args.params)
+    params = _endo_call(g, args.params)
     e = None if args.apply is None else _element_arg(g, args.apply)
     try:
-        morph = build(g, *params)
+        morph = build_endo(g, **params)
+    except DimensionError as exc:  # a wrong alpha or beta length
+        raise ParseError(str(exc)) from None
     except MorphismValidationError as exc:
         print(str(exc))
         return 1
@@ -276,11 +262,11 @@ def cmd_census(args) -> int:
         quantities = [t.strip() for t in args.quantities.split(",") if t.strip()]
         for q in quantities:
             if q not in counting.QUANTITIES and q != "partial_order":
-                raise ParseError(f"unknown quantity {q!r}", 0)
+                raise ParseError(f"unknown quantity {q!r}")
     kinds = [t.strip() for t in args.group.split(",") if t.strip()]
     for kind in kinds:
         if kind not in (ES1, ES2):
-            raise ParseError(f"unknown group kind {kind!r}", 0)
+            raise ParseError(f"unknown group kind {kind!r}")
     # an empty list would print a bare header: a silent answer
     for flag, entries in (("--p-list", p_list), ("--n-list", n_list),
                           ("--quantities", quantities), ("--group", kinds)):

@@ -28,7 +28,9 @@ central functional, f = (alpha; beta) for es1 and (t; alpha; beta) with
 a = s + p t for es2.  sigma respects the pairing, sigma^t Delta sigma =
 s Delta, and the power form omega of `Group.power_form` (0 for es1, e_1 for
 es2): phi(x^p) = phi(x)^p reads omega sigma = s omega, the first-row
-constraint.  The builders validate; the Morphism constructor is internal.
+constraint.  One builder, `build_endo`, serves both kinds and reads the
+rest off omega, and one enumeration, `enumerate_morphisms`, yields every
+endomorphism or automorphism.  The Morphism constructor is internal.
 
 The quotient matrices are enumerated as a numpy frontier (`_frontier`):
 one int8 pairing table on F_p^2n, built in row blocks, and every partial
@@ -74,23 +76,25 @@ from .symplectic import all_vectors, symp_scalar_test
 class Morphism:
     """A parametrized endomorphism (sigma, f, s) of one es1 or es2 group.
 
-    Internal: the constructor takes the parameters unchecked.  Build one with
-    build_endo_es1, build_endo_es2 or params_from_generator_images.
+    sigma is the induced quotient matrix [[A, C], [D, B]], f the central
+    functional and s the similitude scalar; `scalar` is the lift a where the
+    power form is nonzero.  Internal: the constructor takes the parameters
+    unchecked.  Build one with build_endo or params_from_generator_images.
     """
 
-    __slots__ = ("group", "_sigma", "f", "s", "_table")
+    __slots__ = ("group", "sigma", "f", "s", "_table")
 
     def __init__(self, g: Group, sigma: Mat, f: tuple, s: int):
         self.group = g
-        self._sigma = sigma
+        self.sigma = sigma  # the quotient matrix
         self.f = f  # the central functional on G/Z, 2n coefficients
         self.s = s  # the similitude scalar
         self._table = None
 
-    A = property(lambda self: split_sigma(self.group, self._sigma)[0])
-    B = property(lambda self: split_sigma(self.group, self._sigma)[1])
-    C = property(lambda self: split_sigma(self.group, self._sigma)[2])
-    D = property(lambda self: split_sigma(self.group, self._sigma)[3])
+    A = property(lambda self: split_sigma(self.group, self.sigma)[0])
+    B = property(lambda self: split_sigma(self.group, self.sigma)[1])
+    C = property(lambda self: split_sigma(self.group, self.sigma)[2])
+    D = property(lambda self: split_sigma(self.group, self.sigma)[3])
 
     @property
     def alpha(self) -> tuple:
@@ -105,33 +109,25 @@ class Morphism:
 
     @property
     def scalar(self) -> int:
-        """s + p (f . omega): l for es1, the central lift a for es2."""
+        """s + p (f . omega): s itself where omega = 0, else the central lift a."""
         g = self.group
         return self.s + g.p * (sum(c * w for c, w in zip(self.f, g.power_form())) % g.p)
 
     @property
     def scalar_name(self) -> str:
-        """The scalar's name: l for es1, a for the es2 lift."""
-        return "l" if self.group.kind == ES1 else "a"
+        """The scalar's name: a, the lift, where the power form is nonzero, else l."""
+        return "a" if any(self.group.power_form()) else "l"
 
     @property
     def is_automorphism(self) -> bool:
         return self.s != 0
-
-    @property
-    def scalar_mod_p(self) -> int:
-        """The similitude scalar of the induced quotient matrix."""
-        return self.s
-
-    def sigma(self) -> Mat:
-        return self._sigma
 
     def _apply_rows(self, E):
         """Image indices of the coordinate rows E under this map."""
         import numpy as np
 
         g = self.group
-        sigma = np.array([self._sigma.rows], dtype=np.int64)
+        sigma = np.array([self.sigma.rows], dtype=np.int64)
         shift = _shift_table(g, _functional_values(g, E, [self.f]))
         return _images(g, sigma, self.s, E, shift)[0, :, 0]
 
@@ -150,7 +146,7 @@ class Morphism:
         return self._table
 
     def param_key(self) -> tuple:
-        return (self.group.gid, self._sigma.rows, self.f)
+        return (self.group.gid, self.sigma.rows, self.f)
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,18 +171,9 @@ class Morphism:
         return f"Morphism({self.group.gid}, {self.scalar_name}={self.scalar})"
 
 
-def _check_blocks(g: Group, blocks: dict, functionals: dict):
-    n, p = g.n, g.p
-    for name, m in blocks.items():
-        if not isinstance(m, Mat):
-            raise TypeError(f"block {name} must be a Mat")
-        if m.m != p:
-            raise DimensionError(f"block {name} has modulus {m.m}, expected {p}")
-        if (m.nrows, m.ncols) != (n, n):
-            raise DimensionError(f"block {name} must be {n}x{n}")
-    for name, (v, length) in functionals.items():
-        if len(v) != length:
-            raise DimensionError(f"{name} must have length {length}")
+def _check_kind(g: Group):
+    if g.kind not in (ES1, ES2):
+        raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
 
 
 def _validated(g: Group, sigma: Mat, f) -> Morphism:
@@ -195,8 +182,10 @@ def _validated(g: Group, sigma: Mat, f) -> Morphism:
     First omega sigma = s omega, column by column (for es2 the first-row
     constraints, named after the first offending column), then
     sigma^t Delta sigma = s Delta.  Where omega != 0, s is read off omega
-    sigma at omega's first nonzero coefficient.  Every f is allowed.
+    sigma at omega's first nonzero coefficient.  Every f is allowed.  The
+    twisted presentations have no parameters: ContextError.
     """
+    _check_kind(g)
     p, n = g.p, g.n
     omega = g.power_form()
     image = [sum(w * x for w, x in zip(omega, col)) % p for col in zip(*sigma.rows)]
@@ -211,37 +200,40 @@ def _validated(g: Group, sigma: Mat, f) -> Morphism:
     return Morphism(g, sigma, tuple(x % p for x in f), s)
 
 
-def _stack(A: Mat, B: Mat, C: Mat, D: Mat) -> Mat:
-    """sigma = [[A, C], [D, B]]."""
-    return Mat(A.m, [a + c for a, c in zip(A.rows, C.rows)]
-               + [d + b for d, b in zip(D.rows, B.rows)])
+def build_endo(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
+               alpha, beta, a: int | None = None) -> Morphism:
+    """Validate block parameters and return the endomorphism they define.
 
-
-def build_endo_es1(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
-                   alpha, beta) -> Morphism:
-    """Validate es1 parameters and return the endomorphism they define."""
-    if g.kind != ES1:
-        raise ContextError(f"build_endo_es1 expects an es1 group, got {g.gid}")
-    n = g.n
-    _check_blocks(g, {"A": A, "B": B, "C": C, "D": D},
-                  {"alpha": (tuple(alpha), n), "beta": (tuple(beta), n)})
-    return _validated(g, _stack(A, B, C, D), tuple(alpha) + tuple(beta))
-
-
-def build_endo_es2(g: Group, A: Mat, B: Mat, C: Mat, D: Mat,
-                   alpha, beta, a: int) -> Morphism:
-    """Validate es2 parameters and return the endomorphism they define.
-
-    The lift a = a_11 + p t of the corner entry puts t on u_1 bar."""
-    if g.kind != ES2:
-        raise ContextError(f"build_endo_es2 expects an es2 group, got {g.gid}")
+    sigma = [[A, C], [D, B]]; alpha is f on the x_i outside the power form's
+    support (n entries for es1, n - 1 for es2) and beta f on the y_j.  A lift
+    a = s + p t of the similitude scalar s = a_11 is taken only where the
+    power form omega is nonzero (ContextError elsewhere); it puts t on
+    omega's support and defaults to s.
+    """
     n, p = g.n, g.p
-    _check_blocks(g, {"A": A, "B": B, "C": C, "D": D},
-                  {"alpha": (tuple(alpha), n - 1), "beta": (tuple(beta), n)})
-    a11 = A.entry(0, 0)
-    m = _validated(g, _stack(A, B, C, D), ((a - a11) // p,) + tuple(alpha) + tuple(beta))
-    if (a - a11) % p != 0:
-        raise MorphismValidationError("central scalar a != a_11 mod p")
+    omega = g.power_form()
+    if a is not None and not any(omega):
+        raise ContextError(f"{g.gid} takes no central lift a")
+    for name, m in (("A", A), ("B", B), ("C", C), ("D", D)):
+        if not isinstance(m, Mat):
+            raise TypeError(f"block {name} must be a Mat")
+        if m.m != p:
+            raise DimensionError(f"block {name} has modulus {m.m}, expected {p}")
+        if (m.nrows, m.ncols) != (n, n):
+            raise DimensionError(f"block {name} must be {n}x{n}")
+    alpha, beta = tuple(alpha), tuple(beta)
+    for name, v, length in (("alpha", alpha, omega[:n].count(0)), ("beta", beta, n)):
+        if len(v) != length:
+            raise DimensionError(f"{name} must have length {length}")
+    sigma = Mat(p, [ra + rc for ra, rc in zip(A.rows, C.rows)]
+                + [rd + rb for rd, rb in zip(D.rows, B.rows)])
+    rest = iter(alpha)
+    m = _validated(g, sigma, tuple(0 if w else next(rest) for w in omega[:n]) + beta)
+    if a is not None:
+        if (a - m.s) % p:
+            raise MorphismValidationError("central scalar a != a_11 mod p")
+        m = Morphism(g, sigma, tuple((c + (a - m.s) // p * w) % p
+                                     for c, w in zip(m.f, omega)), m.s)
     return m
 
 
@@ -291,8 +283,6 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
 def inner_automorphism(h: Element) -> Morphism:
     """Conjugation g -> h g h^-1 in parameter form (sigma = Id, scalar unit)."""
     g = h.group
-    if g.kind not in (ES1, ES2):
-        raise ContextError(f"inner automorphisms are parametrized for es1/es2 only, got {g.gid}")
     hc = h.coords
     hinv = g.inv(hc)
     images = [Element(g, g.mul(g.mul(hc, x.coords), hinv)) for x in g.generators()]
@@ -340,8 +330,7 @@ def _frontier(g: Group, invertible_only: bool):
     """
     import numpy as np
 
-    if g.kind not in (ES1, ES2):
-        raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
+    _check_kind(g)
     p, n, omega = g.p, g.n, g.power_form()
     if p ** (4 * n) > PAIRING_CELLS:
         raise CapExceeded(f"pairing table for the quotient of {g.gid} has {p ** (4 * n)} cells")
@@ -431,7 +420,12 @@ def _charged(g: Group, invertible_only: bool, limit: int | None):
     return blocks
 
 
-def _enumerate(g: Group, invertible_only: bool):
+def enumerate_morphisms(g: Group, invertible_only: bool = False):
+    """Yield every endomorphism exactly once (the parametrization is
+    injective), or with invertible_only every automorphism (s a unit).
+
+    Order: by sigma as in enumerate_sigma, then by f lexicographically.  The
+    cap is charged for all of them before the first is yielded."""
     fs = _functionals(g)
     for V, cols, s in _charged(g, invertible_only, None):
         for c in cols:
@@ -440,24 +434,13 @@ def _enumerate(g: Group, invertible_only: bool):
                 yield Morphism(g, sigma, f, s)
 
 
-def enumerate_endomorphisms(g: Group):
-    """Yield every endomorphism exactly once (the parametrization is injective)."""
-    yield from _enumerate(g, False)
-
-
-def enumerate_automorphisms(g: Group):
-    """Yield every automorphism exactly once (scalar restricted to units)."""
-    yield from _enumerate(g, True)
-
-
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
     Yields (s, block), one (rows x p^2n) block per sigma of enumerate_sigma,
     s its scalar: the block's maps are automorphisms exactly when s != 0.
-    Column j is the j-th member in enumerate_endomorphisms (or, with
-    invertible_only, enumerate_automorphisms) order; the cap is counted as
-    in those.
+    Column j is the j-th member in enumerate_morphisms order; the cap is
+    counted as there.
     """
     shift = _shift_table(g, _functional_values(g, E, _functionals(g)))
     for V, cols, s in _charged(g, invertible_only, limit):
@@ -619,7 +602,7 @@ def scalar_action_check(m: Morphism) -> bool:
     import numpy as np
 
     g = m.group
-    l = m.scalar_mod_p
+    l = m.s
     if g.size <= TABLE_CAP:
         F = f_table(g)
         T = m.table()

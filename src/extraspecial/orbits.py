@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from .errors import CapExceeded, ContextError
 from .groups import ES1, ES2, TABLE_CAP, Element, Group
 from .modp import Mat, inv_mod
-from .morphisms import build_endo_es2, family_images, image_sets
+from .morphisms import build_endo, family_images, image_sets
 
 IDENTITY = "IDENTITY"
 CENTRAL_NONID = "CENTRAL_NONID"
@@ -276,10 +276,10 @@ def _es2_witness(g: Group):
     zero = Mat.zeros(p, n, n)
     g1 = g.element((0,) * n + (1,) + (0,) * (n - 1))
     g2 = g.element((0,) * n + (2,) + (0,) * (n - 1))
-    fwd = build_endo_es2(g, zero, Mat.identity(p, n).scale(2), zero, zero,
-                         (0,) * (n - 1), (0,) * n, 0)
-    back = build_endo_es2(g, zero, Mat.identity(p, n).scale(inv_mod(2, p)), zero, zero,
-                          (0,) * (n - 1), (0,) * n, 0)
+    fwd = build_endo(g, zero, Mat.identity(p, n).scale(2), zero, zero,
+                     (0,) * (n - 1), (0,) * n, 0)
+    back = build_endo(g, zero, Mat.identity(p, n).scale(inv_mod(2, p)), zero, zero,
+                      (0,) * (n - 1), (0,) * n, 0)
     return g1, g2, fwd, back
 
 

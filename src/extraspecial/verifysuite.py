@@ -14,8 +14,8 @@ from . import counting, oracle, orbits
 from .errors import check
 from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
                      group, lambda_iso, row_blocks)
-from .morphisms import (enumerate_automorphisms, enumerate_endomorphisms,
-                        family_images, is_im_phi2_matrix, scalar_action_check)
+from .morphisms import (enumerate_morphisms, enumerate_sigma, family_images,
+                        is_im_phi2_matrix, scalar_action_check)
 
 
 def check_group_laws(kind: str, p: int, n: int):
@@ -64,7 +64,7 @@ def check_delta_iso(p: int, n: int):
 
 def check_endo_count(kind: str, p: int, n: int):
     g = group(kind, p, n)
-    got = sum(1 for _ in enumerate_endomorphisms(g))
+    got = sum(1 for _ in enumerate_morphisms(g))
     want = counting.end_order(kind, p, n)
     check(got == want, f"|End {g.gid}| enumerated {got} != formula {want}")
 
@@ -145,7 +145,7 @@ def check_im_phi2(p: int, n: int):
         if is_im_phi2_matrix(m):
             predicate.add(m)
     g = group(ES2, p, n)
-    induced = {m.sigma() for m in enumerate_automorphisms(g)}
+    induced = {sigma for sigma, _ in enumerate_sigma(g, True)}
     check(induced == predicate, "induced quotient matrices != predicate set")
     check(len(induced) == counting.im_phi2_order(n, p),
           f"{len(induced)} induced quotient matrices != im_phi2_order")
@@ -155,9 +155,9 @@ def check_scalar_action(kind: str, p: int, n: int):
     """f(m(a), m(b)) = s f(a, b) for every endomorphism m, whose scalars cover F_p."""
     g = group(kind, p, n)
     scalars = set()
-    for m in enumerate_endomorphisms(g):
+    for m in enumerate_morphisms(g):
         check(scalar_action_check(m), f"scalar law fails for {m}")
-        scalars.add(m.scalar_mod_p)
+        scalars.add(m.s)
     check(scalars == set(range(p)), f"checked scalars {sorted(scalars)} miss part of F_{p}")
 
 

@@ -7,7 +7,7 @@ anything larger is built inside the test that needs it.
 import pytest
 
 from extraspecial.groups import ES1, ES2, group
-from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
+from extraspecial.morphisms import enumerate_morphisms
 
 
 @pytest.fixture(scope="session")
@@ -42,19 +42,19 @@ def es2_32():
 
 @pytest.fixture(scope="session")
 def endos_es1_31(es1_31):
-    return list(enumerate_endomorphisms(es1_31))
+    return list(enumerate_morphisms(es1_31))
 
 
 @pytest.fixture(scope="session")
 def endos_es2_31(es2_31):
-    return list(enumerate_endomorphisms(es2_31))
+    return list(enumerate_morphisms(es2_31))
 
 
 @pytest.fixture(scope="session")
 def autos_es1_31(es1_31):
-    return list(enumerate_automorphisms(es1_31))
+    return list(enumerate_morphisms(es1_31, True))
 
 
 @pytest.fixture(scope="session")
 def autos_es2_31(es2_31):
-    return list(enumerate_automorphisms(es2_31))
+    return list(enumerate_morphisms(es2_31, True))

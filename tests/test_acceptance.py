@@ -14,8 +14,7 @@ import pytest
 from extraspecial import counting, oracle, orbits, verifysuite
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import is_odd_prime
-from extraspecial.morphisms import (enumerate_automorphisms,
-                                    enumerate_endomorphisms, enumerate_sigma,
+from extraspecial.morphisms import (enumerate_morphisms, enumerate_sigma,
                                     family_images, is_im_phi2_matrix,
                                     scalar_action_check)
 
@@ -66,14 +65,14 @@ def test_c3_automorphism_counts_and_bijectivity():
         expected = {(ES1, 432), (ES2, 54)}
         for kind, want in expected:
             g = group(kind, 3, 1)
-            autos = list(enumerate_automorphisms(g))
+            autos = list(enumerate_morphisms(g, True))
             assert len(autos) == want
             assert len({m.param_key() for m in autos}) == want
             full = np.arange(g.size)
             for m in autos:
                 assert np.array_equal(np.sort(m.table()), full)  # exhaustive bijectivity
             # automorphisms are exactly the invertible endomorphisms
-            endo_autos = [m for m in enumerate_endomorphisms(g) if m.is_automorphism]
+            endo_autos = [m for m in enumerate_morphisms(g) if m.is_automorphism]
             assert {m.param_key() for m in endo_autos} == {m.param_key() for m in autos}
 
 
@@ -166,7 +165,7 @@ def test_c8_scalar_law_isos_and_sigma_consequences():
     with criterion(8, 60, "scalar law, lambda/delta isos, es2 block consequences"):
         for kind in (ES1, ES2):
             g = group(kind, 3, 1)
-            for m in enumerate_endomorphisms(g):
+            for m in enumerate_morphisms(g):
                 assert scalar_action_check(m)
 
         # bijective and a homomorphism on every pair of elements
@@ -191,7 +190,7 @@ def test_c8_scalar_law_isos_and_sigma_consequences():
 def test_c9_induced_quotient_matrices():
     with criterion(9, 5, "induced quotient matrices realize the 6-element image"):
         g = group(ES2, 3, 1)
-        induced = {m.sigma() for m in enumerate_automorphisms(g)}
+        induced = {m.sigma for m in enumerate_morphisms(g, True)}
         assert len(induced) == 6
         assert all(is_im_phi2_matrix(mat) for mat in induced)
         # pointwise over the full 2x2 matrix space: predicate <=> induced

@@ -152,6 +152,7 @@ def test_endo_bad_params_exit_2(capsys):
     ["es2(3,1)", "A=[1]", "B=[1]", "a=1", "a=4"],
     ["es1(3,1)", "A=[1]", "B=[1]", "--apply", "[1|0]"],
     ["es1(3,1)", "A=[1]", "B=[1]", "--check", "--apply", "[1|x|0]"],
+    ["es1(3,1)", "A=[1]", "B=[1]", "alpha=[1,2]"],  # alpha has n = 1 entries on es1
 ])
 def test_endo_malformed_input_exits_2_before_any_output(capsys, argv):
     code, out, err = run(capsys, "endo", *argv)
@@ -398,6 +399,36 @@ def test_census_bad_list_is_a_parse_error(capsys, flag, value):
     code, _, err = run(capsys, "census", flag, value)
     assert code == 2
     assert "non-integer entry" in err
+
+
+@pytest.mark.parametrize("argv,position,entry", [
+    (["census", "--p-list=-3,-"], 3, "-"),
+    (["census", "--n-list", "1, 2,x"], 5, "x"),
+    (["endo", "es1(3,1)", "A=[1]", "B=[1]", "alpha=[-1,-]"], 4, "-"),
+    (["endo", "es1(3,1)", "A=[ 1 ,y]"], 5, "y"),
+])
+def test_parse_errors_name_the_bad_entrys_own_position(capsys, argv, position, entry):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parse error at position {position}: ")
+    assert err.rstrip().endswith(f"non-integer entry {entry!r}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["endo", "es1(3,1)", "A"],
+    ["endo", "es1(3,1)", "Q=[1]"],
+    ["endo", "es1(3,1)", "A=[1]", "A=[2]"],
+    ["endo", "es2(3,1)", "a=x"],
+    ["endo", "es1(3,1)", "A=[1,0]"],
+    ["endo", "es1(3,1)", "A=1"],
+    ["endo", "es1(3,1)", "beta=[0,0]"],
+    ["census", "--quantities", "bogus"],
+    ["census", "--group", "heis"],
+])
+def test_usage_errors_without_a_position_name_none(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "position" not in err
 
 
 @pytest.mark.parametrize("flag,value", [

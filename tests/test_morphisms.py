@@ -1,4 +1,4 @@
-"""Block-parametrized endomorphisms: builders, validation, enumeration, action."""
+"""Block-parametrized endomorphisms: the builder, validation, enumeration, action."""
 
 from itertools import product
 
@@ -8,12 +8,11 @@ import pytest
 from extraspecial import morphisms, oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
-from extraspecial.groups import ES1, ES2, TABLE_CAP, Group, GroupId, group
+from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, TABLE_CAP, Group,
+                                 GroupId, group)
 from extraspecial.modp import Mat
-from extraspecial.morphisms import (build_endo_es1, build_endo_es2, compose,
-                                    enumerate_automorphisms,
-                                    enumerate_endomorphisms, enumerate_sigma,
-                                    f_table, family_images, image_sets,
+from extraspecial.morphisms import (build_endo, compose, enumerate_morphisms,
+                                    enumerate_sigma, f_table, family_images, image_sets,
                                     inner_automorphism, is_im_phi2_matrix,
                                     params_from_generator_images, scalar_action_check)
 from extraspecial.symplectic import symp_scalar_test
@@ -21,7 +20,7 @@ from extraspecial.symplectic import symp_scalar_test
 
 def ident_es1(g):
     one, zero = Mat.identity(g.p, g.n), Mat.zeros(g.p, g.n, g.n)
-    return build_endo_es1(g, one, one, zero, zero, (0,) * g.n, (0,) * g.n)
+    return build_endo(g, one, one, zero, zero, (0,) * g.n, (0,) * g.n)
 
 
 def test_identity_endo_es1(es1_31):
@@ -35,7 +34,7 @@ def test_swap_generators_es1(es1_31):
     # x -> y, y -> x inverts the pairing, so l = -1
     g = es1_31
     one, zero = Mat.identity(3, 1), Mat.zeros(3, 1, 1)
-    m = build_endo_es1(g, zero, zero, one, one, (0,), (0,))
+    m = build_endo(g, zero, zero, one, one, (0,), (0,))
     assert m.scalar == 2
     assert m.is_automorphism
     assert m.apply_coords((1, 0, 0)) == (0, 1, 0)
@@ -46,20 +45,29 @@ def test_builder_rejects_non_similitude():
     one, zero = Mat.identity(3, 2), Mat.zeros(3, 2, 2)
     shear = Mat(3, ((1, 1), (0, 1)))
     with pytest.raises(MorphismValidationError) as exc:
-        build_endo_es1(g, one, shear, zero, zero, (0, 0), (0, 0))
+        build_endo(g, one, shear, zero, zero, (0, 0), (0, 0))
     assert exc.value.identity == "not in symp^scalar"
 
 
-def test_builder_rejects_wrong_shapes(es1_31):
+def test_builder_rejects_wrong_shapes(es1_31, es2_31):
     one = Mat.identity(3, 1)
     with pytest.raises(DimensionError):
-        build_endo_es1(es1_31, Mat.identity(3, 2), one, one, one, (0,), (0,))
+        build_endo(es1_31, Mat.identity(3, 2), one, one, one, (0,), (0,))
     with pytest.raises(DimensionError):
-        build_endo_es1(es1_31, one, one, one, one, (0, 0), (0,))
+        build_endo(es1_31, one, one, one, one, (0, 0), (0,))
     with pytest.raises(DimensionError):
-        build_endo_es1(es1_31, Mat.identity(5, 1), one, one, one, (0,), (0,))
+        build_endo(es1_31, Mat.identity(5, 1), one, one, one, (0,), (0,))
+    # alpha covers the x_i outside the power form's support: none of es2(3,1)'s
+    with pytest.raises(DimensionError):
+        build_endo(es2_31, one, one, one, one, (0,), (0,))
+    # a lift only where the power form is nonzero; no parameters for es1~, es2~
     with pytest.raises(ContextError):
-        build_endo_es1(group(ES2, 3, 1), one, one, one, one, (0,), (0,))
+        build_endo(es1_31, one, one, one, one, (0,), (0,), 1)
+    for kind, alpha in ((ES1_TILDE, (0,)), (ES2_TILDE, ())):
+        with pytest.raises(ContextError):
+            build_endo(group(kind, 3, 1), one, one, one, one, alpha, (0,))
+    with pytest.raises(ContextError):
+        inner_automorphism(group(ES1_TILDE, 3, 1).element((1, 0, 0)))
 
 
 def test_es2_first_row_constraints():
@@ -67,31 +75,36 @@ def test_es2_first_row_constraints():
     one, zero = Mat.identity(3, 2), Mat.zeros(3, 2, 2)
     bad_a = Mat(3, ((1, 1), (0, 1)))
     with pytest.raises(MorphismValidationError) as exc:
-        build_endo_es2(g, bad_a, one, zero, zero, (0,), (0, 0), 1)
+        build_endo(g, bad_a, one, zero, zero, (0,), (0, 0), 1)
     assert "a_{1j}=0" in str(exc.value)
     bad_c = Mat(3, ((1, 0), (0, 0)))
     with pytest.raises(MorphismValidationError) as exc:
-        build_endo_es2(g, one, one, bad_c, zero, (0,), (0, 0), 1)
+        build_endo(g, one, one, bad_c, zero, (0,), (0, 0), 1)
     assert "c_{1j}=0" in str(exc.value)
 
 
 def test_es2_central_scalar_must_lift_a11(es2_31):
     one, zero = Mat.identity(3, 1), Mat.zeros(3, 1, 1)
     with pytest.raises(MorphismValidationError) as exc:
-        build_endo_es2(es2_31, one, one, zero, zero, (), (0,), 2)
+        build_endo(es2_31, one, one, zero, zero, (), (0,), 2)
     assert "a != a_11" in str(exc.value)
     # all three lifts of a_11 = 1 are distinct morphisms
-    lifts = [build_endo_es2(es2_31, one, one, zero, zero, (), (0,), a) for a in (1, 4, 7)]
+    lifts = [build_endo(es2_31, one, one, zero, zero, (), (0,), a) for a in (1, 4, 7)]
     assert len({m.param_key() for m in lifts}) == 3
-    assert [m.scalar_mod_p for m in lifts] == [1, 1, 1]
+    assert [m.s for m in lifts] == [1, 1, 1]
+    # the default lift is a_11 itself
+    two = one.scale(2)
+    assert build_endo(es2_31, two, one, zero, zero, (), (0,)).scalar == 2
+    assert build_endo(es2_31, two, one, zero, zero, (), (0,)) == build_endo(
+        es2_31, two, one, zero, zero, (), (0,), 2)
 
 
 def test_es2_frozen_applies(es2_31):
     one, zero = Mat.identity(3, 1), Mat.zeros(3, 1, 1)
-    m = build_endo_es2(es2_31, one, one, zero, zero, (), (0,), 4)
+    m = build_endo(es2_31, one, one, zero, zero, (), (0,), 4)
     assert m.apply_coords((1, 0)) == (4, 0)
     assert m.is_automorphism
-    m0 = build_endo_es2(es2_31, zero, zero, zero, zero, (), (1,), 0)
+    m0 = build_endo(es2_31, zero, zero, zero, zero, (), (1,), 0)
     assert m0.apply_coords((0, 1)) == (3, 0)  # y_1 lands on the central generator
     assert not m0.is_automorphism
 
@@ -122,7 +135,7 @@ def test_table_matches_apply(endos_es1_31, endos_es2_31):
 def test_family_images_match_morphism_tables(kind, p, invertible_only):
     g = group(kind, p, 1)
     E = g.coords_matrix()
-    enum = enumerate_automorphisms(g) if invertible_only else enumerate_endomorphisms(g)
+    enum = enumerate_morphisms(g, invertible_only)
     blocks = list(family_images(g, E, invertible_only))
     assert [s for s, _ in blocks] == [s for _, s in enumerate_sigma(g, invertible_only)]
     for _, block in blocks:
@@ -150,7 +163,7 @@ def test_family_images_cap_counts_whole_families(es2_31, monkeypatch):
         list(family_images(es2_31, E, True, limit=53))
     monkeypatch.setenv("EXTRASPECIAL_MORPHISM_CAP", "53")
     with pytest.raises(CapExceeded):
-        list(enumerate_automorphisms(es2_31))
+        list(enumerate_morphisms(es2_31, True))
 
 
 def test_enumeration_counts(endos_es1_31, endos_es2_31, autos_es1_31, autos_es2_31):
@@ -162,6 +175,16 @@ def test_enumeration_counts(endos_es1_31, endos_es2_31, autos_es1_31, autos_es2_
     assert len({m.param_key() for m in endos_es2_31}) == 135
     auto_keys = {m.param_key() for m in autos_es2_31}
     assert auto_keys == {m.param_key() for m in endos_es2_31 if m.is_automorphism}
+
+
+def test_build_endo_rebuilds_every_enumerated_morphism(endos_es1_31, endos_es2_31, es2_51):
+    # one builder for both kinds: the lift is passed only where the power form is nonzero
+    for m in endos_es1_31 + endos_es2_31 + list(enumerate_morphisms(es2_51)):
+        g = m.group
+        lift = (m.scalar,) if any(g.power_form()) else ()
+        rebuilt = build_endo(g, m.A, m.B, m.C, m.D, m.alpha, m.beta, *lift)
+        assert rebuilt.param_key() == m.param_key()
+        assert (rebuilt.s, rebuilt.scalar, rebuilt.scalar_name) == (m.s, m.scalar, m.scalar_name)
 
 
 def test_is_automorphism_matches_table_bijectivity(endos_es2_31):
@@ -241,14 +264,14 @@ def test_builders_accept_exactly_the_enumerated_sigmas(p, n):
     for key in keys:
         sigma = Mat(p, (key // digits % p).reshape(dim, dim).tolist())
         A, B, C, D = morphisms.split_sigma(es1, sigma)
-        m = _builds(build_endo_es1, es1, A, B, C, D, (0,) * n, (0,) * n)
+        m = _builds(build_endo, es1, A, B, C, D, (0,) * n, (0,) * n)
         assert (m is not None) == (key in keys1)
-        assert m is None or (m.sigma() == sigma and m.scalar_mod_p == keys1[key])
+        assert m is None or (m.sigma == sigma and m.s == keys1[key])
         for t in range(p):
             a = A.entry(0, 0) + p * t
-            m2 = _builds(build_endo_es2, es2, A, B, C, D, (0,) * (n - 1), (0,) * n, a)
+            m2 = _builds(build_endo, es2, A, B, C, D, (0,) * (n - 1), (0,) * n, a)
             assert (m2 is not None) == (key in keys2)
-            assert m2 is None or (m2.sigma() == sigma and m2.scalar == a)
+            assert m2 is None or (m2.sigma == sigma and m2.scalar == a)
         accepted[0] += m is not None
         accepted[1] += m2 is not None
     assert min(accepted) > 0 and accepted[1] < len(keys)
@@ -353,7 +376,7 @@ def test_inner_automorphisms(es1_31, es2_31):
     m = inner_automorphism(es1_31.element((1, 0, 0)))
     assert m.apply_coords((0, 1, 0)) == (0, 1, 1)
     assert m.scalar == 1 and m.is_automorphism
-    assert m.sigma() == Mat.identity(3, 2) and m.scalar_mod_p == 1
+    assert m.sigma == Mat.identity(3, 2) and m.s == 1
     for g in (es1_31, es2_31):
         inners = {inner_automorphism(g.element(c)).param_key() for c in g.elements()}
         assert len(inners) == g.p ** (2 * g.n)  # conjugation factors through G/Z
@@ -367,16 +390,16 @@ def test_induced_quotient_matrix_is_the_quotient_action(endos_es2_31):
         g = m.group
         for c in list(g.elements())[::4]:
             img = g.quotient_coords(m.apply_coords(c))
-            assert img == m.sigma().mul_vec(g.quotient_coords(c))
+            assert img == m.sigma.mul_vec(g.quotient_coords(c))
 
 
 def test_params_from_generator_images_round_trip(es1_31, endos_es1_31, endos_es2_31, es2_51):
     g = es1_31
     one, zero = Mat.identity(3, 1), Mat.zeros(3, 1, 1)
-    m = build_endo_es1(g, zero, zero, one, one, (1,), (2,))
+    m = build_endo(g, zero, zero, one, one, (1,), (2,))
     recovered = params_from_generator_images(g, [m.apply(x) for x in g.generators()])
     assert recovered == m
-    for m in endos_es1_31 + endos_es2_31 + list(enumerate_endomorphisms(es2_51)):
+    for m in endos_es1_31 + endos_es2_31 + list(enumerate_morphisms(es2_51)):
         imgs = [m.apply(x) for x in m.group.generators()]
         assert params_from_generator_images(m.group, imgs) == m
 
@@ -407,7 +430,7 @@ def test_scalar_action_check_modes(endos_es1_31, monkeypatch):
     # es1(3,3), past TABLE_CAP: 200 sampled pairs, through symplectic_f
     g = Group(GroupId(ES1, 3, 3))  # uncached, so nothing is built yet
     one, zero = Mat.identity(3, 3), Mat.zeros(3, 3, 3)
-    m = build_endo_es1(g, one.scale(2), one, zero, zero, (1, 0, 0), (0, 0, 0))
+    m = build_endo(g, one.scale(2), one, zero, zero, (1, 0, 0), (0, 0, 0))
     assert scalar_action_check(m)
     assert g._np_cache is None  # no table of all elements
     calls = []

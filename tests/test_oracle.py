@@ -15,7 +15,7 @@ import pytest
 from extraspecial import counting, modp, morphisms, oracle, polyz, verifysuite
 from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, Group, group
-from extraspecial.morphisms import enumerate_automorphisms, enumerate_endomorphisms
+from extraspecial.morphisms import enumerate_morphisms
 from extraspecial.symplectic import pairing
 
 
@@ -184,7 +184,7 @@ def test_hom_table_matches_parametrized_apply(es2_31, endos_es2_31, endos_es1_31
     # es2(3,1) has C = 0, so only es1(3,1) and es2(3,2) reach the w^t (C^t D) u
     # cross term; every 997th es2(3,2) automorphism is 106 maps
     cases = (endos_es2_31[::19] + endos_es1_31
-             + list(enumerate_automorphisms(es2_32))[::997])
+             + list(enumerate_morphisms(es2_32, True))[::997])
     for m in cases:
         images = tuple(m.apply(x).coords for x in m.group.generators())
         t = oracle.hom_table(m.group, images)
@@ -460,7 +460,7 @@ def test_sigma_scan_count(es1_31, es2_31, es2_32):
     assert oracle.sigma_scan_count(ES2, 3, 1, invertible_only=True) == 6
     assert oracle.sigma_scan_count(ES2, 3, 1, invertible_only=False) == 15
     # multiplying by the translation/lift factor recovers the morphism counts
-    assert 9 * 15 == len(list(enumerate_endomorphisms(es2_31)))
+    assert 9 * 15 == len(list(enumerate_morphisms(es2_31)))
     # the scan and the pruned column search agree on the es2(3,2) sigmas
     sigmas = sum(1 for _ in morphisms.enumerate_sigma(es2_32, True))
     assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == sigmas == 1296

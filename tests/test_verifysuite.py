@@ -95,7 +95,7 @@ def test_scalar_action_rows_cover_every_scalar(monkeypatch, kind, count):
     seen = []
 
     def record(m):
-        seen.append(m.scalar_mod_p)
+        seen.append(m.s)
         return law(m)
 
     monkeypatch.setattr(verifysuite, "scalar_action_check", record)
@@ -106,7 +106,7 @@ def test_scalar_action_rows_cover_every_scalar(monkeypatch, kind, count):
 
 def test_scalar_action_row_fails_on_a_wrong_law(monkeypatch):
     monkeypatch.setattr(verifysuite, "scalar_action_check",
-                        lambda m: m.scalar_mod_p != 2)
+                        lambda m: m.s != 2)
     with pytest.raises(AssertionError, match="scalar law fails"):
         verifysuite.check_scalar_action(ES2, 3, 1)
 
