@@ -27,7 +27,7 @@ from .orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL, ES2_H_MINUS_K,
 from .counting import (CountReport, alpha_k, aut_order, beta_k, compute_report,
                        count_X, count_Y, end_order, gamma_k, im_phi2_order,
                        sp_order)
-from .polyz import Poly, gaussian_binomial_poly
+from .polyz import Poly
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,6 @@ __all__ = [
     "CountReport", "alpha_k", "aut_order", "beta_k", "compute_report",
     "count_X", "count_Y", "end_order", "gamma_k", "im_phi2_order",
     "sp_order",
-    "Poly", "gaussian_binomial_poly",
+    "Poly",
     "__version__",
 ]

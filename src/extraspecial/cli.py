@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -26,9 +27,12 @@ from . import counting, orbits
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
 from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
-                     parse_element, parse_group_spec)
+                     parse_element, parse_group_id, parse_group_spec)
 from .modp import Mat
 from .morphisms import build_endo, scalar_action_check
+
+# answers with more digits than this are refused before any arithmetic
+OUTPUT_DIGITS = 200_000
 
 
 def _element_arg(g, text: str) -> Element:
@@ -70,6 +74,13 @@ def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None
         counting.validate_request(quantity, p, n, k, group_kind)
     except ContextError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _check_output(p: int, n: int, exponent: int):
+    """CapExceeded if p^exponent, which bounds the answers, may pass OUTPUT_DIGITS."""
+    if exponent > OUTPUT_DIGITS / math.log10(p):
+        raise CapExceeded(f"answers at p={p}, n={n} may reach p^{exponent}, "
+                          f"past the {OUTPUT_DIGITS}-digit output cap")
 
 
 def _endo_call(g, tokens: list) -> dict:
@@ -160,7 +171,8 @@ def cmd_endo(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    g = parse_group_spec(args.group)
+    g = parse_group_id(args.group)
+    _check_output(g.p, g.n, 2 * g.n + 1)  # the group's order bounds each orbit
     rows = [{"label": str(label),
              "cardinality_formula": orbits.orbit_row(g, label.tag).formula,
              "cardinality_value": orbits.orbit_cardinality(label, g)}
@@ -171,6 +183,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_count(args) -> int:
     _check_request(args.quantity, args.p, args.n, args.k, args.group)
+    _check_output(args.p, args.n, 4 * args.n ** 2 + 2 * args.n)  # |End| <= |G|^2n
     rep = counting.compute_report(args.quantity, args.p, args.n, k=args.k,
                                   group_kind=args.group, oracle=args.oracle)
     print(json.dumps(rep.to_json_dict()))
@@ -272,6 +285,9 @@ def cmd_census(args) -> int:
                           ("--quantities", quantities), ("--group", kinds)):
         if not entries:
             raise ParseError(f"{flag} names no entry")
+    if set(quantities) - {"partial_order"}:  # a verdict has no size to cap
+        p, n = max(p_list), max(n_list)  # the largest answers are there
+        _check_output(p, n, 4 * n ** 2 + 2 * n)
     # open the target before any row is computed, so a bad path costs no work
     try:
         target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -358,6 +374,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # lift Python's int <-> text digit limit for this call only; OUTPUT_DIGITS
+    # bounds the answers instead (some 3.10 builds have no limit to lift)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(old)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -200,15 +200,11 @@ class Group:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
 
     def order(self, a: tuple) -> int:
+        """1, p or p^2: every group here has exponent p or p^2."""
         e = (0,) * len(self.ranges)
-        acc = a
-        k = 1
-        while acc != e:
-            acc = self.mul(acc, a)
-            k += 1
-            if k > self.p * self.p:
-                raise AssertionError("element order exceeded p^2")
-        return k
+        if a == e:
+            return 1
+        return self.p if self.power(a, self.p) == e else self.p * self.p
 
     def is_central(self, a: tuple) -> bool:
         """a is some z^c, c < p: its index is c * z_index."""
@@ -403,6 +399,12 @@ def delta_iso(e: Element) -> Element:
 
 
 def parse_group_spec(text: str, offset: int = 0) -> Group:
+    gid = parse_group_id(text, offset)
+    return group(gid.kind, gid.p, gid.n)
+
+
+def parse_group_id(text: str, offset: int = 0) -> GroupId:
+    """The validated (kind, p, n) of a group spec, with no group built."""
     s = text.strip()
     try:
         kind, rest = s.split("(", 1)
@@ -417,7 +419,7 @@ def parse_group_spec(text: str, offset: int = 0) -> Group:
     if kind not in (ES1, ES2):
         raise ParseError(f"unknown group kind {kind!r}", offset)
     try:
-        return group(kind, p, n)
+        return GroupId(kind, p, n)
     except ContextError as exc:
         raise ParseError(str(exc), offset) from None
 

@@ -8,17 +8,28 @@ which are arbitrary precision, so nothing here ever overflows.
 
 from __future__ import annotations
 
-from .errors import DimensionError, check
+from .errors import ContextError, DimensionError, check
+
+# Miller-Rabin with the primes 2..41 as bases decides primality exactly below
+# PRIME_BOUND (J. Sorenson and J. Webster, Math. Comp. 86, 2017); the bases
+# 2..37 alone are exact only below 3.18 * 10^23
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ContextError for an odd p >= PRIME_BOUND."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_BOUND:
+        raise ContextError(f"primality is decided only below {PRIME_BOUND}, got {p}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in _BASES:
+        if a % p == 0:  # p is this base, and passed the smaller ones
+            return True
+        x = pow(a, (p - 1) >> s, p)  # p is composite unless x = 1 or some x^(2^j) = -1
+        if x != 1 and p - 1 not in (pow(x, 2 ** j, p) for j in range(s)):
             return False
-        d += 2
     return True
 
 

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .errors import CapExceeded, ContextError
-from .groups import ES1, ES2, TABLE_CAP, Element, Group
+from .groups import ES1, ES2, TABLE_CAP, Element, Group, GroupId
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
 
@@ -86,18 +86,18 @@ ORBIT_TABLE = {
 }
 
 
-def _plain_only(g: Group) -> tuple:
+def _plain_only(g: Group | GroupId) -> tuple:
     """g's rows of ORBIT_TABLE; ContextError for the kinds it does not cover."""
     if g.kind not in ORBIT_TABLE:
-        raise ContextError(f"orbit classification covers es1/es2 only, got {g.gid}")
+        raise ContextError(f"orbit classification covers es1/es2 only, got {g.kind}")
     return ORBIT_TABLE[g.kind]
 
 
-def orbit_row(g: Group, tag: str) -> OrbitRow:
+def orbit_row(g: Group | GroupId, tag: str) -> OrbitRow:
     """The row of one orbit tag in g's table."""
     row = next((r for r in _plain_only(g) if r.tag == tag), None)
     if row is None:
-        raise ContextError(f"{tag} is no orbit tag of {g.gid}")
+        raise ContextError(f"{tag} is no orbit tag of {g.kind}({g.p},{g.n})")
     return row
 
 
@@ -136,15 +136,16 @@ def classify(e: Element) -> OrbitLabel:
     return OrbitLabel(ES2_H_MINUS_K)
 
 
-def orbit_labels(g: Group) -> list[OrbitLabel]:
-    """All orbit labels of g in table order, identity first, largest orbit last."""
+def orbit_labels(g: Group | GroupId) -> list[OrbitLabel]:
+    """All orbit labels of g in table order, identity first, largest orbit last;
+    g's kind, p and n are all that is read."""
     return [OrbitLabel(r.tag, b) for r in _plain_only(g) if r.size(g.p, g.n)
             for b in (range(1, g.p) if r.tag == ES2_OB else (None,))]
 
 
-def orbit_cardinality(label: OrbitLabel, g: Group) -> int:
+def orbit_cardinality(label: OrbitLabel, g: Group | GroupId) -> int:
     if label not in orbit_labels(g):
-        raise ContextError(f"{label} is no orbit label of {g.gid}")
+        raise ContextError(f"{label} is no orbit label of {g.kind}({g.p},{g.n})")
     return orbit_row(g, label.tag).size(g.p, g.n)
 
 

@@ -1,11 +1,18 @@
 """Dense univariate polynomials with integer coefficients.
 
-Counting quantities in this package are polynomial in the prime p for each
-fixed n.  Carrying them symbolically makes coefficient-level facts checkable
-(notably non-negativity), independent of evaluation at any particular prime.
+Each counting formula is written once, for p an int or the indeterminate X
+below, so Poly has just what those bodies use: +, - and * with an int on
+either side, unary minus, ** by an int and divmod by a monic divisor.  The
+counts in Z[x] make coefficient facts such as non-negativity checkable.
 """
 
 from __future__ import annotations
+
+from .errors import check
+
+
+def _lift(v) -> "Poly":
+    return v if isinstance(v, Poly) else Poly((v,))
 
 
 class Poly:
@@ -19,39 +26,64 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c: int) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "Poly":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other) -> "Poly":
+        a, b = self.coeffs, _lift(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + Poly(tuple(-c for c in other.coeffs))
+    __radd__ = __add__
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
+    def __neg__(self) -> "Poly":
+        return Poly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "Poly":
+        return self + -_lift(other)
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
+
+    def __mul__(self, other) -> "Poly":
+        a, b = self.coeffs, _lift(other).coeffs
+        if not a or not b:
             return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        out = [0] * (len(a) + len(b) - 1)
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
         return Poly(out)
 
-    def scale(self, c: int) -> "Poly":
-        return Poly(tuple(c * a for a in self.coeffs))
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        check(k >= 0, f"Poly powers need an exponent >= 0, got {k}")
+        out, base = Poly((1,)), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __divmod__(self, other) -> tuple:
+        """(quotient, remainder) by a monic divisor, so both stay in Z[x]."""
+        d = _lift(other)
+        check(d.coeffs[-1:] == (1,), f"Poly division needs a monic divisor, got {d}")
+        rem = list(self.coeffs)
+        terms = [(j, y) for j, y in enumerate(d.coeffs) if y]
+        quot = [0] * max(len(rem) - d.degree, 0)
+        for i in reversed(range(len(quot))):
+            c = quot[i] = rem[i + d.degree]
+            if c:
+                for j, y in terms:
+                    rem[i + j] -= c * y
+        return Poly(quot), Poly(rem[:d.degree])
 
     def eval(self, x: int) -> int:
         acc = 0
@@ -63,40 +95,15 @@ class Poly:
         return all(c >= 0 for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, (Poly, int)) and self.coeffs == _lift(other).coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes like the int it equals
+        return hash(self.coeffs if self.degree > 0 else self.eval(0))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
 
 
 ZERO = Poly()
-ONE = Poly.const(1)
-
-
-def prod(polys) -> Poly:
-    acc = ONE
-    for q in polys:
-        acc = acc * q
-    return acc
-
-
-def gaussian_binomial_poly(n: int, k: int) -> Poly:
-    """Gaussian binomial coefficient as a polynomial in the prime.
-
-    Built by the q-Pascal recursion binom(n,k) = binom(n-1,k-1) + q^k binom(n-1,k),
-    which stays inside Z[q] with no division, so the coefficients are
-    manifestly non-negative integers.
-    """
-    if k < 0 or k > n:
-        return ZERO
-    row = [ONE]  # binomials for m = 0
-    for m in range(1, n + 1):
-        new = [ONE]
-        for j in range(1, m):
-            new.append(row[j - 1] + Poly.x_power(j) * row[j])
-        new.append(ONE)
-        row = new
-    return row[k]
+X = Poly((0, 1))

@@ -120,8 +120,9 @@ def check_counting_scans(p: int, n: int):
 
 
 def check_polynomials(n: int, primes=(3, 5, 7)):
-    """Every twin against its closed form at each prime, and the alpha and
-    beta twins coefficient by coefficient against their echelon cells."""
+    """Every formula run in Z[x] and evaluated at each prime against the
+    same formula run in Z, and the alpha and beta polynomials coefficient by
+    coefficient against their echelon cells."""
     for p in primes:
         for q, route in counting.QUANTITIES.items():
             for k, kind in counting.row_args(q, n):

@@ -116,10 +116,11 @@ def test_c5_counting_formulas_vs_scans():
                 assert a == oracle.scan_subspaces(dim, p, k, isotropic=True)
                 assert b == oracle.scan_subspaces(dim, p, k, isotropic=True, inside_v1=True)
                 assert counting.gamma_k(p, n, k) == oracle.scan_surjections(dim, p, k)
-        for n in (1, 2):  # the twins, coefficient by coefficient, from the echelon cells
+        for n in (1, 2):  # the polynomials, coefficient by coefficient, from the echelon cells
             for k in range(n + 1):
-                assert oracle.cell_polynomial(n, k, False) == counting.alpha_poly(n, k).coeffs
-                assert oracle.cell_polynomial(n, k, True) == counting.beta_poly(n, k).coeffs
+                alpha, beta = (counting.QUANTITIES[q].poly(n, k) for q in ("alpha_k", "beta_k"))
+                assert oracle.cell_polynomial(n, k, False) == alpha.coeffs
+                assert oracle.cell_polynomial(n, k, True) == beta.coeffs
 
 
 def test_c6_decomposition_identity_grid():
@@ -133,9 +134,10 @@ def test_c6_decomposition_identity_grid():
                     counting.aut_order(ES1, p, n) + lead * counting.count_X(p, n))
                 assert counting.end_order(ES2, p, n) == (
                     counting.aut_order(ES2, p, n) + lead * counting.count_Y(p, n))
-        # spot anchors on the biggest corner, computed via the polynomial twins
-        assert counting.end_order(ES1, 97, 6) == counting.end_order_poly(ES1, 6).eval(97)
-        assert counting.end_order(ES2, 97, 6) == counting.end_order_poly(ES2, 6).eval(97)
+        # spot anchors on the biggest corner, the same formulas run in Z[x]
+        for kind in (ES1, ES2):
+            poly = counting.QUANTITIES["end_order"].poly(6, kind)
+            assert counting.end_order(kind, 97, 6) == poly.eval(97)
 
 
 def test_c7_degeneration_reports():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extraspecial import cli
+from extraspecial import cli, counting
 from extraspecial.groups import parse_element
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -251,6 +251,81 @@ def test_count_unknown_quantity_is_a_usage_error(capsys):
         cli.main(["count", "--quantity", "nonsense", "--p", "3", "--n", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.fixture
+def any_int_text():
+    """Lift the int <-> text digit limit, where this Python has one, so the
+    test can read the CLI's long answers back."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)
+    yield
+    if set_limit:
+        set_limit(old)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["count", "--quantity", "sp_order", "-p", "3", "-n", "100"],
+     lambda: counting.sp_order(100, 3)),
+    (["count", "--quantity", "end_order", "-p", "3", "-n", "100", "--group", "es1"],
+     lambda: counting.end_order("es1", 3, 100)),
+    (["census", "--p-list", "3", "--n-list", "100", "--quantities", "sp_order",
+      "--format", "json"], lambda: counting.sp_order(100, 3)),
+])
+def test_answers_past_4300_digits_print_in_full(capsys, any_int_text, argv, want):
+    # each once ended in Python 3.11's int-to-text ValueError traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    value = (doc[0] if isinstance(doc, list) else doc)["formula"]
+    assert value == want() and len(str(value)) > 4300
+
+
+def test_orbits_of_a_large_group_build_no_group(capsys, any_int_text, monkeypatch):
+    # es1(3,4600) once spent 17 s on a cocycle the inventory never reads
+    monkeypatch.setattr(cli, "parse_group_spec", None)
+    code, out, err = run(capsys, "orbits", "es1(3,4600)")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[-1]["cardinality_value"] == 3 ** 9201 - 3
+
+
+def test_the_cli_restores_the_digit_limit(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> text digit limit")
+    before = sys.get_int_max_str_digits()
+    assert run(capsys, "count", "--quantity", "sp_order", "-p", "3", "-n", "100")[0] == 0
+    assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--quantity", "alpha_k", "-p", "3", "-n", "400", "-k", "1"],
+    ["count", "--quantity", "end_order", "-p", "1000003", "-n", "100", "--group", "es2"],
+    ["census", "--p-list", "3", "--n-list", "1,400", "--quantities", "sp_order"],
+    ["orbits", f"es1(3,{10 ** 6})"],
+])
+def test_answers_past_the_output_cap_are_refused_before_any_arithmetic(
+        capsys, monkeypatch, argv):
+    monkeypatch.setattr(counting, "compute_report", None)
+    monkeypatch.setattr(cli.orbits, "orbit_labels", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{cli.OUTPUT_DIGITS}-digit output cap" in err
+
+
+def test_order_of_an_element_is_constant_work(capsys):
+    # es2(3001,1) once multiplied up to p^2 times: 32.7 s
+    assert run(capsys, "order", "es2(3001,1):[1|0]")[:2] == (0, "9006001\n")
+    assert run(capsys, "order", "es1(2305843009213693951,1):[1|1|1]")[:2] == (
+        0, "2305843009213693951\n")
+
+
+def test_primes_past_the_miller_rabin_bound_are_refused(capsys):
+    code, out, err = run(capsys, "count", "--quantity", "sp_order", "-n", "1",
+                         "-p", "3317044064679887385961983")
+    assert (code, out) == (2, "")
+    assert "3317044064679887385961981" in err
 
 
 def test_census_end_order(capsys):

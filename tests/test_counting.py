@@ -1,15 +1,20 @@
-"""Closed-form counts: frozen values, decomposition identity, polynomial twins."""
+"""Closed-form counts: frozen values, decomposition identity, the formulas
+in Z[x], and differential references written once for both rings."""
 
 import argparse
+import dataclasses
+import hashlib
 import inspect
 import json
+from math import prod
 
 import pytest
 
 from extraspecial import cli, counting, oracle, verifysuite
 from extraspecial.errors import ContextError
 from extraspecial.groups import ES1, ES2
-from extraspecial.modp import is_odd_prime
+from extraspecial.modp import is_odd_prime, p_binomial
+from extraspecial.polyz import ZERO, X, Poly
 
 PRIMES_TO_97 = [q for q in range(3, 98) if is_odd_prime(q)]
 
@@ -96,27 +101,104 @@ def test_gamma_is_surjection_count():
                 assert counting.gamma_k(p, n, k) == expected
 
 
-def test_polynomial_twins_evaluate_to_formulas():
+def test_polynomials_evaluate_to_formulas():
     for n in (1, 2, 3):
         for p in (3, 5, 7):
-            for k in range(n + 1):
-                assert counting.alpha_poly(n, k).eval(p) == counting.alpha_k(p, n, k)
-                assert counting.beta_poly(n, k).eval(p) == counting.beta_k(p, n, k)
-                assert counting.gamma_poly(n, k).eval(p) == counting.gamma_k(p, n, k)
-            assert counting.count_X_poly(n).eval(p) == counting.count_X(p, n)
-            assert counting.count_Y_poly(n).eval(p) == counting.count_Y(p, n)
-            assert counting.sp_order_poly(n).eval(p) == counting.sp_order(n, p)
-            assert counting.im_phi2_order_poly(n).eval(p) == counting.im_phi2_order(n, p)
-            for kind in (ES1, ES2):
-                assert counting.aut_order_poly(kind, n).eval(p) == counting.aut_order(kind, p, n)
-                assert counting.end_order_poly(kind, n).eval(p) == counting.end_order(kind, p, n)
+            for q, route in counting.QUANTITIES.items():
+                for k, kind in counting.row_args(q, n):
+                    arg = counting.validate_request(q, p, n, k, kind)
+                    assert isinstance(route.poly(n, arg), Poly)
+                    assert route.poly(n, arg).eval(p) == route.formula(p, n, arg), (q, n, arg)
 
 
 def test_alpha_beta_polynomials_nonnegative():
     for n in (1, 2, 3, 4):
         for k in range(n + 1):
-            assert counting.alpha_poly(n, k).is_nonnegative()
-            assert counting.beta_poly(n, k).is_nonnegative()
+            assert counting.QUANTITIES["alpha_k"].poly(n, k).is_nonnegative()
+            assert counting.QUANTITIES["beta_k"].poly(n, k).is_nonnegative()
+
+
+# differential references: the closed forms the running products replaced,
+# each written once for p an int or X
+
+def _gamma_inclusion_exclusion(p, n, k):
+    """All p^{2nm} maps F_p^{2n} -> F_p^m less those onto each proper subspace."""
+    vals = [1]
+    for m in range(1, k + 1):
+        vals.append(p ** (2 * n * m) - sum(p_binomial(m, i, p) * vals[i] for i in range(m)))
+    return vals[k]
+
+
+def _alpha_reference(p, n, k):
+    return p_binomial(n, k, p) * prod(p ** (n - i) + 1 for i in range(k))
+
+
+def _beta_reference(p, n, k):
+    if k in (0, 1):
+        return p_binomial(2 * n - 1, k, p)  # all k-subspaces of v[0] = 0
+    head = (p ** k * (p ** (n - k) + 1) * p_binomial(n - 1, k, p)
+            + p_binomial(n - 1, k - 1, p))
+    return head * prod(p ** (n - i) + 1 for i in range(1, k))
+
+
+def _references(p, n):
+    """Quantity name -> {arg: value}, every row at (p, n), from the references."""
+    ks = range(n + 1)
+    alpha = {k: _alpha_reference(p, n, k) for k in ks}
+    beta = {k: _beta_reference(p, n, k) for k in ks}
+    gamma = {k: _gamma_inclusion_exclusion(p, n, k) for k in ks}
+    sp = p ** (n * n) * prod(p ** (2 * j) - 1 for j in range(1, n + 1))
+    sp_less = p ** ((n - 1) ** 2) * prod(p ** (2 * j) - 1 for j in range(1, n))
+    phi2 = p ** (2 * n - 1) * (p - 1) * sp_less
+    aut = {ES1: p ** (2 * n) * (p - 1) * sp, ES2: p ** (2 * n) * phi2}
+    x = sum(alpha[k] * gamma[k] for k in ks)
+    y = sum(beta[k] * gamma[k] for k in ks)
+    end = {ES1: aut[ES1] + p ** (2 * n) * x, ES2: aut[ES2] + p ** (2 * n) * y}
+    return {"alpha_k": alpha, "beta_k": beta, "gamma_k": gamma,
+            "count_X": {None: x}, "count_Y": {None: y}, "sp_order": {None: sp},
+            "im_phi2_order": {None: phi2}, "aut_order": aut, "end_order": end}
+
+
+def _grid_rows(n):
+    for q in counting.QUANTITIES:
+        for k, kind in counting.row_args(q, n):
+            yield q, k, kind, {"k": k, "group": kind}.get(counting.QUANTITIES[q].arg)
+
+
+def test_nine_quantities_match_the_references_and_the_frozen_grid():
+    lines = []
+    for p in (3, 5, 7):
+        for n in range(1, 9):
+            refs = _references(p, n)
+            for q, k, kind, arg in _grid_rows(n):
+                value = counting.formula_value(q, p, n, k, kind)
+                assert value == refs[q][arg], (q, p, n, arg)
+                lines.append(f"{q} {p} {n} {k} {kind} {value}")
+    # the 588 values of the inclusion-exclusion and twin-based code this replaced
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9cffd2141fe750c0b0f284a2d12c00790151896258a4ff942005b49b048c3634"
+
+
+def test_nine_polynomials_match_the_references_coefficientwise():
+    for n in range(1, 7):
+        refs = _references(X, n)
+        for q, _k, _kind, arg in _grid_rows(n):
+            assert counting.QUANTITIES[q].poly(n, arg).coeffs == (ZERO + refs[q][arg]).coeffs, (q, n, arg)
+
+
+def test_series_past_their_ends_are_zero():
+    for p in (3, X):
+        assert counting.alpha_k(p, 2, 3) == counting.beta_k(p, 2, 3) == 0
+        assert counting.gamma_k(p, 2, 5) == 0 and counting.gamma_k(p, 2, -1) == 0
+        assert counting.gamma_k(p, 1, 2) == _gamma_inclusion_exclusion(p, 1, 2)
+    assert counting.gamma_k(3, 1, 10 ** 30) == 0  # answered without walking the series
+
+
+def test_a_division_that_leaves_a_remainder_is_refused(monkeypatch):
+    real = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, d: real(a + 1, d))
+    with pytest.raises(AssertionError, match="left a remainder"):
+        counting.count_X(X, 2)
 
 
 def test_compute_report_roundtrip():
@@ -165,7 +247,7 @@ def test_invalid_p_or_n_is_rejected(p, n):
 
 
 # the dispatch around the table; every other function in counting is a closed
-# form or a polynomial twin
+# form or one of the series the closed forms read
 _DISPATCH = {"validate_request", "formula_value", "oracle_value", "compute_report",
              "row_args", "_scans"}
 _CLOSED_FORMS = sorted(name for name, obj in vars(counting).items()
@@ -184,10 +266,13 @@ def _patch_to_raise(monkeypatch, module, names):
         monkeypatch.setattr(module, name, boom)
 
 
-def test_closed_forms_cover_every_quantity_and_twin():
+def test_closed_forms_cover_every_quantity_in_both_rings():
     for q in counting.QUANTITIES:
         assert q in _CLOSED_FORMS
-    assert {"alpha_poly", "count_X_poly", "end_order_poly"} <= set(_CLOSED_FORMS)
+    # one body per quantity: no polynomial twin, and the poly route is the formula at X
+    assert not [name for name in _CLOSED_FORMS if name.endswith("_poly")]
+    assert [f.name for f in dataclasses.fields(counting.Quantity)] == ["arg", "formula", "oracle"]
+    assert counting.QUANTITIES["end_order"].poly(1, ES1) == counting.end_order(ES1, X, 1)
     assert {"scan_matrices", "scan_subspaces", "scan_surjections",
             "sigma_scan_count", "cell_polynomial"} <= set(_ORACLE_FUNCTIONS)
 

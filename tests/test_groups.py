@@ -57,6 +57,22 @@ def test_element_orders():
     assert g2.order((0, 1)) == 3
 
 
+def _order_by_multiplying(g, a):
+    """The reference: multiply by a until the identity comes back."""
+    e = (0,) * len(g.ranges)
+    acc, k = a, 1
+    while acc != e:
+        acc, k = g.mul(acc, a), k + 1
+    return k
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_order_from_one_power_matches_the_multiplication_loop(kind, p):
+    g = group(kind, p, 1)
+    assert all(g.order(a) == _order_by_multiplying(g, a) for a in g.elements())
+
+
 @pytest.mark.parametrize("g", ALL_KINDS_31, ids=lambda g: str(g.gid))
 def test_group_axioms_exhaustive_31(g):
     e = (0,) * len(g.ranges)

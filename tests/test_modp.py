@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from extraspecial.errors import DimensionError
+from extraspecial import modp
+from extraspecial.errors import ContextError, DimensionError
 from extraspecial.modp import Mat, half, inv_mod, is_odd_prime, p_binomial
 from extraspecial.oracle import scan_subspaces
 
@@ -12,6 +13,38 @@ def test_is_odd_prime():
     assert [q for q in range(2, 20) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19]
     assert not is_odd_prime(2)
     assert not is_odd_prime(1)
+
+
+def _by_trial_division(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_miller_rabin_matches_trial_division_below_100000():
+    assert [p for p in range(10 ** 5) if is_odd_prime(p) != _by_trial_division(p)] == []
+
+
+def test_miller_rabin_on_large_primes_and_strong_pseudoprimes():
+    assert is_odd_prime(2 ** 61 - 1) and is_odd_prime(2 ** 31 - 1)
+    assert is_odd_prime(10 ** 24 + 7)  # the least prime past 10^24
+    assert not any(is_odd_prime(10 ** 24 + d) for d in range(1, 7))
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, in that order;
+    # the last is why the base 41 is needed below PRIME_BOUND
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_odd_prime(n)
+    assert not is_odd_prime(561) and not is_odd_prime((2 ** 61 - 1) * (2 ** 19 - 1))
+
+
+def test_primes_at_or_past_the_bound_are_refused():
+    with pytest.raises(ContextError, match=str(modp.PRIME_BOUND)):
+        is_odd_prime(modp.PRIME_BOUND)
+    assert not is_odd_prime(modp.PRIME_BOUND + 1)  # even: no primality test needed
 
 
 def test_inv_mod_known():

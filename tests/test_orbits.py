@@ -5,7 +5,7 @@ import pytest
 
 from extraspecial import morphisms, orbits
 from extraspecial.errors import CapExceeded, ContextError
-from extraspecial.groups import ES1, ES2, group
+from extraspecial.groups import ES1, ES2, GroupId, group
 from extraspecial.morphisms import family_images
 from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  ES2_H_MINUS_K, ES2_ORDER_P2, IDENTITY,
@@ -58,6 +58,16 @@ def test_orbit_cardinality_frozen(es1_31, es2_31, es2_32):
     assert [orbit_cardinality(l, es1_31) for l in orbit_labels(es1_31)] == [1, 2, 24]
     assert [orbit_cardinality(l, es2_31) for l in orbit_labels(es2_31)] == [1, 2, 3, 3, 18]
     assert [orbit_cardinality(l, es2_32) for l in orbit_labels(es2_32)] == [1, 2, 3, 3, 72, 162]
+
+
+def test_labels_and_sizes_read_only_kind_p_and_n(es2_32):
+    gid = GroupId(ES2, 3, 2)
+    assert orbit_labels(gid) == orbit_labels(es2_32)
+    assert [orbit_cardinality(l, gid) for l in orbit_labels(gid)] == [1, 2, 3, 3, 72, 162]
+    big = GroupId(ES2, 1009, 1)
+    assert orbit_cardinality(ob_label(1008), big) == 1009
+    with pytest.raises(ContextError):
+        orbit_cardinality(ob_label(1009), big)
 
 
 def test_orbit_cardinality_domain_errors(es1_31, es2_31):
