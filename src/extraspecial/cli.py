@@ -24,15 +24,13 @@ import os
 import sys
 
 from . import counting, orbits
+from .config import charge
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
 from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
-                     parse_element, parse_group_id, parse_group_spec)
+                     parse_element, parse_group_id, parse_group_spec, parse_ints)
 from .modp import Mat
 from .morphisms import build_endo, scalar_action_check
-
-# answers with more digits than this are refused before any arithmetic
-OUTPUT_DIGITS = 200_000
 
 
 def _element_arg(g, text: str) -> Element:
@@ -43,31 +41,6 @@ def _element_arg(g, text: str) -> Element:
     return e
 
 
-def _parse_int_list(text: str, what: str) -> list:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"{what} wants a bracketed list like [1,0,2]")
-    if not text[1:-1].strip():
-        return []
-    return _parse_csv_ints(text[1:-1], what, offset=1, skip_empty=False)
-
-
-def _parse_csv_ints(text: str, what: str, offset: int = 0, skip_empty: bool = True) -> list:
-    """The comma-separated integers of text; an error names the bad entry's
-    position, counting text as starting at offset."""
-    out = []
-    pos = offset
-    for tok in text.split(","):
-        if tok.strip() or not skip_empty:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ParseError(f"{what} has a non-integer entry {tok.strip()!r}",
-                                 pos + len(tok) - len(tok.lstrip())) from None
-        pos += len(tok) + 1
-    return out
-
-
 def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None):
     """Reject an invalid (p, n), or a missing k or --group, as a usage error."""
     try:
@@ -76,11 +49,18 @@ def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None
         raise ParseError(str(exc)) from None
 
 
-def _check_output(p: int, n: int, exponent: int):
-    """CapExceeded if p^exponent, which bounds the answers, may pass OUTPUT_DIGITS."""
-    if exponent > OUTPUT_DIGITS / math.log10(p):
-        raise CapExceeded(f"answers at p={p}, n={n} may reach p^{exponent}, "
-                          f"past the {OUTPUT_DIGITS}-digit output cap")
+def _digits(p: int, exponent: int) -> int:
+    """The digits of p^exponent, a bound on answers that is charged to
+    OUTPUT_DIGITS before any arithmetic."""
+    return math.ceil(exponent * math.log10(p))
+
+
+def _exponent(arg, n: int, kinds) -> int:
+    """p^exponent bounds the product of one quantity's census answers at n: a
+    k-row's answer is at most p^(2nk), any other at most |End| <= |G|^2n."""
+    if arg == "k":
+        return n * n * (n + 1)  # the sum of 2nk over k = 0..n
+    return (len(kinds) if arg == "group" else 1) * (4 * n * n + 2 * n)
 
 
 def _endo_call(g, tokens: list) -> dict:
@@ -106,7 +86,10 @@ def _endo_call(g, tokens: list) -> dict:
             except ValueError:
                 raise ParseError(f"a wants an integer, got {val!r}") from None
         else:
-            params[key] = _parse_int_list(val, key)
+            val = val.strip()
+            if not (val.startswith("[") and val.endswith("]")):
+                raise ParseError(f"{key} wants a bracketed list like [1,0,2]")
+            params[key] = parse_ints(val[1:-1], key, offset=1)
     for key in "ABCD":
         flat = params.get(key, [0] * (n * n))
         if len(flat) != n * n:
@@ -134,6 +117,7 @@ def cmd_classify(args) -> int:
     g = e.group
     label = orbits.classify(e)
     if args.json:
+        charge("OUTPUT_DIGITS", _digits(g.p, 2 * g.n + 1), f"digits of an orbit size of {g.gid}")
         print(json.dumps({
             "group": str(g.gid),
             "element": format_element(e),
@@ -172,7 +156,9 @@ def cmd_endo(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = parse_group_id(args.group)
-    _check_output(g.p, g.n, 2 * g.n + 1)  # the group's order bounds each orbit
+    labels = sum(g.p - 1 if r.tag == orbits.ES2_OB else 1 for r in orbits.ORBIT_TABLE[g.kind])
+    charge("OUTPUT_DIGITS", labels * _digits(g.p, 2 * g.n + 1),  # |G| bounds each orbit
+           f"digits of at most {labels} orbit sizes of {g}")
     rows = [{"label": str(label),
              "cardinality_formula": orbits.orbit_row(g, label.tag).formula,
              "cardinality_value": orbits.orbit_cardinality(label, g)}
@@ -183,7 +169,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_count(args) -> int:
     _check_request(args.quantity, args.p, args.n, args.k, args.group)
-    _check_output(args.p, args.n, 4 * args.n ** 2 + 2 * args.n)  # |End| <= |G|^2n
+    charge("OUTPUT_DIGITS", _digits(args.p, 4 * args.n ** 2 + 2 * args.n),  # |End| <= |G|^2n
+           f"digits of an answer at p={args.p}, n={args.n}")
     rep = counting.compute_report(args.quantity, args.p, args.n, k=args.k,
                                   group_kind=args.group, oracle=args.oracle)
     print(json.dumps(rep.to_json_dict()))
@@ -251,21 +238,17 @@ def _partial_order_row(kind, p, n, oracle):
 def _census_text(rows, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, indent=2)
-    lines = ["quantity,group,p,n,k,formula,oracle,match"]
-    for r in rows:
-        lines.append(",".join([
-            r["quantity"], r["group"] or "", str(r["p"]), str(r["n"]),
-            "" if r["k"] is None else str(r["k"]),
-            str(r["formula"]),
-            str(r["oracle"]).replace(",", ";"),
-            str(r["match"]),
-        ]))
+    lines = ["quantity,group,p,n,k,formula,oracle,match,reason"]
+    for r in rows:  # a witness or a reason swaps its commas, to keep the columns
+        cells = (r["quantity"], r["group"] or "", r["p"], r["n"], "" if r["k"] is None else r["k"],
+                 r["formula"], r["oracle"], r["match"], r["reason"] or "")
+        lines.append(",".join(str(c).replace(",", ";") for c in cells))
     return "\n".join(lines)
 
 
 def cmd_census(args) -> int:
-    p_list = _parse_csv_ints(args.p_list, "--p-list")
-    n_list = _parse_csv_ints(args.n_list, "--n-list")
+    p_list = parse_ints(args.p_list, "--p-list", skip_empty=True)
+    n_list = parse_ints(args.n_list, "--n-list", skip_empty=True)
     for p in p_list:
         for n in n_list:
             _check_request(None, p, n)
@@ -285,9 +268,10 @@ def cmd_census(args) -> int:
                           ("--quantities", quantities), ("--group", kinds)):
         if not entries:
             raise ParseError(f"{flag} names no entry")
-    if set(quantities) - {"partial_order"}:  # a verdict has no size to cap
-        p, n = max(p_list), max(n_list)  # the largest answers are there
-        _check_output(p, n, 4 * n ** 2 + 2 * n)
+    charge("OUTPUT_DIGITS", sum(  # a partial_order verdict has no size to cap
+        _digits(p, _exponent(counting.QUANTITIES[q].arg, n, kinds))
+        for p in p_list for n in n_list for q in quantities if q != "partial_order"),
+        "digits of the census answers")
     # open the target before any row is computed, so a bad path costs no work
     try:
         target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -374,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # lift Python's int <-> text digit limit for this call only; OUTPUT_DIGITS
-    # bounds the answers instead (some 3.10 builds have no limit to lift)
+    # lift Python's int <-> text digit limit for this call only; config's
+    # OUTPUT_DIGITS bounds the answers instead (some 3.10 builds have no limit to lift)
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         return _run(argv)

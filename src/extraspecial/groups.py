@@ -40,12 +40,12 @@ itself, so they stay valid oracles for anything derived from closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import operator
 from itertools import accumulate, product
 
-from .config import cap
-from .errors import CapExceeded, ContextError, DimensionError, ParseError, check
+from .config import LIMITS, charge
+from .errors import ContextError, DimensionError, ParseError, check
 from .modp import half, is_odd_prime
 
 ES1 = "es1"
@@ -59,9 +59,8 @@ _KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
 # memory stays at a few ROW_BLOCK x N arrays
 ROW_BLOCK = 32
 
-# the largest group whose whole N x N index tables (oracle.mult_table,
-# morphisms.f_table) are built: at most 32 MiB of int64 each
-TABLE_CAP = 2048
+# config's limit on the groups given whole N x N tables, for callers that branch on it
+TABLE_CAP = LIMITS["TABLE_CAP"][0]
 
 
 def row_blocks(size: int):
@@ -122,27 +121,40 @@ class Group:
         ends = accumulate(width for _, width in segments)
         self.layout = tuple((name, slice(end - width, end))
                             for (name, width), end in zip(segments, ends) if width)
-        # radices[i], the product of the ranges after slot i: index = sum c_i radices[i]
-        self.radices = tuple(accumulate(reversed(self.ranges[1:]), operator.mul, initial=1))[::-1]
-        # the cocycle M on quotient vectors (u; w): v_a^T M v_b mod p
+        # the cocycle M on quotient vectors (u; w), v_a^T M v_b mod p, as its
+        # nonzero entries (i, j, M[i][j]): M[i][n+i], and M[n+i][i] for the
+        # tilde kinds.  These terms are the tuple law; `cocycle` is dense.
         tilde = gid.kind in (ES1_TILDE, ES2_TILDE)
-        upper = self.half if tilde else 1          # M[i][n+i]
-        lower = -self.half % p if tilde else 0     # M[n+i][i]
-        self.cocycle = tuple(
-            tuple(upper if j == i + n else lower if i == j + n else 0 for j in range(2 * n))
-            for i in range(2 * n))
-        # its nonzero entries (i, j, M[i][j]): the terms of the tuple law
-        self._terms = tuple((i, j, c) for i, row in enumerate(self.cocycle)
-                            for j, c in enumerate(row) if c)
-        # the central generator z: its coordinate slot, its unit there, and its
-        # index; z^s times an element with central exponent 0 adds s * z_index
+        self._terms = tuple((i, n + i, self.half if tilde else 1) for i in range(n))
+        if tilde:
+            self._terms += tuple((n + i, i, -self.half % p) for i in range(n))
+        # the central generator z: its coordinate slot and its unit there
         self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
-        self.z_index = self._z_unit * self.radices[self._z_slot]
         # the power form, x_i^p = z^omega_i: the cocycle's diagonal is zero, so
-        # x_i^p = p e_i, whose index is (p mod ranges[i]) radices[i]
-        self._omega = tuple(p % r * radix // self.z_index
-                            for r, radix in zip(self.ranges[:2 * n], self.radices))
+        # x_i^p = p e_i, which is 0 unless slot i is z's and p < ranges[i]
+        self._omega = tuple(p % r // self._z_unit if i == self._z_slot else 0
+                            for i, r in enumerate(self.ranges[:2 * n]))
         self._np_cache = None
+
+    @cached_property
+    def radices(self) -> tuple:
+        """radices[i], the product of the ranges after slot i: index = sum c_i
+        radices[i].  Built on first read: O(n^2 log p) bits, which the tuple
+        law and the text syntax never pay, like the dense `cocycle`."""
+        return tuple(accumulate(reversed(self.ranges[1:]), operator.mul, initial=1))[::-1]
+
+    @cached_property
+    def z_index(self) -> int:
+        """The index of z: z^s times an element with central exponent 0 adds s * z_index."""
+        return self._z_unit * self.radices[self._z_slot]
+
+    @cached_property
+    def cocycle(self) -> tuple:
+        """The dense 2n x 2n cocycle M."""
+        M = [[0] * (2 * self.n) for _ in range(2 * self.n)]
+        for i, j, c in self._terms:
+            M[i][j] = c
+        return tuple(map(tuple, M))
 
     # -- element construction ------------------------------------------------
 
@@ -207,9 +219,9 @@ class Group:
         return self.p if self.power(a, self.p) == e else self.p * self.p
 
     def is_central(self, a: tuple) -> bool:
-        """a is some z^c, c < p: its index is c * z_index."""
-        q, r = divmod(self.index(a), self.z_index)
-        return r == 0 and q < self.p
+        """a is some z^c, c < p: zero but for a multiple of z_unit in z's slot."""
+        z = self._z_slot
+        return a[z] % self._z_unit == 0 and not any(a[:z]) and not any(a[z + 1:])
 
     def center_coords(self) -> list:
         """Coordinates of the p central elements z^0..z^(p-1)."""
@@ -241,9 +253,7 @@ class Group:
 
     def elements(self):
         """Yield all coordinate tuples in lexicographic order."""
-        limit = cap("ELEMENT_CAP")
-        if self.size > limit:
-            raise CapExceeded(f"{self.gid} has {self.size} elements, cap is {limit}")
+        charge("ELEMENT_CAP", self.size, f"elements of {self.gid}")
         return product(*(range(r) for r in self.ranges))
 
     def index(self, a: tuple) -> int:
@@ -424,17 +434,18 @@ def parse_group_id(text: str, offset: int = 0) -> GroupId:
         raise ParseError(str(exc), offset) from None
 
 
-def _parse_csv(seg: str, offset: int) -> tuple:
-    if not seg.strip():
-        return ()
+def parse_ints(text: str, what: str, offset: int = 0, skip_empty: bool = False) -> tuple:
+    """The comma-separated integers of text, none if it is blank.  A blank entry
+    is dropped with skip_empty, else an error naming its position from offset."""
     out = []
     pos = offset
-    for tok in seg.split(","):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"expected integer, got {tok.strip()!r}",
-                             pos + len(tok) - len(tok.lstrip())) from None
+    for tok in text.split(",") if text.strip() else ():
+        if tok.strip() or not skip_empty:
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ParseError(f"{what} has a non-integer entry {tok.strip()!r}",
+                                 pos + len(tok) - len(tok.lstrip())) from None
         pos += len(tok) + 1
     return tuple(out)
 
@@ -455,11 +466,9 @@ def parse_element(text: str) -> Element:
                        f"{'+'.join(map(str, widths))} coordinates", body_off)
     if len(segs) != len(widths):
         raise wrong
-    off = body_off + 1
-    parts = []
-    for seg in segs:
-        parts.append(_parse_csv(seg, off))
-        off += len(seg) + 1
+    offsets = accumulate((len(seg) + 1 for seg in segs), initial=body_off + 1)
+    parts = [parse_ints(seg, f"segment {name}", off)
+             for seg, (name, _), off in zip(segs, g.layout, offsets)]
     if [len(part) for part in parts] != widths:
         raise wrong
     return g.element(sum(parts, ()))

@@ -65,9 +65,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .config import cap
-from .errors import (CapExceeded, ContextError, DimensionError,
-                     MorphismValidationError, check)
+from .config import charge
+from .errors import ContextError, DimensionError, MorphismValidationError, check
 from .groups import ES1, ES2, TABLE_CAP, Element, Group, row_blocks
 from .modp import Mat, inv_mod
 from .symplectic import all_vectors, symp_scalar_test
@@ -127,8 +126,8 @@ class Morphism:
         import numpy as np
 
         g = self.group
-        sigma = np.array([self.sigma.rows], dtype=np.int64)
         shift = _shift_table(g, _functional_values(g, E, [self.f]))
+        sigma = np.array([self.sigma.rows], dtype=np.int64)
         return _images(g, sigma, self.s, E, shift)[0, :, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
@@ -297,14 +296,9 @@ def inner_automorphism(h: Element) -> Morphism:
 FRONTIER_CELLS = 1 << 17
 
 # sigmas per image_sets kernel call: as many as fill this many cells of
-# (sigmas x rows x p^2n), 128 KiB of int16; and the largest central-shift
-# table (rows x ranges[z] x columns), 8 MiB of int16
+# (sigmas x rows x p^2n), 128 KiB of int16.  config.LIMITS bounds the central
+# shift table (SHIFT_CELLS) and the frontier's pairing table (PAIRING_CELLS).
 STACK_CELLS = 1 << 16
-SHIFT_CELLS = 1 << 22
-
-# the largest int8 pairing table the frontier builds, in cells (p^4n of them):
-# 32 MiB, the byte size of a TABLE_CAP x TABLE_CAP int64 table
-PAIRING_CELLS = 1 << 25
 
 
 def _pairing_int8(V, p: int):
@@ -332,8 +326,7 @@ def _frontier(g: Group, invertible_only: bool):
 
     _check_kind(g)
     p, n, omega = g.p, g.n, g.power_form()
-    if p ** (4 * n) > PAIRING_CELLS:
-        raise CapExceeded(f"pairing table for the quotient of {g.gid} has {p ** (4 * n)} cells")
+    charge("PAIRING_CELLS", p ** (4 * n), f"pairing table for the quotient of {g.gid}")
     V = np.array(all_vectors(2 * n, p), dtype=np.int64)
     T = _pairing_int8(V, p)
     level = V @ np.array(omega, dtype=np.int64) % p  # omega . v
@@ -380,26 +373,22 @@ def _extend(F, later, s: int, n: int):
 
 
 def enumerate_sigma(g: Group, invertible_only: bool = False):
-    """Yield (sigma, s) over all valid quotient matrices, grouped by scalar s.
-
-    The matrices come from a numpy frontier over one int8 pairing table on
-    F_p^2n: all partial column tuples are extended at once, each Gram entry
-    <<col_i, col_j>> = s Delta_ij one boolean mask over column j's pool
-    {v : omega . v = s omega_j} (every vector for es1; for es2 the first
-    column's pool has top entry s and every later column's is V_1, the first
-    row constraints).  Inside one
-    s the order is lexicographic in the column tuple, vectors themselves
-    ordered lexicographically.  Raises CapExceeded before building a table
-    of more than PAIRING_CELLS cells.
-    """
+    """Yield (sigma, s) over all valid quotient matrices from the frontier
+    (`_frontier`, module docstring): grouped by scalar s, and inside one s
+    lexicographic in the column tuple, vectors themselves ordered
+    lexicographically.  Refused before building a pairing table of more
+    than PAIRING_CELLS cells (for es2, every column pool past the first is
+    V_1 and the first one's top entry is s: the first-row constraints)."""
     for V, cols, s in _frontier(g, invertible_only):
         for c in cols:
             yield Mat(g.p, V[c].T.tolist()), s
 
 
-def _functionals(g: Group) -> list:
+def _functionals(g: Group, limit: int | None = None) -> list:
     """The p^2n central functionals f in F_p^2n that share one quotient
-    matrix, in enumeration (lexicographic) order."""
+    matrix, in enumeration (lexicographic) order.  Every enumeration has at
+    least one such family, so the morphism cap is charged for it first."""
+    charge("MORPHISM_CAP", g.p ** (2 * g.n), f"a family of morphisms of {g.gid}", limit)
     return list(product(range(g.p), repeat=2 * g.n))
 
 
@@ -408,14 +397,12 @@ def _charged(g: Group, invertible_only: bool, limit: int | None):
 
     The whole frontier is walked, keeping at most limit / p^2n sigmas, before
     any block is returned, so a refusal comes before any image."""
-    limit = cap("MORPHISM_CAP") if limit is None else limit
     what = "automorphism" if invertible_only else "endomorphism"
     size = g.p ** (2 * g.n)
     blocks, count = [], 0
     for block in _frontier(g, invertible_only):
         count += len(block[1]) * size
-        if count > limit:
-            raise CapExceeded(f"{what} enumeration of {g.gid} exceeds cap {limit}")
+        charge("MORPHISM_CAP", count, f"{what} enumeration of {g.gid}", limit)
         blocks.append(block)
     return blocks
 
@@ -442,7 +429,7 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     Column j is the j-th member in enumerate_morphisms order; the cap is
     counted as there.
     """
-    shift = _shift_table(g, _functional_values(g, E, _functionals(g)))
+    shift = _shift_table(g, _functional_values(g, E, _functionals(g, limit)))
     for V, cols, s in _charged(g, invertible_only, limit):
         for c in cols:
             yield s, _images(g, V[c].T[None], s, E, shift)[0]
@@ -457,7 +444,7 @@ def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = N
     F[r, :] takes, padded with F[r, 0]."""
     import numpy as np
 
-    F = _functional_values(g, E, _functionals(g))
+    F = _functional_values(g, E, _functionals(g, limit))
     values = np.arange(g.p)
     seen = np.stack([(F == c).any(1) for c in values], 1)
     shift = _shift_table(g, np.where(seen, values, F[:, :1]))
@@ -501,9 +488,12 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 
 
 def _functional_values(g: Group, E, functionals):
-    """F[i, j]: the j-th functional at the quotient vector of row i of E."""
+    """F[i, j]: the j-th functional at the quotient vector of row i of E; the
+    first numpy step of every map of rows, so it refuses a group past
+    INDEX_LIMIT = 2^63 elements, whose coordinates and indices int64 cannot hold."""
     import numpy as np
 
+    charge("INDEX_LIMIT", g.size, f"int64 element indices of {g.gid}")
     Phi = np.array(functionals, dtype=np.int64).reshape(-1, 2 * g.n)
     return g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p
 
@@ -512,16 +502,12 @@ def _shift_table(g: Group, F):
     """shift[r, c, j] = ((c + z_unit F[r, j]) mod R) radix_z, R = ranges[z]: the
     central part of row r's image under functional j at base central value c.
 
-    int16 while |G| < 2^15; CapExceeded past SHIFT_CELLS cells, before any,
-    and past 2^63 elements, whose indices int64 cannot hold.
+    int16 while |G| < 2^15; refused past SHIFT_CELLS cells, before any.
     """
     import numpy as np
 
     z, R = g._z_slot, g.ranges[g._z_slot]
-    if F.size * R > SHIFT_CELLS:
-        raise CapExceeded(f"central shift table for {g.gid} has {F.size * R} cells")
-    if g.size > 1 << 63:
-        raise CapExceeded(f"{g.gid} has {g.size} elements, past the int64 indices")
+    charge("SHIFT_CELLS", F.size * R, f"central shift table for {g.gid}")
     dtype = np.int16 if g.size < 1 << 15 else np.int64
     c = np.arange(R, dtype=dtype)[None, :, None]
     return (c + (g._z_unit * F).astype(dtype)[:, None, :]) % R * g.radices[z]
@@ -553,7 +539,12 @@ def _images(g: Group, sigma, s: int, E, shift):
     M = np.array(g.cocycle, dtype=np.int64)
     V = g._quotient_rows(E)
     sigma_t = sigma.transpose(0, 2, 1)
-    q = g.half * ((V @ ((sigma_t @ M @ sigma - s * M) % p)) * V).sum(2)
+    S = (sigma_t @ M % p @ sigma - s * M) % p
+    # z_unit * q < 4 n^2 p^5; past 2^63, reduce every product so none overflows
+    if 4 * g.n ** 2 * p ** 5 < 1 << 63:
+        q = g.half * ((V @ S) * V).sum(2)
+    else:
+        q = g.half * ((V @ S % p) * V).sum(2) % p
     R = g.ranges[z]
     c = (s * E[:, z] + g._z_unit * q) % R
     radix = np.array(g.radices[:2 * g.n], dtype=np.int64)
@@ -578,8 +569,7 @@ def f_table(g: Group):
     cached = getattr(g, "_f_table", None)
     if cached is not None:
         return cached
-    if g.size > TABLE_CAP:
-        raise CapExceeded(f"commutator-form table for {g.gid} with {g.size} elements")
+    charge("TABLE_CAP", g.size, f"commutator-form table for {g.gid}")
     p, z = g.p, g.z_index
     T = mult_table(g)
     F = np.empty((g.size, g.size), dtype=np.int64)
@@ -608,6 +598,7 @@ def scalar_action_check(m: Morphism) -> bool:
         T = m.table()
         return bool(((F[np.ix_(T, T)] - l * F) % g.p == 0).all())
     sample = 200
+    charge("INDEX_LIMIT", g.size, f"int64 element indices of {g.gid}")  # before any draw
     rng = np.random.default_rng(7)
     E = np.column_stack([rng.integers(r, size=2 * sample) for r in g.ranges])
     images = m._apply_rows(E).reshape(sample, 2)

@@ -24,7 +24,7 @@ Three separate recomputation routes:
     scan tests every k x dim matrix for full rank, in numpy blocks of
     candidates.
 
-Caps guard every scan; CapExceeded is raised before work starts when the
+Caps guard every scan: config.charge refuses before work starts when the
 search space is out of reach.
 """
 
@@ -37,9 +37,9 @@ from itertools import accumulate, combinations, product
 
 import numpy as np
 
-from .config import cap
-from .errors import CapExceeded, ContextError, check
-from .groups import ES1, ES2, TABLE_CAP, Group, row_blocks
+from .config import charge
+from .errors import ContextError, check
+from .groups import ES1, ES2, Group, row_blocks
 from .modp import inv_mod
 
 
@@ -145,10 +145,7 @@ def enumerate_homs_by_generators(g: Group):
     """
     pres = presentation(g)
     gens = 2 * g.n
-    space = g.size ** gens
-    ceiling = cap("HOM_CAP")
-    if space > ceiling:
-        raise CapExceeded(f"homomorphism search space {space} exceeds {ceiling}")
+    charge("HOM_CAP", g.size ** gens, f"homomorphism search of {g.gid}")
     products = {}
 
     def mul(a, b):
@@ -217,8 +214,7 @@ def mult_table(g: Group) -> np.ndarray:
     cached = getattr(g, "_mult_table", None)
     if cached is not None:
         return cached
-    if g.size > TABLE_CAP:
-        raise CapExceeded(f"multiplication table for {g.gid} with {g.size} elements")
+    charge("TABLE_CAP", g.size, f"multiplication table for {g.gid}")
     E = g.coords_matrix()
     M = np.empty((g.size, g.size), dtype=np.int32)
     for rows in row_blocks(g.size):
@@ -297,10 +293,7 @@ def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
     """
     if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
-    space = p ** (dim * dim)
-    ceiling = cap("SCAN_CAP")
-    if space > ceiling:
-        raise CapExceeded(f"matrix scan space {space} exceeds {ceiling}")
+    charge("SCAN_CAP", p ** (dim * dim), f"matrix scan of {dim}x{dim} matrices over F_{p}")
     return _gram_count(dim, p, s % p, image_in_v1, es2_constrained)
 
 
@@ -353,10 +346,8 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = 
         return
     if dim % 2 and (isotropic or inside_v1):
         raise ContextError(f"isotropic and V_1 scans need an even dim, got {dim}")
-    space = p_binomial(dim, k, p)
-    ceiling = cap("SUBSPACE_CAP")
-    if space > ceiling:
-        raise CapExceeded(f"subspace scan over {space} subspaces exceeds {ceiling}")
+    charge("SUBSPACE_CAP", p_binomial(dim, k, p),
+           f"subspace scan of {k}-subspaces of F_{p}^{dim}")
     if isotropic or inside_v1:
         order = _flag_order(dim // 2)
         delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
@@ -449,10 +440,7 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     if k == 0:
         return 1
     cells = k * dim
-    space = p ** cells
-    ceiling = cap("SCAN_CAP")
-    if space > ceiling:
-        raise CapExceeded(f"surjection scan space {space} exceeds {ceiling}")
+    charge("SCAN_CAP", p ** cells, f"surjection scan of {k}x{dim} matrices over F_{p}")
     if k > dim:
         # more rows than columns are always dependent; this also keeps the
         # line table (p^k - 1)/(p - 1) below the square root of the space

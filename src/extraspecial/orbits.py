@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .errors import CapExceeded, ContextError
-from .groups import ES1, ES2, TABLE_CAP, Element, Group, GroupId
+from .config import charge
+from .errors import ContextError
+from .groups import ES1, ES2, Element, Group, GroupId
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
 
@@ -110,13 +111,9 @@ def in_h(e: Element) -> bool:
 
 
 def in_k(e: Element) -> bool:
-    """Membership in K = Z(H): first coordinate in pZ, u and w blocks zero."""
-    g = e.group
-    if g.kind != ES2:
-        raise ContextError(f"K is defined inside es2 groups, got {g.gid}")
-    c = e.coords
-    n = g.n
-    return c[0] % g.p == 0 and all(x == 0 for x in c[1:n]) and all(x == 0 for x in c[n + 1:])
+    """Membership in K = Z(H): in H, with the u and w blocks zero."""
+    c, n = e.coords, e.group.n
+    return in_h(e) and not any(c[1:n]) and not any(c[n + 1:])
 
 
 def classify(e: Element) -> OrbitLabel:
@@ -144,9 +141,12 @@ def orbit_labels(g: Group | GroupId) -> list[OrbitLabel]:
 
 
 def orbit_cardinality(label: OrbitLabel, g: Group | GroupId) -> int:
-    if label not in orbit_labels(g):
+    """The size of label's orbit, for a label of orbit_labels(g), decided
+    without listing them."""
+    size = orbit_row(g, label.tag).size(g.p, g.n)
+    if not size or (label.b is not None and 0 < label.b < g.p) != (label.tag == ES2_OB):
         raise ContextError(f"{label} is no orbit label of {g.kind}({g.p},{g.n})")
-    return orbit_row(g, label.tag).size(g.p, g.n)
+    return size
 
 
 def endo_image_class(e: Element) -> str:
@@ -202,9 +202,7 @@ def _reach_tables(g: Group, invertible_only: bool, limit: int | None):
     import numpy as np
 
     N = g.size
-    if N > TABLE_CAP:
-        raise CapExceeded(
-            f"reachability table for {g.gid} with {N} elements exceeds TABLE_CAP {TABLE_CAP}")
+    charge("TABLE_CAP", N, f"reachability table for {g.gid}")
     auto = np.zeros((N, N), dtype=bool)
     reach = auto if invertible_only else np.zeros((N, N), dtype=bool)
     offset = np.arange(N)[:, None] * N

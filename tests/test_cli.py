@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extraspecial import cli, counting
+from extraspecial import cli, config, counting
 from extraspecial.groups import parse_element
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -311,7 +311,7 @@ def test_answers_past_the_output_cap_are_refused_before_any_arithmetic(
     monkeypatch.setattr(cli.orbits, "orbit_labels", None)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert f"{cli.OUTPUT_DIGITS}-digit output cap" in err
+    assert f"> OUTPUT_DIGITS = {config.cap('OUTPUT_DIGITS')}" in err
 
 
 def test_order_of_an_element_is_constant_work(capsys):
@@ -333,9 +333,9 @@ def test_census_end_order(capsys):
                        "--quantities", "end_order", "--oracle")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "quantity,group,p,n,k,formula,oracle,match"
-    assert lines[1] == "end_order,es1,3,1,,729,729,True"
-    assert lines[2] == "end_order,es2,3,1,,135,135,True"
+    assert lines[0] == "quantity,group,p,n,k,formula,oracle,match,reason"
+    assert lines[1] == "end_order,es1,3,1,,729,729,True,"
+    assert lines[2] == "end_order,es2,3,1,,135,135,True,"
 
 
 def test_census_alpha_grid_row_count(capsys):
@@ -345,7 +345,7 @@ def test_census_alpha_grid_row_count(capsys):
     lines = out.strip().splitlines()
     # one row per (p, n, k), k = 0..n, so 3 primes x (2 + 3 + 4) rows
     assert len(lines) == 1 + 3 * 9
-    assert all(line.endswith(",skipped,n/a") for line in lines[1:])
+    assert all(line.endswith(",skipped,n/a,oracle not requested") for line in lines[1:])
 
 
 def test_census_partial_order_rows(capsys):
@@ -356,10 +356,10 @@ def test_census_partial_order_rows(capsys):
     es1_row = next(l for l in lines if l.startswith("partial_order,es1"))
     es2_row = next(l for l in lines if l.startswith("partial_order,es2"))
     assert es1_row.endswith(
-        ",PARTIAL_ORDER,chain IDENTITY < CENTRAL_NONID < ES1_NONCENTRAL,yes")
+        ",PARTIAL_ORDER,chain IDENTITY < CENTRAL_NONID < ES1_NONCENTRAL,yes,")
     assert "NO_PARTIAL_ORDER" in es2_row and "witness" in es2_row
-    # witness serialization swaps commas so the CSV stays 8 columns wide
-    assert all(len(l.split(",")) == 8 for l in lines[1:])
+    # witness serialization swaps commas so the CSV stays 9 columns wide
+    assert all(len(l.split(",")) == 9 for l in lines[1:])
 
 
 def test_census_cap_exceeded_rows_are_skipped(capsys):
@@ -367,7 +367,8 @@ def test_census_cap_exceeded_rows_are_skipped(capsys):
                        "--quantities", "count_X", "--oracle")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[1].endswith(",skipped,n/a")  # 5^16 matrices exceed the scan cap
+    # 5^16 matrices exceed the scan cap, which the reason names
+    assert ",skipped,n/a,matrix scan of 4x4 matrices over F_5: 152587890625 > SCAN_CAP" in lines[1]
 
 
 def test_census_n3_skips_rows_no_oracle_covers(capsys):
@@ -408,7 +409,7 @@ def test_census_oracle_grid_is_pinned(capsys, monkeypatch):
     assert len(rows) == 70
     assert sum(r["oracle"] == "skipped" for r in rows) == 11
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "55ee8cbb82b5224c349f7f4077165950ca36abf781c086f62c097ec964998d7a")
+        "561a352d045187e73d7f91cb23a753c7f216f4c35574ce1e262e1e474c9e0335")
 
 
 def test_census_json_format(capsys):
@@ -426,7 +427,7 @@ def test_census_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     text = target.read_text()
-    assert text.splitlines()[1] == "sp_order,,3,1,,24,skipped,n/a"
+    assert text.splitlines()[1] == "sp_order,,3,1,,24,skipped,n/a,oracle not requested"
 
 
 @pytest.mark.parametrize("target", ["missing/rows.csv", "."])

@@ -292,7 +292,7 @@ def test_parse_element_errors_carry_position():
 @pytest.mark.parametrize("text", [
     "es1(3,1): [1|x|0]", "es1(3,1):[1| x|0]", "es1(3,1):[1, x|0|0]"])
 def test_parse_error_position_is_the_offending_tokens_first_character(text):
-    with pytest.raises(ParseError, match="got 'x'") as exc:
+    with pytest.raises(ParseError, match="non-integer entry 'x'") as exc:
         parse_element(text)
     assert exc.value.position == 13 == text.index("x")
 

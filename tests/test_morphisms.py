@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import morphisms, oracle
+from extraspecial import config, morphisms, oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
 from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, TABLE_CAP, Group,
@@ -364,10 +364,25 @@ def test_image_sets_refuse_one_morphism_short_before_any_image(monkeypatch, es2_
     assert sum(len(b) for _, b in image_sets(g, E, invertible_only, total)) * 9 == total
 
 
+def test_images_stay_exact_just_below_the_index_limit():
+    # |G| = p^3 just below 2^63 (es2's p^2-cell shift table is refused long
+    # before): the kernel's quadratic term once overflowed int64
+    p = 2000003
+    g = group(ES1, p, 1)
+    one, zero = Mat(p, [[1]]), Mat(p, [[0]])
+    m = build_endo(g, one, one, zero, Mat(p, [[p - 1]]), (0,), (0,))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x, y = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
+        assert m.apply(x * y) == m.apply(x) * m.apply(y)
+    # (u, w, z) -> (u, w - u, z - u^2 / 2)
+    assert m.apply(g.element((p - 1, p - 1, 0))).coords == (p - 1, 0, (p - 1) // 2)
+
+
 def test_shift_table_refuses_past_its_cell_count():
     # es2(5,2): 300 rows x 25 central values x 625 members = 4.7 M cells
     g = group(ES2, 5, 2)
-    assert 300 * 25 * 625 > morphisms.SHIFT_CELLS
+    assert 300 * 25 * 625 > config.cap("SHIFT_CELLS")
     with pytest.raises(CapExceeded, match="central shift table"):
         next(family_images(g, g.coords_matrix()[:300], True))
 
