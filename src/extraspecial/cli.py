@@ -49,18 +49,10 @@ def _check_request(quantity: str | None, p: int, n: int, k=None, group_kind=None
         raise ParseError(str(exc)) from None
 
 
-def _digits(p: int, exponent: int) -> int:
-    """The digits of p^exponent, a bound on answers that is charged to
-    OUTPUT_DIGITS before any arithmetic."""
-    return math.ceil(exponent * math.log10(p))
-
-
-def _exponent(arg, n: int, kinds) -> int:
-    """p^exponent bounds the product of one quantity's census answers at n: a
-    k-row's answer is at most p^(2nk), any other at most |End| <= |G|^2n."""
-    if arg == "k":
-        return n * n * (n + 1)  # the sum of 2nk over k = 0..n
-    return (len(kinds) if arg == "group" else 1) * (4 * n * n + 2 * n)
+def _charge_digits(p: int, exponent: int, what: str):
+    """Charge OUTPUT_DIGITS, before any arithmetic, with the digits of
+    p^exponent, a bound on the answers."""
+    charge("OUTPUT_DIGITS", math.ceil(exponent * math.log10(p)), what)
 
 
 def _endo_call(g, tokens: list) -> dict:
@@ -117,7 +109,7 @@ def cmd_classify(args) -> int:
     g = e.group
     label = orbits.classify(e)
     if args.json:
-        charge("OUTPUT_DIGITS", _digits(g.p, 2 * g.n + 1), f"digits of an orbit size of {g.gid}")
+        _charge_digits(g.p, 2 * g.n + 1, f"digits of an orbit size of {g.gid}")
         print(json.dumps({
             "group": str(g.gid),
             "element": format_element(e),
@@ -156,9 +148,9 @@ def cmd_endo(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = parse_group_id(args.group)
-    labels = sum(g.p - 1 if r.tag == orbits.ES2_OB else 1 for r in orbits.ORBIT_TABLE[g.kind])
-    charge("OUTPUT_DIGITS", labels * _digits(g.p, 2 * g.n + 1),  # |G| bounds each orbit
-           f"digits of at most {labels} orbit sizes of {g}")
+    labels = orbits.label_count(g)
+    _charge_digits(g.p, labels * (2 * g.n + 1),  # |G| bounds each orbit
+                   f"digits of at most {labels} orbit sizes of {g}")
     rows = [{"label": str(label),
              "cardinality_formula": orbits.orbit_row(g, label.tag).formula,
              "cardinality_value": orbits.orbit_cardinality(label, g)}
@@ -169,8 +161,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_count(args) -> int:
     _check_request(args.quantity, args.p, args.n, args.k, args.group)
-    charge("OUTPUT_DIGITS", _digits(args.p, 4 * args.n ** 2 + 2 * args.n),  # |End| <= |G|^2n
-           f"digits of an answer at p={args.p}, n={args.n}")
+    _charge_digits(args.p, 4 * args.n ** 2 + 2 * args.n,  # |End| <= |G|^2n
+                   f"digits of an answer at p={args.p}, n={args.n}")
     rep = counting.compute_report(args.quantity, args.p, args.n, k=args.k,
                                   group_kind=args.group, oracle=args.oracle)
     print(json.dumps(rep.to_json_dict()))
@@ -268,10 +260,9 @@ def cmd_census(args) -> int:
                           ("--quantities", quantities), ("--group", kinds)):
         if not entries:
             raise ParseError(f"{flag} names no entry")
-    charge("OUTPUT_DIGITS", sum(  # a partial_order verdict has no size to cap
-        _digits(p, _exponent(counting.QUANTITIES[q].arg, n, kinds))
-        for p in p_list for n in n_list for q in quantities if q != "partial_order"),
-        "digits of the census answers")
+    if set(quantities) - {"partial_order"}:  # a verdict has no size to cap
+        p, n = max(p_list), max(n_list)  # the largest answers are there
+        _charge_digits(p, 4 * n ** 2 + 2 * n, f"digits of an answer at p={p}, n={n}")
     # open the target before any row is computed, so a bad path costs no work
     try:
         target = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)

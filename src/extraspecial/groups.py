@@ -139,8 +139,7 @@ class Group:
     @cached_property
     def radices(self) -> tuple:
         """radices[i], the product of the ranges after slot i: index = sum c_i
-        radices[i].  Built on first read: O(n^2 log p) bits, which the tuple
-        law and the text syntax never pay, like the dense `cocycle`."""
+        radices[i].  O(n^2 log p) bits, built on first read like `cocycle`."""
         return tuple(accumulate(reversed(self.ranges[1:]), operator.mul, initial=1))[::-1]
 
     @cached_property

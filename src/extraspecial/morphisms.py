@@ -373,12 +373,18 @@ def _extend(F, later, s: int, n: int):
 
 
 def enumerate_sigma(g: Group, invertible_only: bool = False):
-    """Yield (sigma, s) over all valid quotient matrices from the frontier
-    (`_frontier`, module docstring): grouped by scalar s, and inside one s
-    lexicographic in the column tuple, vectors themselves ordered
-    lexicographically.  Refused before building a pairing table of more
-    than PAIRING_CELLS cells (for es2, every column pool past the first is
-    V_1 and the first one's top entry is s: the first-row constraints)."""
+    """Yield (sigma, s) over all valid quotient matrices, grouped by scalar s.
+
+    The matrices come from a numpy frontier over one int8 pairing table on
+    F_p^2n: all partial column tuples are extended at once, each Gram entry
+    <<col_i, col_j>> = s Delta_ij one boolean mask over column j's pool
+    {v : omega . v = s omega_j} (every vector for es1; for es2 the first
+    column's pool has top entry s and every later column's is V_1, the first
+    row constraints).  Inside one
+    s the order is lexicographic in the column tuple, vectors themselves
+    ordered lexicographically.  Raises CapExceeded before building a table
+    of more than PAIRING_CELLS cells.
+    """
     for V, cols, s in _frontier(g, invertible_only):
         for c in cols:
             yield Mat(g.p, V[c].T.tolist()), s
@@ -539,12 +545,8 @@ def _images(g: Group, sigma, s: int, E, shift):
     M = np.array(g.cocycle, dtype=np.int64)
     V = g._quotient_rows(E)
     sigma_t = sigma.transpose(0, 2, 1)
-    S = (sigma_t @ M % p @ sigma - s * M) % p
-    # z_unit * q < 4 n^2 p^5; past 2^63, reduce every product so none overflows
-    if 4 * g.n ** 2 * p ** 5 < 1 << 63:
-        q = g.half * ((V @ S) * V).sum(2)
-    else:
-        q = g.half * ((V @ S % p) * V).sum(2) % p
+    S = (sigma_t @ M @ sigma - s * M) % p
+    q = g.half * ((V @ S % p) * V).sum(2) % p
     R = g.ranges[z]
     c = (s * E[:, z] + g._z_unit * q) % R
     radix = np.array(g.radices[:2 * g.n], dtype=np.int64)

@@ -111,9 +111,13 @@ def in_h(e: Element) -> bool:
 
 
 def in_k(e: Element) -> bool:
-    """Membership in K = Z(H): in H, with the u and w blocks zero."""
-    c, n = e.coords, e.group.n
-    return in_h(e) and not any(c[1:n]) and not any(c[n + 1:])
+    """Membership in K = Z(H): first coordinate in pZ, u and w blocks zero."""
+    g = e.group
+    if g.kind != ES2:
+        raise ContextError(f"K is defined inside es2 groups, got {g.gid}")
+    c = e.coords
+    n = g.n
+    return c[0] % g.p == 0 and all(x == 0 for x in c[1:n]) and all(x == 0 for x in c[n + 1:])
 
 
 def classify(e: Element) -> OrbitLabel:
@@ -140,11 +144,17 @@ def orbit_labels(g: Group | GroupId) -> list[OrbitLabel]:
             for b in (range(1, g.p) if r.tag == ES2_OB else (None,))]
 
 
+def label_count(g: Group | GroupId) -> int:
+    """len(orbit_labels(g)), without listing them."""
+    return sum(g.p - 1 if r.tag == ES2_OB else 1 for r in _plain_only(g) if r.size(g.p, g.n))
+
+
 def orbit_cardinality(label: OrbitLabel, g: Group | GroupId) -> int:
     """The size of label's orbit, for a label of orbit_labels(g), decided
-    without listing them."""
+    without listing them: b is one of 1..p-1 for ES2_OB, None for the rest."""
     size = orbit_row(g, label.tag).size(g.p, g.n)
-    if not size or (label.b is not None and 0 < label.b < g.p) != (label.tag == ES2_OB):
+    ob = label.tag == ES2_OB
+    if not size or (label.b is None) == ob or ob and not 0 < label.b < g.p:
         raise ContextError(f"{label} is no orbit label of {g.kind}({g.p},{g.n})")
     return size
 

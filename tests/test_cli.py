@@ -314,6 +314,15 @@ def test_answers_past_the_output_cap_are_refused_before_any_arithmetic(
     assert f"> OUTPUT_DIGITS = {config.cap('OUTPUT_DIGITS')}" in err
 
 
+def test_a_census_under_the_output_cap_answers(capsys):
+    # 81 alpha_k rows of about 124k digits in all; summing a p^(2nk) bound
+    # per row once charged about 247k digits and refused it
+    code, out, _ = run(capsys, "census", "--p-list", "3", "--n-list", "80",
+                       "--quantities", "alpha_k")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 81
+
+
 def test_order_of_an_element_is_constant_work(capsys):
     # es2(3001,1) once multiplied up to p^2 times: 32.7 s
     assert run(capsys, "order", "es2(3001,1):[1|0]")[:2] == (0, "9006001\n")

@@ -8,12 +8,12 @@ from extraspecial.errors import CapExceeded, ContextError
 from extraspecial.groups import ES1, ES2, GroupId, group
 from extraspecial.morphisms import family_images
 from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
-                                 ES2_H_MINUS_K, ES2_ORDER_P2, IDENTITY,
+                                 ES2_H_MINUS_K, ES2_OB, ES2_ORDER_P2, IDENTITY,
                                  NO_PARTIAL_ORDER, PARTIAL_ORDER, SUBGROUP_H,
                                  TRIVIAL, WHOLE_GROUP, OrbitLabel, classify,
                                  degeneration, endo_image_class,
                                  endo_image_set_bruteforce, image_subgroup_coords,
-                                 ob_label, orbit_cardinality, orbit_labels,
+                                 label_count, ob_label, orbit_cardinality, orbit_labels,
                                  orbits_bruteforce, partial_order_report)
 
 
@@ -77,6 +77,20 @@ def test_orbit_cardinality_domain_errors(es1_31, es2_31):
         orbit_cardinality(ob_label(0), es2_31)
     with pytest.raises(ContextError):
         orbit_cardinality(OrbitLabel(ES2_H_MINUS_K), es2_31)  # H = K at n = 1
+    # labels orbit_labels never yields: a b off ES2_OB, or none or out of 1..p-1 on it
+    for label, g in [(OrbitLabel(IDENTITY, 0), es2_31), (OrbitLabel(ES2_ORDER_P2, 1), es2_31),
+                     (OrbitLabel(ES1_NONCENTRAL, 1), es1_31), (OrbitLabel(ES2_OB), es2_31),
+                     (OrbitLabel(ES2_OB, 3), es2_31), (OrbitLabel(ES2_OB, -1), es2_31)]:
+        assert label not in orbit_labels(g)
+        with pytest.raises(ContextError):
+            orbit_cardinality(label, g)
+
+
+def test_label_count_is_the_number_of_labels():
+    for gid in (GroupId(ES1, 3, 1), GroupId(ES2, 3, 1), GroupId(ES2, 5, 2), GroupId(ES2, 1009, 1)):
+        assert label_count(gid) == len(orbit_labels(gid))
+    p = 2 ** 64 - 59  # len(range(1, p)) overflows here
+    assert label_count(GroupId(ES2, p, 1)) == p + 2  # p - 1 O_b orbits and three more
 
 
 def test_bruteforce_partition_matches_classifier(es1_31, es2_31):
