@@ -21,8 +21,9 @@ Three separate recomputation routes:
     membership on numpy blocks of echelon matrices; cell_polynomial
     certifies from the same walk that each isotropic count is a polynomial
     in p with non-negative coefficients, one p^d per cell.  The surjection
-    scan tests every k x dim matrix for full rank, in numpy blocks of
-    candidates.
+    scan tests every k x dim matrix for full rank against every line of
+    F_p^k: the trailing cells' line images are one table per scan, and
+    each assignment of the leading cells adds only its offset.
 
 Caps guard every scan: config.charge refuses before work starts when the
 search space is out of reach.
@@ -430,34 +431,36 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     """Count k x dim matrices of full rank k, i.e. surjections onto F_p^k.
 
     Every candidate matrix M is tested: its rows are independent iff
-    c M != 0 for a representative c of every line of F_p^k.  Candidates
-    are walked in radix order, one numpy block per assignment of the
-    leading cells, the trailing cells taken from one table of all p^t
-    assignments.
+    c M != 0 for a representative c of every line of F_p^k.  M splits
+    into leading and trailing cells, c M = c M_lead + c M_trail, so the
+    images c M_trail of all p^t trailing assignments are one table built
+    once per scan, and each leading assignment adds only its offset
+    -c M_lead: a candidate is dependent iff some line's trailing image
+    equals that line's offset.
     """
-    if k < 0:
+    if k < 0 or k > dim:
+        # more rows than columns are always dependent; this also keeps the
+        # line table (p^k - 1)/(p - 1) below the square root of the space
         return 0
     if k == 0:
         return 1
     cells = k * dim
     charge("SCAN_CAP", p ** cells, f"surjection scan of {k}x{dim} matrices over F_{p}")
-    if k > dim:
-        # more rows than columns are always dependent; this also keeps the
-        # line table (p^k - 1)/(p - 1) below the square root of the space
-        return 0
     t = 0
     while t < cells and p ** (t + 1) <= _SURJECTION_BLOCK:
         t += 1
     lead = cells - t
-    block = np.empty((p ** t, cells), dtype=np.int64)
-    block[:, lead:] = _vectors(t, p)
     lines = _projective_lines(k, p)
+    tails = np.zeros((p ** t, cells), dtype=np.int64)
+    tails[:, lead:] = _vectors(t, p)
+    trail = (lines @ tails.reshape(-1, k, dim)) % p
+    head = np.zeros(cells, dtype=np.int64)
     total = 0
     for prefix in product(range(p), repeat=lead):
-        block[:, :lead] = prefix
-        images = (lines @ block.reshape(-1, k, dim)) % p
-        dependent = (images == 0).all(axis=2).any(axis=1)
-        total += len(block) - int(np.count_nonzero(dependent))
+        head[:lead] = prefix
+        offset = -(lines @ head.reshape(k, dim)) % p
+        dependent = (trail == offset).all(axis=2).any(axis=1)
+        total += len(trail) - int(np.count_nonzero(dependent))
     return total
 
 

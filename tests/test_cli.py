@@ -246,6 +246,15 @@ def test_count_k_past_n_is_a_zero_count(capsys):
     assert (doc["formula"], doc["oracle"], doc["match"]) == (0, 0, True)
 
 
+def test_count_gamma_k_past_the_dimension_answers_under_any_scan_cap(capsys, monkeypatch):
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "1")
+    code, out, _ = run(capsys, "count", "--quantity", "gamma_k", "-p", "3", "-n", "1",
+                       "-k", "9", "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["formula"], doc["oracle"], doc["match"]) == (0, 0, True)
+
+
 def test_count_unknown_quantity_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--quantity", "nonsense", "--p", "3", "--n", "1"])

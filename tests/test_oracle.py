@@ -406,10 +406,26 @@ def _surjections_one_by_one(dim, p, k):
 
 
 @pytest.mark.parametrize("dim,p,k", [
-    (dim, p, k) for dim in (2, 4) for p in (3, 5) for k in range(dim + 2)
+    (dim, p, k) for dim in (2, 4) for p in (3, 5, 7) for k in range(dim + 2)
     if p ** (k * dim) <= 10 ** 5])
 def test_scan_surjections_matches_per_matrix_rank(dim, p, k):
     assert oracle.scan_surjections(dim, p, k) == _surjections_one_by_one(dim, p, k)
+
+
+@pytest.mark.parametrize("dim,p,k", [(2, 3, 1), (2, 3, 2), (4, 3, 2), (2, 5, 2), (2, 7, 2)])
+def test_scan_surjections_is_split_invariant(monkeypatch, dim, p, k):
+    # blocks of 1, p, ..., p^(k dim) candidates: the prefix runs from every
+    # cell down to none (a single empty prefix)
+    expected = _surjections_one_by_one(dim, p, k)
+    for t in range(k * dim + 1):
+        monkeypatch.setattr(oracle, "_SURJECTION_BLOCK", p ** t)
+        assert oracle.scan_surjections(dim, p, k) == expected, t
+
+
+def test_scan_surjections_past_dim_needs_no_scan(monkeypatch):
+    # a 9 x 2 matrix has rank at most 2: the answer is 0 under any cap
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "1")
+    assert oracle.scan_surjections(2, 3, 9) == 0
 
 
 def test_scan_surjections_cap_and_independence(monkeypatch):
