@@ -3,7 +3,7 @@
 Each limit guards a potentially exponential loop or a large allocation; the
 defaults cover the desk scales of the test suite, (p, n) in {(3,1), (5,1),
 (3,2)}.  The five caps marked env may be overridden by the integer
-environment variable EXTRASPECIAL_<NAME>; the other five are fixed.
+environment variable EXTRASPECIAL_<NAME>; the other four are fixed.
 
     ELEMENT_CAP    10**7   env  group elements enumerated
     MORPHISM_CAP   10**6   env  endomorphisms or automorphisms walked
@@ -13,7 +13,6 @@ environment variable EXTRASPECIAL_<NAME>; the other five are fixed.
     SUBSPACE_CAP   10**7   env  k-subspaces of F_p^dim in a subspace scan
     TABLE_CAP      2048         elements of a group given N x N tables
     PAIRING_CELLS  2**25        cells p^4n of the frontier's pairing table
-    SHIFT_CELLS    2**22        cells of one central shift table
     INDEX_LIMIT    2**63        elements whose indices int64 can hold
     OUTPUT_DIGITS  200000       digits of the answers of one CLI call
 
@@ -38,7 +37,6 @@ LIMITS = {
     "SUBSPACE_CAP": (10**7, True),
     "TABLE_CAP": (2048, False),
     "PAIRING_CELLS": (1 << 25, False),
-    "SHIFT_CELLS": (1 << 22, False),
     "INDEX_LIMIT": (1 << 63, False),
     "OUTPUT_DIGITS": (200_000, False),
 }

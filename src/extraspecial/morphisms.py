@@ -50,8 +50,9 @@ unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
 share one sigma form a family: its base member (f = 0) times the central
 factor z^f(v), f running over F_p^2n (for automorphisms, composition with
 Inn(G) = G/Z).  A member's central part depends only on the row, the base
-central value and f(v), so it is read from one shift table per call: each
-image is one gather plus the base index.  `Morphism.table`, `apply_coords`
+central value and f(v): the kernel adds the member's central step z_unit
+f(v), computed once per walk, to the base central value, reduces it mod the
+central range and adds the base index.  `Morphism.table`, `apply_coords`
 and `family_images` pass one matrix, with a column per member; `image_sets`
 passes runs of sigmas (the brute orbits) with a column per value of f(v),
 at most p: the family's image set of each row.
@@ -126,9 +127,9 @@ class Morphism:
         import numpy as np
 
         g = self.group
-        shift = _shift_table(g, _functional_values(g, E, [self.f]))
+        F = _functional_values(g, E, [self.f])
         sigma = np.array([self.sigma.rows], dtype=np.int64)
-        return _images(g, sigma, self.s, E, shift)[0, :, 0]
+        return _images(g, sigma, self.s, E, F)[0, :, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
         return self.group.coords_at(int(self._apply_rows([c])[0]))
@@ -296,8 +297,8 @@ def inner_automorphism(h: Element) -> Morphism:
 FRONTIER_CELLS = 1 << 17
 
 # sigmas per image_sets kernel call: as many as fill this many cells of
-# (sigmas x rows x p^2n), 128 KiB of int16.  config.LIMITS bounds the central
-# shift table (SHIFT_CELLS) and the frontier's pairing table (PAIRING_CELLS).
+# (sigmas x rows x p^2n), 128 KiB of int16.  config.LIMITS bounds the
+# frontier's pairing table (PAIRING_CELLS).
 STACK_CELLS = 1 << 16
 
 
@@ -435,10 +436,10 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     Column j is the j-th member in enumerate_morphisms order; the cap is
     counted as there.
     """
-    shift = _shift_table(g, _functional_values(g, E, _functionals(g, limit)))
+    F = _functional_values(g, E, _functionals(g, limit))
     for V, cols, s in _charged(g, invertible_only, limit):
         for c in cols:
-            yield s, _images(g, V[c].T[None], s, E, shift)[0]
+            yield s, _images(g, V[c].T[None], s, E, F)[0]
 
 
 def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = None):
@@ -451,13 +452,13 @@ def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = N
     import numpy as np
 
     F = _functional_values(g, E, _functionals(g, limit))
-    values = np.arange(g.p)
+    values = np.arange(g.p, dtype=F.dtype) * g._z_unit
     seen = np.stack([(F == c).any(1) for c in values], 1)
-    shift = _shift_table(g, np.where(seen, values, F[:, :1]))
     k = max(1, STACK_CELLS // (len(E) * F.shape[1]))
+    F = np.where(seen, values, F[:, :1])
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
-            yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, shift)
+            yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, F)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -494,49 +495,38 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 
 
 def _functional_values(g: Group, E, functionals):
-    """F[i, j]: the j-th functional at the quotient vector of row i of E; the
-    first numpy step of every map of rows, so it refuses a group past
-    INDEX_LIMIT = 2^63 elements, whose coordinates and indices int64 cannot hold."""
+    """F[i, j] = z_unit f_j(v_i), the j-th functional at row i's quotient
+    vector as a step of the central slot, in the output dtype (int16 while
+    |G| < 2^15).  The first numpy step of every map of rows, so it refuses a
+    group past INDEX_LIMIT = 2^63 elements, which int64 indices cannot hold."""
     import numpy as np
 
     charge("INDEX_LIMIT", g.size, f"int64 element indices of {g.gid}")
     Phi = np.array(functionals, dtype=np.int64).reshape(-1, 2 * g.n)
-    return g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p
+    F = g._quotient_rows(np.asarray(E, dtype=np.int64)) @ Phi.T % g.p * g._z_unit
+    return F.astype(np.int16 if g.size < 1 << 15 else np.int64)
 
 
-def _shift_table(g: Group, F):
-    """shift[r, c, j] = ((c + z_unit F[r, j]) mod R) radix_z, R = ranges[z]: the
-    central part of row r's image under functional j at base central value c.
-
-    int16 while |G| < 2^15; refused past SHIFT_CELLS cells, before any.
-    """
-    import numpy as np
-
-    z, R = g._z_slot, g.ranges[g._z_slot]
-    charge("SHIFT_CELLS", F.size * R, f"central shift table for {g.gid}")
-    dtype = np.int16 if g.size < 1 << 15 else np.int64
-    c = np.arange(R, dtype=dtype)[None, :, None]
-    return (c + (g._z_unit * F).astype(dtype)[:, None, :]) % R * g.radices[z]
-
-
-def _images(g: Group, sigma, s: int, E, shift):
+def _images(g: Group, sigma, s: int, E, F):
     """Image indices of the coordinate rows E: a (k, rows, columns) block.
 
     The one place the endomorphism formula is written.  Entry [i, r, j]
     applies the quotient matrix sigma[i] (sigma a k x 2n x 2n int64 stack,
     every matrix with scalar s mod p), composed with the j-th central
-    functional, whose value on row r is F[r, j] (see `_shift_table`).  With v
-    a row's quotient vector (its first 2n coordinates, read mod p), the image
-    has quotient vector sigma v, and its central slot holds
+    functional, whose central step on row r is F[r, j] (see
+    `_functional_values`; the output takes F's dtype).  With v a row's
+    quotient vector (its first 2n coordinates, read mod p), the image has
+    quotient vector sigma v, and its central slot holds
 
-        s * (the row's own slot value) + z_unit * (q(v) + F[r, j]),
+        s * (the row's own slot value) + z_unit * (q(v) + f_j(v))  mod R,
 
-    q(v) = (1/2) v^t S v with S = sigma^t M sigma - s M for the group's
-    cocycle M: the correction that makes the map respect the cocycle.  For
-    M = [[0, I], [0, 0]], S = [[A^t D, D^t C], [C^t D, C^t B]], the
-    quadratic term of the module docstring.  The base value c = s * slot +
-    z_unit * q(v) mod R is one per sigma and row: each member's image is the
-    base index plus shift[r, c, j].
+    R = ranges[z], q(v) = (1/2) v^t S v with S = sigma^t M sigma - s M for
+    the group's cocycle M: the correction that makes the map respect the
+    cocycle.  For M = [[0, I], [0, 0]], S = [[A^t D, D^t C], [C^t D, C^t B]],
+    the quadratic term of the module docstring.  The base value c = s * slot
+    + z_unit * q(v) mod R is one per sigma and row, so each member's image is
+    the base index plus ((c + F[r, j]) mod R) radix_z.  Every value is
+    reduced before it is scaled, so no intermediate passes |G| < 2^63.
     """
     import numpy as np
 
@@ -551,8 +541,8 @@ def _images(g: Group, sigma, s: int, E, shift):
     c = (s * E[:, z] + g._z_unit * q) % R
     radix = np.array(g.radices[:2 * g.n], dtype=np.int64)
     radix[z:z + 1] = 0  # es2: the central slot is a quotient coordinate too
-    out = shift.reshape(-1, shift.shape[2])[np.arange(len(E)) * R + c]
-    out += (V @ sigma_t % p @ radix).astype(shift.dtype)[:, :, None]
+    out = (c.astype(F.dtype)[:, :, None] + F) % R * g.radices[z]
+    out += (V @ sigma_t % p @ radix).astype(F.dtype)[:, :, None]
     return out
 
 

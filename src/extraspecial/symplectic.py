@@ -5,7 +5,7 @@ matrix is Delta = [[0, I], [-I, 0]].  A matrix N is a scalar similitude
 when N^t Delta N = l Delta for some scalar l, which may be 0; l != 0 cuts
 out the symplectic similitude group.  Entry (i, j) of N^t Delta N is the
 pairing of columns i and j, so symp_scalar_test reads the Gram matrix off
-the column pairings.
+the column pairings, each summed over the first column's nonzero entries.
 """
 
 from __future__ import annotations
@@ -34,11 +34,17 @@ def symp_scalar_test(mat: Mat) -> int | None:
         raise DimensionError("expected a square matrix of even size")
     n, p = d // 2, mat.m
     cols = list(zip(*mat.rows))
-    l = pairing(cols[0], cols[n], p)
-    if all(pairing(cols[i], cols[j], p) == (l if j == i + n else 0)
-           for i in range(d) for j in range(i + 1, d)):
-        return l
-    return None
+    # <<v, w>> = sum_k v_k w_(k+n) - v_(k+n) w_k: each column's nonzero
+    # entries, signed and keyed by their partner coordinate, once per matrix
+    partner = [[((k + n) % d, x if k < n else -x) for k, x in enumerate(col) if x % p]
+               for col in cols]
+
+    def gram(i, j):
+        return sum(x * cols[j][k] for k, x in partner[i]) % p
+
+    l = gram(0, n)
+    ok = all(gram(i, j) == (l if j == i + n else 0) for i in range(d) for j in range(i + 1, d))
+    return l if ok else None
 
 
 def all_vectors(dim: int, p: int) -> list:

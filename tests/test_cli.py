@@ -111,6 +111,27 @@ def test_endo_check_samples_past_the_element_cap(capsys):
                                         "scalar action check passed (sampled)"]
 
 
+def test_endo_check_samples_a_group_of_a_million_elements(capsys):
+    # es2(103,1) has 1,092,727 elements; its 400 sampled rows once needed a
+    # 4.2 M-cell table of central shifts and were refused
+    code, out, _ = run(capsys, "endo", "es2(103,1)", "A=[1]", "B=[1]", "--check")
+    assert code == 0
+    assert out.strip().splitlines() == ["valid automorphism, a=1",
+                                        "scalar action check passed (sampled)"]
+
+
+@pytest.mark.parametrize("spec,blocks,x,image", [
+    ("es2(4099,1)", ["A=[1]", "B=[1]"], "[5|7]", "[5|7]"),
+    # u1 -> 2 u1 + p q, q = (1/2) 14 u1^2 = 198 mod 2053; w1 -> 7 u1 + w1
+    ("es2(2053,1)", ["A=[2]", "B=[1]", "D=[7]"], "[100|5]", "[406694|705]"),
+], ids=["identity", "quadratic-term"])
+def test_endo_applies_one_element_of_a_large_es2(capsys, spec, blocks, x, image):
+    # one row once paid for a table of p^2 central shifts, refused past 4 M cells
+    code, out, _ = run(capsys, "endo", spec, *blocks, "--apply", x)
+    assert code == 0
+    assert out.strip().splitlines()[1] == f"{spec}:{image}"
+
+
 @pytest.mark.parametrize("action", [["--check"], ["--apply", "[1,0,0,0,0|0,0,0,0,0|0]"]])
 def test_endo_past_int64_indices_exit_1(capsys, action):
     # es1(101,5) has 101^11 > 2^63 elements: refused, not a traceback

@@ -24,8 +24,8 @@ def test_only_config_raises_cap_exceeded_or_reads_a_cap():
             assert not re.search(r"\bcap\(", text), path.name
 
 
-def test_the_limit_table_lists_ten_limits_five_overridable():
-    assert len(config.LIMITS) == 10
+def test_the_limit_table_lists_nine_limits_five_overridable():
+    assert len(config.LIMITS) == 9
     assert sorted(name for name, (_, env) in config.LIMITS.items() if env) == [
         "ELEMENT_CAP", "HOM_CAP", "MORPHISM_CAP", "SCAN_CAP", "SUBSPACE_CAP"]
     for name in config.LIMITS:
@@ -57,16 +57,6 @@ def _fail(what):
     def reached(*_args, **_kwargs):
         raise AssertionError(f"{what} was reached before the refusal")
     return reached
-
-
-class _Values:
-    """Stands in for functional values: a size, and no table to build from."""
-
-    def __init__(self, size):
-        self.size = size
-
-    def astype(self, *_args):
-        raise AssertionError("the shift table was built before the refusal")
 
 
 def _elements(mp):
@@ -119,12 +109,8 @@ def _pairing_table(mp):
     return lambda: next(morphisms.enumerate_sigma(group(ES1, 3, 4)))
 
 
-def _shift_table(_mp):
-    return lambda: morphisms._shift_table(group(ES1, 3, 1), _Values(1 << 22))
-
-
 def _index_limit(mp):
-    mp.setattr(morphisms, "_shift_table", _fail("the shift table"))
+    mp.setattr(Group, "_quotient_rows", _fail("the quotient rows"))
     return lambda: morphisms._functional_values(group(ES2, 3, 20), [[2 ** 70] * 40], [])
 
 
@@ -146,7 +132,6 @@ REFUSALS = [
     ("TABLE_CAP", None, _f_table),
     ("TABLE_CAP", None, _reach_table),
     ("PAIRING_CELLS", None, _pairing_table),
-    ("SHIFT_CELLS", None, _shift_table),
     ("INDEX_LIMIT", None, _index_limit),
     ("OUTPUT_DIGITS", None, _output_digits),
 ]

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import config, morphisms, oracle
+from extraspecial import morphisms, oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
 from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, TABLE_CAP, Group,
@@ -316,9 +316,8 @@ def test_cap_is_charged_per_block_before_images():
 
 
 def _member_shift(g, E):
-    """The kernel's shift table of the rows of E for all p^2n central functionals."""
-    funcs = morphisms._functionals(g)
-    return morphisms._shift_table(g, morphisms._functional_values(g, E, funcs))
+    """The central steps of the rows of E for all p^2n central functionals."""
+    return morphisms._functional_values(g, E, morphisms._functionals(g))
 
 
 @pytest.mark.parametrize("kind,p,n,step", [
@@ -365,26 +364,24 @@ def test_image_sets_refuse_one_morphism_short_before_any_image(monkeypatch, es2_
 
 
 def test_images_stay_exact_just_below_the_index_limit():
-    # |G| = p^3 just below 2^63 (es2's p^2-cell shift table is refused long
-    # before): the kernel's quadratic term once overflowed int64
+    # |G| = p^3 just below 2^63: the kernel's quadratic term once overflowed
+    # int64, and es2's central slot ranges over p^2
     p = 2000003
-    g = group(ES1, p, 1)
     one, zero = Mat(p, [[1]]), Mat(p, [[0]])
-    m = build_endo(g, one, one, zero, Mat(p, [[p - 1]]), (0,), (0,))
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        x, y = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
-        assert m.apply(x * y) == m.apply(x) * m.apply(y)
-    # (u, w, z) -> (u, w - u, z - u^2 / 2)
-    assert m.apply(g.element((p - 1, p - 1, 0))).coords == (p - 1, 0, (p - 1) // 2)
-
-
-def test_shift_table_refuses_past_its_cell_count():
-    # es2(5,2): 300 rows x 25 central values x 625 members = 4.7 M cells
-    g = group(ES2, 5, 2)
-    assert 300 * 25 * 625 > config.cap("SHIFT_CELLS")
-    with pytest.raises(CapExceeded, match="central shift table"):
-        next(family_images(g, g.coords_matrix()[:300], True))
+    cases = [
+        # (u, w, z) -> (u, w - u, z - u^2 / 2)
+        (ES1, (0,), (0,), (p - 1, p - 1, 0), (p - 1, 0, (p - 1) // 2)),
+        # (u1, w1) -> (u1 + p (5 w1 - u1^2 / 2), w1 - u1)
+        (ES2, (), (5,), (p - 1, p - 1), (p - 1 + p * ((p - 1) // 2 - 5), 0)),
+    ]
+    for kind, alpha, beta, x, image in cases:
+        g = group(kind, p, 1)
+        m = build_endo(g, one, one, zero, Mat(p, [[p - 1]]), alpha, beta)
+        for _ in range(20):
+            a, b = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
+            assert m.apply(a * b) == m.apply(a) * m.apply(b)
+        assert m.apply(g.element(x)).coords == image
 
 
 def test_inner_automorphisms(es1_31, es2_31):

@@ -1,7 +1,9 @@
 import random
 from itertools import product
 
+from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat
+from extraspecial.morphisms import _frontier
 from extraspecial.symplectic import all_vectors, pairing, symp_scalar_test
 
 
@@ -72,3 +74,37 @@ def test_symp_scalar_test_matches_the_gram_matrix():
         l = gram[0][2]
         want = l if gram == [[0, 0, l, 0], [0, 0, 0, l], [-l % 3, 0, 0, 0], [0, -l % 3, 0, 0]] else None
         assert symp_scalar_test(Mat(3, rows)) == want
+
+
+def _gram_scalar(m):
+    """l with N^t Delta N = l Delta, or None, from the Gram matrix of pairing."""
+    p, d = m.m, m.nrows
+    n = d // 2
+    cols = list(zip(*m.rows))
+    gram = [[pairing(u, v, p) for v in cols] for u in cols]
+    l = gram[0][n]
+    delta = [[(j == i + n) - (i == j + n) for j in range(d)] for i in range(d)]
+    return l if gram == [[l * e % p for e in row] for row in delta] else None
+
+
+def test_symp_scalar_test_matches_a_gram_matrix_of_pairings():
+    # sparse and dense matrices, similitudes with one entry moved, and
+    # quotient matrices of es1 and es2 endomorphisms
+    rng = random.Random(11)
+    mats = []
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for density in (0.15, 0.5, 1.0):
+                for _ in range(40):
+                    mats.append(Mat(p, [[rng.randrange(p) if rng.random() < density else 0
+                                         for _ in range(2 * n)] for _ in range(2 * n)]))
+    sigmas = [Mat(3, V[c].T.tolist()) for kind in (ES1, ES2)
+              for V, cols, _ in _frontier(group(kind, 3, 2), False) for c in cols[::200]]
+    for m in sigmas:
+        rows = [list(r) for r in m.rows]
+        i, j = rng.randrange(4), rng.randrange(4)
+        rows[i][j] = (rows[i][j] + 1) % 3
+        mats += [m, Mat(3, rows)]
+    assert sum(_gram_scalar(m) is not None for m in mats) > len(sigmas)
+    for m in mats:
+        assert symp_scalar_test(m) == _gram_scalar(m)
