@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 from . import counting, orbits
 from .config import charge
@@ -255,11 +256,15 @@ def cmd_census(args) -> int:
     for kind in kinds:
         if kind not in (ES1, ES2):
             raise ParseError(f"unknown group kind {kind!r}")
-    # an empty list would print a bare header: a silent answer
+    # an empty list would print a bare header, a repeated entry repeated rows:
+    # both silent answers
     for flag, entries in (("--p-list", p_list), ("--n-list", n_list),
                           ("--quantities", quantities), ("--group", kinds)):
         if not entries:
             raise ParseError(f"{flag} names no entry")
+        repeated = [x for x, count in Counter(entries).items() if count > 1]
+        if repeated:
+            raise ParseError(f"{flag} names {repeated[0]!r} twice")
     if set(quantities) - {"partial_order"}:  # a verdict has no size to cap
         p, n = max(p_list), max(n_list)  # the largest answers are there
         _charge_digits(p, 4 * n ** 2 + 2 * n, f"digits of an answer at p={p}, n={n}")
@@ -274,13 +279,10 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _verify_checks(suite: str):
-    from . import verifysuite
-    return verifysuite.checks(suite)
-
-
 def cmd_verify(args) -> int:
-    for name, fn in _verify_checks(args.suite):
+    from . import verifysuite  # numpy loads for this command only
+
+    for name, fn in verifysuite.checks(args.suite):
         try:
             fn()
         except Exception as exc:  # report the first failing invariant

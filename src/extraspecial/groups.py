@@ -226,9 +226,6 @@ class Group:
         """Coordinates of the p central elements z^0..z^(p-1)."""
         return [self.coords_at(c * self.z_index) for c in range(self.p)]
 
-    def central_generator(self) -> "Element":
-        return Element(self, self.coords_at(self.z_index))
-
     def power_form(self) -> tuple:
         """omega on G/Z, x^p = z^(omega . v) for x over v: all 0 for the es1
         shape (exponent p), e_1 for the es2 one (x_1 has order p^2)."""
@@ -332,9 +329,6 @@ class Element:
 
     def __pow__(self, k: int) -> "Element":
         return Element(self.group, self.group.power(self.coords, k))
-
-    def inverse(self) -> "Element":
-        return Element(self.group, self.group.inv(self.coords))
 
     def commutator(self, other: "Element") -> "Element":
         self._same(other)

@@ -85,16 +85,8 @@ class Mat:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def transpose(self) -> "Mat":
-        return Mat(self.m, zip(*self.rows)) if self.rows else self
-
     def scale(self, c: int) -> "Mat":
         return Mat(self.m, [[c * x for x in r] for r in self.rows])
-
-    def mul_vec(self, v: tuple) -> tuple:
-        if len(v) != self.ncols:
-            raise DimensionError(f"matrix has {self.ncols} columns, vector has {len(v)} entries")
-        return tuple(sum(x * y for x, y in zip(r, v)) % self.m for r in self.rows)
 
     def submatrix(self, row_range, col_range) -> "Mat":
         return Mat(self.m, [[self.rows[i][j] for j in col_range] for i in row_range])

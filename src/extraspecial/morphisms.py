@@ -373,24 +373,6 @@ def _extend(F, later, s: int, n: int):
         yield from _extend(np.column_stack([block[rows], pool[picks]]), later, s, n)
 
 
-def enumerate_sigma(g: Group, invertible_only: bool = False):
-    """Yield (sigma, s) over all valid quotient matrices, grouped by scalar s.
-
-    The matrices come from a numpy frontier over one int8 pairing table on
-    F_p^2n: all partial column tuples are extended at once, each Gram entry
-    <<col_i, col_j>> = s Delta_ij one boolean mask over column j's pool
-    {v : omega . v = s omega_j} (every vector for es1; for es2 the first
-    column's pool has top entry s and every later column's is V_1, the first
-    row constraints).  Inside one
-    s the order is lexicographic in the column tuple, vectors themselves
-    ordered lexicographically.  Raises CapExceeded before building a table
-    of more than PAIRING_CELLS cells.
-    """
-    for V, cols, s in _frontier(g, invertible_only):
-        for c in cols:
-            yield Mat(g.p, V[c].T.tolist()), s
-
-
 def _functionals(g: Group, limit: int | None = None) -> list:
     """The p^2n central functionals f in F_p^2n that share one quotient
     matrix, in enumeration (lexicographic) order.  Every enumeration has at
@@ -418,8 +400,9 @@ def enumerate_morphisms(g: Group, invertible_only: bool = False):
     """Yield every endomorphism exactly once (the parametrization is
     injective), or with invertible_only every automorphism (s a unit).
 
-    Order: by sigma as in enumerate_sigma, then by f lexicographically.  The
-    cap is charged for all of them before the first is yielded."""
+    Order: by sigma in the frontier's order (`_frontier`), then by f
+    lexicographically.  The cap is charged for all of them before the first
+    is yielded."""
     fs = _functionals(g)
     for V, cols, s in _charged(g, invertible_only, None):
         for c in cols:
@@ -431,7 +414,7 @@ def enumerate_morphisms(g: Group, invertible_only: bool = False):
 def family_images(g: Group, E, invertible_only: bool = False, limit: int | None = None):
     """Image indices of the coordinate rows E under every morphism, per sigma.
 
-    Yields (s, block), one (rows x p^2n) block per sigma of enumerate_sigma,
+    Yields (s, block), one (rows x p^2n) block per sigma of `_frontier`,
     s its scalar: the block's maps are automorphisms exactly when s != 0.
     Column j is the j-th member in enumerate_morphisms order; the cap is
     counted as there.

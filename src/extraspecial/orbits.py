@@ -102,24 +102,6 @@ def orbit_row(g: Group | GroupId, tag: str) -> OrbitRow:
     return row
 
 
-def in_h(e: Element) -> bool:
-    """Membership in the index-p subgroup H of es2 (first coordinate in pZ)."""
-    g = e.group
-    if g.kind != ES2:
-        raise ContextError(f"H is defined inside es2 groups, got {g.gid}")
-    return e.coords[0] % g.p == 0
-
-
-def in_k(e: Element) -> bool:
-    """Membership in K = Z(H): first coordinate in pZ, u and w blocks zero."""
-    g = e.group
-    if g.kind != ES2:
-        raise ContextError(f"K is defined inside es2 groups, got {g.gid}")
-    c = e.coords
-    n = g.n
-    return c[0] % g.p == 0 and all(x == 0 for x in c[1:n]) and all(x == 0 for x in c[n + 1:])
-
-
 def classify(e: Element) -> OrbitLabel:
     """Closed-form automorphism-orbit label of an element."""
     g = e.group
@@ -130,10 +112,11 @@ def classify(e: Element) -> OrbitLabel:
         return OrbitLabel(CENTRAL_NONID)
     if g.kind == ES1:
         return OrbitLabel(ES1_NONCENTRAL)
-    if not in_h(e):
+    c, n = e.coords, g.n
+    if c[0] % g.p:  # outside H: first coordinate not in pZ
         return OrbitLabel(ES2_ORDER_P2)
-    if in_k(e):
-        return ob_label(e.coords[g.n])  # w_1 != 0 here, else e would be central
+    if not any(c[1:n]) and not any(c[n + 1:]):  # in K = Z(H): u and w blocks zero
+        return ob_label(c[n])  # w_1 != 0 here, else e would be central
     return OrbitLabel(ES2_H_MINUS_K)
 
 
@@ -175,20 +158,6 @@ def image_contains(g: Group, image_class: str, coords: tuple) -> bool:
     if image_class == WHOLE_GROUP:
         return True
     raise ContextError(f"unknown image class {image_class}")
-
-
-def image_subgroup_coords(g: Group, image_class: str) -> set:
-    return {c for c in g.elements() if image_contains(g, image_class, c)}
-
-
-def endo_image_set_bruteforce(e: Element) -> set:
-    """Coordinates of m(e) over every endomorphism m, by full enumeration."""
-    import numpy as np
-
-    g = e.group
-    row = np.array([e.coords], dtype=np.int64)
-    return {g.coords_at(i) for _, block in image_sets(g, row)
-            for i in block.ravel().tolist()}
 
 
 def degeneration(a: Element, b: Element) -> bool:

@@ -91,9 +91,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, (Poly, int)) and self.coeffs == _lift(other).coeffs
 

@@ -14,8 +14,8 @@ from . import counting, oracle, orbits
 from .errors import check
 from .groups import (ES1, ES2, ES1_TILDE, ES2_TILDE, Element, delta_iso,
                      group, lambda_iso, row_blocks)
-from .morphisms import (enumerate_morphisms, enumerate_sigma, family_images,
-                        is_im_phi2_matrix, scalar_action_check)
+from .morphisms import (enumerate_morphisms, family_images, is_im_phi2_matrix,
+                        scalar_action_check)
 
 
 def check_group_laws(kind: str, p: int, n: int):
@@ -146,7 +146,7 @@ def check_im_phi2(p: int, n: int):
         if is_im_phi2_matrix(m):
             predicate.add(m)
     g = group(ES2, p, n)
-    induced = {sigma for sigma, _ in enumerate_sigma(g, True)}
+    induced = {m.sigma for m in enumerate_morphisms(g, True)}
     check(induced == predicate, "induced quotient matrices != predicate set")
     check(len(induced) == counting.im_phi2_order(n, p),
           f"{len(induced)} induced quotient matrices != im_phi2_order")

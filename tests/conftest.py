@@ -1,13 +1,24 @@
 """Shared fixtures: the desk-scale groups and their enumerated morphism lists.
 
 Enumerations at (p, n) = (3, 1) are cheap enough to share session-wide;
-anything larger is built inside the test that needs it.
+anything larger is built inside the test that needs it.  `sigmas` is the
+tests' reference list of quotient matrices, read off the frontier.
 """
 
 import pytest
 
+from extraspecial import morphisms
 from extraspecial.groups import ES1, ES2, group
+from extraspecial.modp import Mat
 from extraspecial.morphisms import enumerate_morphisms
+
+
+def sigmas(g, invertible_only=False):
+    """Yield (sigma, s) over every quotient matrix in the frontier's order:
+    grouped by the scalar s, then lexicographic in the column tuple."""
+    for V, cols, s in morphisms._frontier(g, invertible_only):
+        for c in cols:
+            yield Mat(g.p, V[c].T.tolist()), s
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,10 @@ import pytest
 from extraspecial import counting, oracle, orbits, verifysuite
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import is_odd_prime
-from extraspecial.morphisms import (enumerate_morphisms, enumerate_sigma,
-                                    family_images, is_im_phi2_matrix,
-                                    scalar_action_check)
+from extraspecial.morphisms import (enumerate_morphisms, family_images,
+                                    is_im_phi2_matrix, scalar_action_check)
+
+from conftest import sigmas
 
 
 @contextmanager
@@ -180,7 +181,7 @@ def test_c8_scalar_law_isos_and_sigma_consequences():
         for p, n in ((3, 1), (3, 2)):
             g = group(ES2, p, n)
             count = 0
-            for sigma, _s in enumerate_sigma(g, invertible_only=True):
+            for sigma, _s in sigmas(g, invertible_only=True):
                 count += 1
                 assert sigma.entry(n, n) == 1          # b_11
                 for j in range(1, n):

@@ -554,6 +554,16 @@ def test_census_empty_list_is_a_parse_error(capsys, flag, value):
     assert err == f"error: {flag} names no entry\n"
 
 
+@pytest.mark.parametrize("flag,value,entry", [
+    ("--p-list", "3,5,3", "3"), ("--n-list", "1, 01", "1"),
+    ("--quantities", "sp_order,aut_order,sp_order", "'sp_order'"), ("--group", "es1,es1", "'es1'")])
+def test_census_repeated_entry_is_a_parse_error(capsys, flag, value, entry):
+    # each once printed its rows twice and exited 0
+    code, out, err = run(capsys, "census", "--quantities", "sp_order", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} names {entry} twice\n"
+
+
 def test_malformed_cap_override_is_a_parse_error(capsys, monkeypatch):
     monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "abc")
     code, _, err = run(capsys, "census", "--quantities", "sp_order", "--oracle")

@@ -121,8 +121,9 @@ def _listed(entries, junk=None):
 
 
 @FUZZ
-@given(st.lists(primes, min_size=1, max_size=3), st.lists(good_n, min_size=1, max_size=3),
-       st.lists(quantities, min_size=1, max_size=3),
+@given(st.lists(primes, min_size=1, max_size=3, unique=True),
+       st.lists(good_n, min_size=1, max_size=3, unique=True),
+       st.lists(quantities, min_size=1, max_size=3, unique=True),
        st.sampled_from(["csv", "json"]),
        st.one_of(st.none(), st.sampled_from(["", "x", "-", "1"])))
 def test_census(ps, ns, quantities, fmt, junk):
@@ -138,8 +139,8 @@ def test_census_any_lists(ps, ns):
 
 
 @FUZZ
-@given(st.lists(primes, min_size=1, max_size=2), st.lists(small_n, min_size=1, max_size=2),
-       st.booleans())
+@given(st.lists(primes, min_size=1, max_size=2, unique=True),
+       st.lists(small_n, min_size=1, max_size=2, unique=True), st.booleans())
 def test_census_partial_order(ps, ns, oracle):
     call(["census", "--p-list", _listed(ps), "--n-list", _listed(ns),
           "--quantities", "partial_order"] + (["--oracle"] if oracle else []))

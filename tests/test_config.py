@@ -106,7 +106,7 @@ def _reach_table(mp):
 
 def _pairing_table(mp):
     mp.setattr(morphisms, "all_vectors", _fail("the quotient vectors"))
-    return lambda: next(morphisms.enumerate_sigma(group(ES1, 3, 4)))
+    return lambda: next(morphisms.enumerate_morphisms(group(ES1, 3, 4)))
 
 
 def _index_limit(mp):

@@ -111,11 +111,10 @@ def test_center():
     g1 = group(ES1, 3, 1)
     assert sorted(g1.center_coords()) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     assert g1.is_central((0, 0, 2)) and not g1.is_central((1, 0, 0))
-    z = g1.central_generator()
-    assert z.coords == (0, 0, 1)
+    assert g1.coords_at(g1.z_index) == (0, 0, 1)
     g2 = group(ES2, 3, 1)
     assert sorted(g2.center_coords()) == [(0, 0), (3, 0), (6, 0)]
-    assert g2.central_generator().coords == (3, 0)
+    assert g2.coords_at(g2.z_index) == (3, 0)
     g22 = group(ES2, 3, 2)
     assert len(g22.center_coords()) == 3
     # commutators are central and the commutator subgroup is the full center
@@ -145,7 +144,7 @@ def test_quotient_and_symplectic_form():
             za = g1.mul(a, (0, 0, 1))
             assert g1.symplectic_f(za, b) == g1.symplectic_f(a, b)
     # the commutator realizes f through the central generator
-    z = g1.central_generator().coords
+    z = g1.coords_at(g1.z_index)
     for a in list(g1.elements())[::2]:
         for b in list(g1.elements())[::3]:
             assert g1.commutator(a, b) == g1.power(z, g1.symplectic_f(a, b))
@@ -219,7 +218,7 @@ def test_power_form(kind, n):
     g = group(kind, 3, n)
     want = tuple(int(kind in (ES2, ES2_TILDE) and i == 0) for i in range(2 * n))
     assert g.power_form() == want
-    z = g.central_generator()
+    z = g.element(g.coords_at(g.z_index))
     for x, w in zip(g.generators(), g.power_form(), strict=True):
         assert x ** 3 == z ** w
 

@@ -457,7 +457,7 @@ def test_scan_matrices_cap_and_independence(monkeypatch):
         if callable(value) and getattr(value, "__module__", None) == counting.__name__:
             monkeypatch.setattr(counting, name, forbidden)
     monkeypatch.setattr(modp, "p_binomial", forbidden)
-    monkeypatch.setattr(morphisms, "enumerate_sigma", forbidden)
+    monkeypatch.setattr(morphisms, "_frontier", forbidden)
     assert oracle.scan_matrices(4, 3, 0, image_in_v1=True) == 26001
     assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == 1296
     # the cap raises before the vectors or the pairing table are built
@@ -478,7 +478,7 @@ def test_sigma_scan_count(es1_31, es2_31, es2_32):
     # multiplying by the translation/lift factor recovers the morphism counts
     assert 9 * 15 == len(list(enumerate_morphisms(es2_31)))
     # the scan and the pruned column search agree on the es2(3,2) sigmas
-    sigmas = sum(1 for _ in morphisms.enumerate_sigma(es2_32, True))
+    sigmas = sum(len(cols) for _, cols, _ in morphisms._frontier(es2_32, True))
     assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == sigmas == 1296
     with pytest.raises(ContextError):
         oracle.sigma_scan_count("heis", 3, 1, invertible_only=True)

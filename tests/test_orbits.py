@@ -11,8 +11,7 @@ from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  ES2_H_MINUS_K, ES2_OB, ES2_ORDER_P2, IDENTITY,
                                  NO_PARTIAL_ORDER, PARTIAL_ORDER, SUBGROUP_H,
                                  TRIVIAL, WHOLE_GROUP, OrbitLabel, classify,
-                                 degeneration, endo_image_class,
-                                 endo_image_set_bruteforce, image_subgroup_coords,
+                                 degeneration, endo_image_class, image_contains,
                                  label_count, ob_label, orbit_cardinality, orbit_labels,
                                  orbits_bruteforce, partial_order_report)
 
@@ -117,6 +116,18 @@ def test_endo_image_class_frozen(es1_31, es2_31, es2_32):
     assert endo_image_class(es2_31.element((1, 1))) == WHOLE_GROUP
     assert endo_image_class(es2_32.element((0, 0, 1, 0))) == SUBGROUP_H
     assert endo_image_class(es2_32.element((0, 1, 0, 0))) == SUBGROUP_H
+
+
+def image_subgroup_coords(g, image_class):
+    return {c for c in g.elements() if image_contains(g, image_class, c)}
+
+
+def endo_image_set_bruteforce(e):
+    """Coordinates of m(e) over every endomorphism m, by full enumeration."""
+    g = e.group
+    row = np.array([e.coords], dtype=np.int64)
+    return {g.coords_at(i) for _, block in morphisms.image_sets(g, row)
+            for i in block.ravel().tolist()}
 
 
 def test_image_sets_brute_vs_closed_form(es1_31, es2_31):

@@ -101,7 +101,7 @@ def test_gaussian_binomial_matches_p_binomial():
     for n in range(6):
         for k in range(n + 1):
             g = _q_pascal(n, k)
-            assert g.is_nonnegative()
+            assert all(c >= 0 for c in g.coeffs)
             assert p_binomial(n, k, X) == g
             for p in (3, 5, 7):
                 assert g.eval(p) == p_binomial(n, k, p)

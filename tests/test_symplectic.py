@@ -14,6 +14,10 @@ def _pairing(v, w, p):
     return sum(v[i] * w[n + i] - v[n + i] * w[i] for i in range(n)) % p
 
 
+def _mul_vec(m, v):
+    return tuple(sum(x * y for x, y in zip(r, v)) % m.m for r in m.rows)
+
+
 def test_pairing_frozen():
     # basis (x_1..x_n, y_1..y_n): <x_i, y_i> = 1, everything else pairs to 0
     assert pairing((1, 0, 0, 0), (0, 0, 1, 0), 3) == 1
@@ -57,7 +61,7 @@ def test_symp_scalar_matches_pairing_definition():
         assert l is not None
         for v in vecs[::7]:
             for w in vecs[::9]:
-                assert _pairing(m.mul_vec(v), m.mul_vec(w), 3) == (l * _pairing(v, w, 3)) % 3
+                assert _pairing(_mul_vec(m, v), _mul_vec(m, w), 3) == (l * _pairing(v, w, 3)) % 3
 
 
 def test_symp_scalar_test_matches_the_gram_matrix():
