@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import prod
-from operator import mul
 from typing import Callable
 
 from .errors import ContextError, check
@@ -102,12 +101,20 @@ def gamma_k(p, n: int, k: int):
     return _term(_gammas(p, n), k, 2 * n)
 
 
+def _gamma_sum(p, n: int, terms):
+    """sum a_k gamma_k, Horner over gamma's factors: acc = a_k + (p^{2n} - p^k) acc."""
+    acc = 0
+    for k, a in reversed(list(enumerate(terms))):
+        acc = a + (p ** (2 * n) - p ** k) * acc
+    return acc
+
+
 def count_X(p, n: int):
-    return sum(map(mul, _alphas(p, n), _gammas(p, n)))
+    return _gamma_sum(p, n, _alphas(p, n))
 
 
 def count_Y(p, n: int):
-    return sum(map(mul, _betas(p, n), _gammas(p, n)))
+    return _gamma_sum(p, n, _betas(p, n))
 
 
 def aut_order(kind: str, p, n: int):

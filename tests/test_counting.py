@@ -81,6 +81,23 @@ def test_x_plus_invertibles_fill_the_matrix_space():
         assert counting.count_X(p, 1) + gl == p ** 4
 
 
+def test_x_and_y_horner_sums_equal_the_termwise_sums():
+    # count_X and count_Y nest gamma's factors; the termwise sum is sum a_k gamma_k
+    def termwise(p, n, series):
+        return sum(a * g for a, g in zip(series(p, n), counting._gammas(p, n)))
+
+    for n in range(1, 7):
+        for p in (3, 5, 7):
+            assert counting.count_X(p, n) == termwise(p, n, counting._alphas)
+            assert counting.count_Y(p, n) == termwise(p, n, counting._betas)
+    for n in (1, 2, 3):
+        for count, series in ((counting.count_X, counting._alphas),
+                              (counting.count_Y, counting._betas)):
+            horner = count(X, n)
+            assert isinstance(horner, Poly)
+            assert horner.coeffs == (ZERO + termwise(X, n, series)).coeffs
+
+
 def test_decomposition_identity_all_small_parameters():
     for p in PRIMES_TO_97:
         for n in range(1, 7):

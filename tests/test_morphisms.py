@@ -317,8 +317,9 @@ def test_cap_is_charged_per_block_before_images():
     assert seen * 5 ** 4 <= 100_000
 
 
-def _member_shift(g, E):
-    """The central steps of the rows of E for all p^2n central functionals."""
+def _walk(g, E):
+    """The kernel's row-side inputs for E and the central steps of its rows
+    for all p^2n central functionals, built once as a walk does."""
     return morphisms._functional_values(g, E, morphisms._functionals(g))
 
 
@@ -327,14 +328,13 @@ def _member_shift(g, E):
 def test_stacked_kernel_equals_one_sigma_calls(kind, p, n, step):
     # every frontier block (every step-th sigma of it) as one stack, singular ones too
     g = group(kind, p, n)
-    E = g.coords_matrix()
-    shift = _member_shift(g, E)
+    rows, shift = _walk(g, g.coords_matrix())
     for V, cols, s in morphisms._frontier(g, False):
         sigma = V[cols[::step]].transpose(0, 2, 1)
-        stacked = morphisms._images(g, sigma, s, E, shift)
+        stacked = morphisms._images(g, sigma, s, rows, shift)
         assert stacked.shape == (len(sigma), g.size, p ** (2 * n))
         for one, block in zip(sigma, stacked, strict=True):
-            assert np.array_equal(morphisms._images(g, one[None], s, E, shift)[0], block)
+            assert np.array_equal(morphisms._images(g, one[None], s, rows, shift)[0], block)
 
 
 @pytest.mark.parametrize("invertible_only", [False, True])
@@ -384,6 +384,41 @@ def test_images_stay_exact_just_below_the_index_limit():
             a, b = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
             assert m.apply(a * b) == m.apply(a) * m.apply(b)
         assert m.apply(g.element(x)).coords == image
+
+
+@pytest.mark.parametrize("kind,alpha,x,image", [
+    # (u, w, z) -> (u, w + D u, z + 3 u_2 + 5 w_1 + (u_2^2 - u_1^2) / 2)
+    (ES1, (0, 3), (2, 1, 6202, 0, 7), (2, 1, 6200, 1, 3105)),
+    # (u_1, u_2, w) -> (u_1 + p (3 u_2 + 5 w_1 + (u_2^2 - u_1^2) / 2), u_2, w + D u)
+    (ES2, (3,), (2 + 7 * 6203, 1, 6202, 0), (2 + 3105 * 6203, 1, 6200, 1)),
+])
+def test_images_stay_exact_at_n_2_just_below_the_index_limit(kind, alpha, x, image):
+    # p = 6203 is the largest prime with p^5 < 2^63; D != 0 makes q nonzero
+    p = 6203
+    one, zero = Mat.identity(p, 2), Mat.zeros(p, 2, 2)
+    g = group(kind, p, 2)
+    m = build_endo(g, one, one, zero, Mat(p, [[p - 1, 0], [0, 1]]), alpha, (5, 0))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
+        assert m.apply(a * b) == m.apply(a) * m.apply(b)
+    assert m.apply(g.element(x)).coords == image
+
+
+def test_the_pairing_table_is_built_once_per_group(monkeypatch):
+    built = []
+    real = morphisms._pairing_int8
+    monkeypatch.setattr(morphisms, "_pairing_int8", lambda *a: built.append(a) or real(*a))
+    g = Group(GroupId(ES2, 3, 1))  # not the cached group(), which may hold a table
+    walks = [[(s, cols.tolist()) for _, cols, s in morphisms._frontier(g, False)]
+             for _ in range(2)]
+    assert len(built) == 1 and walks[0] == walks[1]
+    # the size charge still comes before the lookup: es1(3,4)'s 3^16 cells are refused
+    big = Group(GroupId(ES1, 3, 4))
+    big._pairing = None, None
+    with pytest.raises(CapExceeded, match="pairing table for the quotient of es1"):
+        next(morphisms._frontier(big, True))
+    assert len(built) == 1
 
 
 def test_inner_automorphisms(es1_31, es2_31):
