@@ -130,7 +130,7 @@ class Morphism:
         import numpy as np
 
         g = self.group
-        rows, F = _functional_values(g, E, [self.f])
+        rows, F = _walk_inputs(g, E, [self.f])
         sigma = np.array([self.sigma.rows], dtype=np.int64)
         return _images(g, sigma, self.s, rows, F)[0, :, 0]
 
@@ -306,7 +306,7 @@ STACK_CELLS = 1 << 16
 
 
 def _pairing_int8(V, p: int):
-    """(V, T), T[a, b] = <<V_a, V_b>> an int8 table computed one row block at a time."""
+    """T[a, b] = <<V_a, V_b>> as an int8 table, computed one row block at a time."""
     import numpy as np
 
     n = V.shape[1] // 2
@@ -314,7 +314,7 @@ def _pairing_int8(V, p: int):
     T = np.empty((len(V), len(V)), dtype=np.int8)
     for rows in row_blocks(len(V)):
         T[rows] = V[rows] @ J % p
-    return V, T
+    return T
 
 
 def _frontier(g: Group, invertible_only: bool):
@@ -324,17 +324,15 @@ def _frontier(g: Group, invertible_only: bool):
     columns; its matrix is V[cols[r]].T.  Column j is drawn from the vectors
     v with omega . v = s omega_j (omega sigma = s omega), each pool with its
     own columns of the pairing table.  Blocks come grouped by s and, inside
-    one s, in lexicographic order of the column tuples.  The table is kept
-    on the group; PAIRING_CELLS is charged on every call, before the lookup.
+    one s, in lexicographic order of the column tuples.
     """
     import numpy as np
 
     _check_kind(g)
     p, n, omega = g.p, g.n, g.power_form()
     charge("PAIRING_CELLS", p ** (4 * n), f"pairing table for the quotient of {g.gid}")
-    if getattr(g, "_pairing", None) is None:
-        g._pairing = _pairing_int8(np.array(all_vectors(2 * n, p), dtype=np.int64), p)
-    V, T = g._pairing
+    V = np.array(all_vectors(2 * n, p), dtype=np.int64)
+    T = _pairing_int8(V, p)
     level = V @ np.array(omega, dtype=np.int64) % p  # omega . v
     every = np.arange(len(V), dtype=np.int16)
     pools = {}
@@ -424,7 +422,7 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     Column j is the j-th member in enumerate_morphisms order; the cap is
     counted as there.
     """
-    rows, F = _functional_values(g, E, _functionals(g, limit))
+    rows, F = _walk_inputs(g, E, _functionals(g, limit))
     for V, cols, s in _charged(g, invertible_only, limit):
         for c in cols:
             yield s, _images(g, V[c].T[None], s, rows, F)[0]
@@ -439,7 +437,7 @@ def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = N
     F[r, :] takes, padded with F[r, 0]."""
     import numpy as np
 
-    rows, F = _functional_values(g, E, _functionals(g, limit))
+    rows, F = _walk_inputs(g, E, _functionals(g, limit))
     values = np.arange(g.p, dtype=F.dtype) * g._z_unit
     seen = np.stack([(F == c).any(1) for c in values], 1)
     k = max(1, STACK_CELLS // (len(E) * F.shape[1]))
@@ -482,7 +480,7 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 # -- the endomorphism formula -----------------------------------------------
 
 
-def _functional_values(g: Group, E, functionals):
+def _walk_inputs(g: Group, E, functionals):
     """(rows, F), built once per walk.  rows holds the kernel's row inputs: E
     as int64, its quotient vectors V, the monomials W[r] = (v_i v_j mod p),
     the cocycle M and the quotient radices (none at es2's central slot).
@@ -510,7 +508,7 @@ def _images(g: Group, sigma, s: int, rows, F):
     applies the quotient matrix sigma[i] (sigma a k x 2n x 2n int64 stack,
     every matrix with scalar s mod p), composed with the j-th central
     functional, whose central step on row r is F[r, j]; rows and F come from
-    `_functional_values`, once per walk, and the output takes F's dtype.
+    `_walk_inputs`, once per walk, and the output takes F's dtype.
     With v a row's quotient vector (its first 2n coordinates, read mod p),
     the image has quotient vector sigma v, and its central slot holds
 

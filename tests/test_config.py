@@ -111,7 +111,7 @@ def _pairing_table(mp):
 
 def _index_limit(mp):
     mp.setattr(Group, "_quotient_rows", _fail("the quotient rows"))
-    return lambda: morphisms._functional_values(group(ES2, 3, 20), [[2 ** 70] * 40], [])
+    return lambda: morphisms._walk_inputs(group(ES2, 3, 20), [[2 ** 70] * 40], [])
 
 
 def _output_digits(mp):

@@ -320,7 +320,7 @@ def test_cap_is_charged_per_block_before_images():
 def _walk(g, E):
     """The kernel's row-side inputs for E and the central steps of its rows
     for all p^2n central functionals, built once as a walk does."""
-    return morphisms._functional_values(g, E, morphisms._functionals(g))
+    return morphisms._walk_inputs(g, E, morphisms._functionals(g))
 
 
 @pytest.mark.parametrize("kind,p,n,step", [
@@ -403,22 +403,6 @@ def test_images_stay_exact_at_n_2_just_below_the_index_limit(kind, alpha, x, ima
         a, b = (g.element([int(rng.integers(r)) for r in g.ranges]) for _ in range(2))
         assert m.apply(a * b) == m.apply(a) * m.apply(b)
     assert m.apply(g.element(x)).coords == image
-
-
-def test_the_pairing_table_is_built_once_per_group(monkeypatch):
-    built = []
-    real = morphisms._pairing_int8
-    monkeypatch.setattr(morphisms, "_pairing_int8", lambda *a: built.append(a) or real(*a))
-    g = Group(GroupId(ES2, 3, 1))  # not the cached group(), which may hold a table
-    walks = [[(s, cols.tolist()) for _, cols, s in morphisms._frontier(g, False)]
-             for _ in range(2)]
-    assert len(built) == 1 and walks[0] == walks[1]
-    # the size charge still comes before the lookup: es1(3,4)'s 3^16 cells are refused
-    big = Group(GroupId(ES1, 3, 4))
-    big._pairing = None, None
-    with pytest.raises(CapExceeded, match="pairing table for the quotient of es1"):
-        next(morphisms._frontier(big, True))
-    assert len(built) == 1
 
 
 def test_inner_automorphisms(es1_31, es2_31):
