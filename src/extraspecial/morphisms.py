@@ -45,20 +45,19 @@ which count the same matrices by an independent route.
 
 The formula is written once, in `_images`: a numpy kernel over coordinate
 rows that takes a (k, 2n, 2n) int64 stack of quotient matrices with one
-scalar, with no branch per kind.  Its row inputs (quotient vectors V,
-monomials W[r] = (v_i v_j mod p), the group's cocycle and radices) are built
-once per walk; a call makes two 2D products: W against every stacked
-S = sigma^t M sigma - s M (4n^2 terms, each below p^2), and V^t against the
-stacked sigma rows.  The p^2n morphisms that share one sigma form a family:
-its base member (f = 0) times the central factor z^f(v), f running over
-F_p^2n (for automorphisms, composition with Inn(G) = G/Z).  A member's
-central part depends only on the row, the base central value and f(v): the
-kernel adds the member's central step z_unit f(v), computed once per walk,
-to the base central value, reduces it mod the central range and adds the
-base index.  `Morphism.table`, `apply_coords` and `family_images` pass one
-matrix, with a column per member; `image_sets` passes runs of sigmas (the
-brute orbits) with a column per value of f(v), at most p: the family's image
-set of each row.
+scalar, and reads the group's own data (quotient vectors, central slot and
+unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
+share one sigma form a family: its base member (f = 0) times the central
+factor z^f(v), f running over F_p^2n (for automorphisms, composition with
+Inn(G) = G/Z).  A member's central part depends only on the row, the base
+central value and f(v): the kernel adds the member's central step z_unit
+f(v), computed once per walk, to the base central value, reduces it mod the
+central range and adds the base index.  The rows' monomials v_i v_j mod p
+are also built once per walk: the quadratic term of every row under every
+stacked sigma is one 2D product.  `Morphism.table`, `apply_coords` and
+`family_images` pass one matrix, with a column per member; `image_sets`
+passes runs of sigmas (the brute orbits) with a column per value of f(v),
+at most p: the family's image set of each row.
 
 The composite of two parametrized maps is recovered from generator images
 rather than symbolic block algebra: one code path serves composition, inner
@@ -130,9 +129,9 @@ class Morphism:
         import numpy as np
 
         g = self.group
-        rows, F = _walk_inputs(g, E, [self.f])
+        W, F = _walk_inputs(g, E, [self.f])
         sigma = np.array([self.sigma.rows], dtype=np.int64)
-        return _images(g, sigma, self.s, rows, F)[0, :, 0]
+        return _images(g, sigma, self.s, E, W, F)[0, :, 0]
 
     def apply_coords(self, c: tuple) -> tuple:
         return self.group.coords_at(int(self._apply_rows([c])[0]))
@@ -422,10 +421,10 @@ def family_images(g: Group, E, invertible_only: bool = False, limit: int | None 
     Column j is the j-th member in enumerate_morphisms order; the cap is
     counted as there.
     """
-    rows, F = _walk_inputs(g, E, _functionals(g, limit))
+    W, F = _walk_inputs(g, E, _functionals(g, limit))
     for V, cols, s in _charged(g, invertible_only, limit):
         for c in cols:
-            yield s, _images(g, V[c].T[None], s, rows, F)[0]
+            yield s, _images(g, V[c].T[None], s, E, W, F)[0]
 
 
 def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = None):
@@ -437,14 +436,14 @@ def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = N
     F[r, :] takes, padded with F[r, 0]."""
     import numpy as np
 
-    rows, F = _walk_inputs(g, E, _functionals(g, limit))
+    W, F = _walk_inputs(g, E, _functionals(g, limit))
     values = np.arange(g.p, dtype=F.dtype) * g._z_unit
     seen = np.stack([(F == c).any(1) for c in values], 1)
     k = max(1, STACK_CELLS // (len(E) * F.shape[1]))
     F = np.where(seen, values, F[:, :1])
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
-            yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, rows, F)
+            yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, W, F)
 
 
 def is_im_phi2_matrix(mat: Mat) -> bool:
@@ -481,57 +480,60 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
 
 
 def _walk_inputs(g: Group, E, functionals):
-    """(rows, F), built once per walk.  rows holds the kernel's row inputs: E
-    as int64, its quotient vectors V, the monomials W[r] = (v_i v_j mod p),
-    the cocycle M and the quotient radices (none at es2's central slot).
-    F[i, j] = z_unit f_j(v_i), the j-th functional at row i's quotient
-    vector as a step of the central slot, in the output dtype (int16 while
-    |G| < 2^15).  The first numpy step of every map of rows, so it refuses a
-    group past INDEX_LIMIT = 2^63 elements, which int64 indices cannot hold."""
+    """(W, F), built once per walk.  W[r] = (v_i v_j mod p) over the (2n)^2
+    index pairs, v row r's quotient vector; F[i, j] = z_unit f_j(v_i), the
+    j-th functional at v_i as a step of the central slot, in the output dtype
+    (int16 while |G| < 2^15).  The first numpy step of every map of rows, so
+    it refuses a group past INDEX_LIMIT = 2^63 elements, which int64 indices
+    cannot hold."""
     import numpy as np
 
     charge("INDEX_LIMIT", g.size, f"int64 element indices of {g.gid}")
-    E = np.asarray(E, dtype=np.int64)
-    V = g._quotient_rows(E)
+    V = g._quotient_rows(np.asarray(E, dtype=np.int64))
     W = (V[:, :, None] * V[:, None]).reshape(len(V), -1) % g.p
-    radix = np.array(g.radices[:2 * g.n], dtype=np.int64) * (np.arange(2 * g.n) != g._z_slot)
     Phi = np.array(functionals, dtype=np.int64).reshape(-1, 2 * g.n)
     F = V @ Phi.T % g.p * g._z_unit
-    rows = E, V, W, np.array(g.cocycle, dtype=np.int64), radix
-    return rows, F.astype(np.int16 if g.size < 1 << 15 else np.int64)
+    return W, F.astype(np.int16 if g.size < 1 << 15 else np.int64)
 
 
-def _images(g: Group, sigma, s: int, rows, F):
-    """Image indices of the coordinate rows: a (k, rows, columns) block.
+def _images(g: Group, sigma, s: int, E, W, F):
+    """Image indices of the coordinate rows E: a (k, rows, columns) block.
 
     The one place the endomorphism formula is written.  Entry [i, r, j]
     applies the quotient matrix sigma[i] (sigma a k x 2n x 2n int64 stack,
     every matrix with scalar s mod p), composed with the j-th central
-    functional, whose central step on row r is F[r, j]; rows and F come from
-    `_walk_inputs`, once per walk, and the output takes F's dtype.
-    With v a row's quotient vector (its first 2n coordinates, read mod p),
-    the image has quotient vector sigma v, and its central slot holds
+    functional, whose central step on row r is F[r, j]; W and F come from
+    `_walk_inputs`, once per walk, and the output takes F's dtype.  With v a
+    row's quotient vector (its first 2n coordinates, read mod p), the image
+    has quotient vector sigma v, and its central slot holds
 
         s * (the row's own slot value) + z_unit * (q(v) + f_j(v))  mod R,
 
     R = ranges[z], q(v) = (1/2) v^t S v with S = sigma^t M sigma - s M for
     the group's cocycle M: the correction that makes the map respect the
     cocycle.  For M = [[0, I], [0, 0]], S = [[A^t D, D^t C], [C^t D, C^t B]],
-    the quadratic term of the module docstring: W times the flattened S.
-    V^t times the stacked sigma rows, over the radices, gives the base index.
-    The base value c = s * slot + z_unit * q(v) mod R is one per sigma and
-    row, so each member's image is the base index plus ((c + F[r, j]) mod R)
-    radix_z.  A q sum has 4n^2 terms, each below p^2, and every other value
-    is reduced before it is scaled, so no intermediate passes |G| < 2^63.
+    the quadratic term of the module docstring.  q of every row under every
+    stacked sigma is one 2D product, the flattened S times W^t; its sums
+    have 4n^2 terms, each below p^2.  The base value c = s * slot + z_unit *
+    q(v) mod R is one per sigma and row, so each member's image is the base
+    index plus ((c + F[r, j]) mod R) radix_z.  Every other value is reduced
+    before it is scaled, so no intermediate passes |G| < 2^63.
     """
-    E, V, W, M, radix = rows
-    p, z, k, R = g.p, g._z_slot, len(sigma), g.ranges[g._z_slot]
-    S = (sigma.transpose(0, 2, 1) @ M @ sigma - s * M) % p
-    q = g.half * (S.reshape(k, -1) @ W.T % p) % p
+    import numpy as np
+
+    p, z = g.p, g._z_slot
+    E = np.asarray(E, dtype=np.int64)
+    M = np.array(g.cocycle, dtype=np.int64)
+    V = g._quotient_rows(E)
+    sigma_t = sigma.transpose(0, 2, 1)
+    S = (sigma_t @ M @ sigma - s * M) % p
+    q = g.half * (S.reshape(len(sigma), -1) @ W.T % p) % p
+    R = g.ranges[z]
     c = (s * E[:, z] + g._z_unit * q) % R
+    radix = np.array(g.radices[:2 * g.n], dtype=np.int64)
+    radix[z:z + 1] = 0  # es2: the central slot is a quotient coordinate too
     out = (c.astype(F.dtype)[:, :, None] + F) % R * g.radices[z]
-    base = radix @ (sigma.reshape(-1, 2 * g.n) @ V.T % p).reshape(k, 2 * g.n, -1)
-    out += base.astype(F.dtype)[:, :, None]
+    out += (V @ sigma_t % p @ radix).astype(F.dtype)[:, :, None]
     return out
 
 

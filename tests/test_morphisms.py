@@ -318,8 +318,8 @@ def test_cap_is_charged_per_block_before_images():
 
 
 def _walk(g, E):
-    """The kernel's row-side inputs for E and the central steps of its rows
-    for all p^2n central functionals, built once as a walk does."""
+    """The monomials of the rows of E and their central steps for all p^2n
+    central functionals, built once as a walk does."""
     return morphisms._walk_inputs(g, E, morphisms._functionals(g))
 
 
@@ -328,13 +328,14 @@ def _walk(g, E):
 def test_stacked_kernel_equals_one_sigma_calls(kind, p, n, step):
     # every frontier block (every step-th sigma of it) as one stack, singular ones too
     g = group(kind, p, n)
-    rows, shift = _walk(g, g.coords_matrix())
+    E = g.coords_matrix()
+    W, shift = _walk(g, E)
     for V, cols, s in morphisms._frontier(g, False):
         sigma = V[cols[::step]].transpose(0, 2, 1)
-        stacked = morphisms._images(g, sigma, s, rows, shift)
+        stacked = morphisms._images(g, sigma, s, E, W, shift)
         assert stacked.shape == (len(sigma), g.size, p ** (2 * n))
         for one, block in zip(sigma, stacked, strict=True):
-            assert np.array_equal(morphisms._images(g, one[None], s, rows, shift)[0], block)
+            assert np.array_equal(morphisms._images(g, one[None], s, E, W, shift)[0], block)
 
 
 @pytest.mark.parametrize("invertible_only", [False, True])
