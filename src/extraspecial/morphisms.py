@@ -33,40 +33,35 @@ rest off omega, and one enumeration, `enumerate_morphisms`, yields every
 endomorphism or automorphism.  The Morphism constructor is internal.
 
 The quotient matrices are enumerated as a numpy frontier (`_frontier`):
-one int8 pairing table on F_p^2n, built in row blocks, and every partial
-column tuple extended at once, each Gram entry <<col_i, col_j>> = s Delta_ij
-one boolean mask over column j's pool {v : omega . v = s omega_j}.  The
-frontier is cut into row slices, runs of leading columns, so that no
-candidate mask passes FRONTIER_CELLS cells (about 1 MiB of surviving
-indices).  `MORPHISM_CAP` is charged for the whole enumeration, every
-block's families, before any matrix reaches a caller, so a refusal computes
-no image.  The frontier shares no code with the oracle's matrix scans,
-which count the same matrices by an independent route.
+one int8 pairing table on F_p^2n and every partial column tuple extended at
+once, one boolean mask per Gram entry <<col_i, col_j>> = s Delta_ij.
+`MORPHISM_CAP` is charged for the whole enumeration before any matrix
+reaches a caller, so a refusal computes no image.  The frontier shares no
+code with the oracle's matrix scans, which count the same matrices by an
+independent route.
 
 The formula is written once, in `_images`: a numpy kernel over coordinate
 rows that takes a (k, 2n, 2n) int64 stack of quotient matrices with one
-scalar, and reads the group's own data (quotient vectors, central slot and
-unit, radices, cocycle), with no branch per kind.  The p^2n morphisms that
-share one sigma form a family: its base member (f = 0) times the central
-factor z^f(v), f running over F_p^2n (for automorphisms, composition with
-Inn(G) = G/Z).  A member's central part depends only on the row, the base
-central value and f(v): the kernel adds the member's central step z_unit
-f(v), computed once per walk, to the base central value, reduces it mod the
-central range and adds the base index.  The rows' monomials v_i v_j mod p
-are also built once per walk: the quadratic term of every row under every
-stacked sigma is one 2D product.  `Morphism.table`, `apply_coords` and
-`family_images` pass one matrix, with a column per member; `image_sets`
-passes runs of sigmas (the brute orbits) with a column per value of f(v),
-at most p: the family's image set of each row.
+scalar and reads the group's own data, with no branch per kind.  The p^2n
+morphisms that share one sigma form a family: its base member (f = 0) times
+the central factor z^f(v).  Each member's central step z_unit f(v) and the
+rows' monomials are built once per walk (`_walk_inputs`).  `Morphism.table`,
+`apply_coords` and `family_images` pass one matrix, with a column per member;
+`image_sets` passes runs of sigmas (the brute orbits) with a column per value
+of f(v), at most p: the family's image set of each row.
 
-The composite of two parametrized maps is recovered from generator images
-rather than symbolic block algebra: one code path serves composition, inner
-automorphisms, and parameter extraction alike.
+End(G) is a monoid on the parameters, and `compose` is its law: with s in
+[0, p), (sigma1, f1, s1)(sigma2, f2, s2) = (sigma1 sigma2, s1 f2 +
+sigma2^t f1 + floor(s1 s2 / p) omega, s1 s2 mod p), where the carry term
+makes the lift a = s + p (f . omega) multiply in Z/p^2.  Inn(G) = {(Id, f, 1)}
+is the kernel of (sigma, f, s) -> sigma (`inner_automorphism`).  Neither maps
+an element; `params_from_generator_images` reads parameters off generator images.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .config import charge
 from .errors import ContextError, DimensionError, MorphismValidationError, check
@@ -81,7 +76,9 @@ class Morphism:
     sigma is the induced quotient matrix [[A, C], [D, B]], f the central
     functional and s the similitude scalar; `scalar` is the lift a where the
     power form is nonzero.  Internal: the constructor takes the parameters
-    unchecked.  Build one with build_endo or params_from_generator_images.
+    unchecked.  Build one with build_endo, params_from_generator_images,
+    inner_automorphism or compose, the product (sigma1 sigma2, s1 f2 +
+    sigma2^t f1 + floor(s1 s2 / p) omega, s1 s2 mod p) with s in [0, p).
     """
 
     __slots__ = ("group", "sigma", "f", "s", "_table")
@@ -148,7 +145,7 @@ class Morphism:
         return self._table
 
     def param_key(self) -> tuple:
-        return (self.group.gid, self.sigma.rows, self.f)
+        return (self.group.gid, self.sigma.rows, self.f, self.s)
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,21 +271,29 @@ def params_from_generator_images(g: Group, images: list) -> Morphism:
 
 
 def compose(m1: Morphism, m2: Morphism) -> Morphism:
-    """The endomorphism g -> m1(m2(g)), recovered from generator images."""
+    """The endomorphism g -> m1(m2(g)) by the law on parameters, s in [0, p):
+    (sigma1 sigma2, s1 f2 + sigma2^t f1 + floor(s1 s2 / p) omega, s1 s2 mod p).
+    The quadratic terms q = (1/2) v^t (sigma^t M sigma - s M) v compose exactly;
+    the carry term makes the lift a = s + p (f . omega) multiply in Z/p^2."""
     if m1.group.gid != m2.group.gid:
         raise ContextError("can only compose endomorphisms of the same group")
-    g = m1.group
-    images = [m1.apply(m2.apply(x)) for x in g.generators()]
-    return params_from_generator_images(g, images)
+    g, p, s1 = m1.group, m1.group.p, m1.s
+    cols = list(zip(*m2.sigma.rows))
+    sigma = Mat(p, [[sum(map(mul, r, c)) for c in cols] for r in m1.sigma.rows])
+    f = tuple((s1 * x + sum(map(mul, c, m1.f)) + s1 * m2.s // p * w) % p
+              for x, c, w in zip(m2.f, cols, g.power_form()))
+    return Morphism(g, sigma, f, s1 * m2.s % p)
 
 
 def inner_automorphism(h: Element) -> Morphism:
-    """Conjugation g -> h g h^-1 in parameter form (sigma = Id, scalar unit)."""
+    """Conjugation g -> h g h^-1 as (Id, f_h, 1): for the cocycle M, h x h^-1 =
+    x z^f_h(v), f_h(v) = v_h^t (M - M^t) v.  Inn(G) is the kernel of (sigma, f,
+    s) -> sigma (D. L. Winter, Rocky Mountain J. Math. 2, 1972)."""
     g = h.group
-    hc = h.coords
-    hinv = g.inv(hc)
-    images = [Element(g, g.mul(g.mul(hc, x.coords), hinv)) for x in g.generators()]
-    return params_from_generator_images(g, images)
+    _check_kind(g)
+    v, M = g.quotient_coords(h.coords), g.cocycle
+    f = tuple((sum(map(mul, v, c)) - sum(map(mul, v, r))) % g.p for c, r in zip(zip(*M), M))
+    return Morphism(g, Mat.identity(g.p, 2 * g.n), f, 1)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -456,24 +461,10 @@ def is_im_phi2_matrix(mat: Mat) -> bool:
     d = mat.nrows
     if d != mat.ncols or d % 2:
         raise DimensionError("expected a square matrix of even size")
-    n = d // 2
-    p = mat.m
-    a11 = mat.entry(0, 0)
-    if a11 % p == 0:
-        return False
-    if symp_scalar_test(mat) != a11:
-        return False
-    if any(mat.entry(0, j) % p for j in range(1, n)):       # a_1j, j >= 2
-        return False
-    if any(mat.entry(0, n + j) % p for j in range(n)):      # c_1j
-        return False
-    if mat.entry(n, n) % p != 1:                            # b_11
-        return False
-    if any(mat.entry(n + j, n) % p for j in range(1, n)):   # b_j1, j >= 2
-        return False
-    if any(mat.entry(j, n) % p for j in range(1, n)):       # c_j1, j >= 2
-        return False
-    return True
+    n, a11 = d // 2, mat.entry(0, 0)
+    y1 = tuple(zip(*mat.rows))[n]  # (c_11..c_n1, b_11..b_n1)
+    return (a11 != 0 and symp_scalar_test(mat) == a11 and not any(mat.rows[0][1:])
+            and y1 == (0,) * n + (1,) + (0,) * (n - 1))
 
 
 # -- the endomorphism formula -----------------------------------------------

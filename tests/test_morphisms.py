@@ -414,9 +414,24 @@ def test_inner_automorphisms(es1_31, es2_31):
     for g in (es1_31, es2_31):
         inners = {inner_automorphism(g.element(c)).param_key() for c in g.elements()}
         assert len(inners) == g.p ** (2 * g.n)  # conjugation factors through G/Z
-        h1, h2 = g.coords_at(5), g.coords_at(11)
-        composed = compose(inner_automorphism(g.element(h1)), inner_automorphism(g.element(h2)))
-        assert composed == inner_automorphism(g.element(g.mul(h1, h2)))
+        for h1, h2 in product(g.elements(), repeat=2):  # Inn(G) is closed under the law
+            composed = compose(inner_automorphism(g.element(h1)), inner_automorphism(g.element(h2)))
+            assert composed == inner_automorphism(g.element(g.mul(h1, h2)))
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_inner_automorphism_tables_are_conjugation(kind, n):
+    g = group(kind, 3, n)
+    T = oracle.mult_table(g)
+    inv = np.argmax(T == 0, axis=1)  # index 0 is the identity
+    keys = set()
+    for h in range(g.size):
+        m = inner_automorphism(g.element(g.coords_at(h)))
+        assert np.array_equal(m.table(), T[T[h], inv[h]])  # x -> (h x) h^-1
+        assert m.sigma == Mat.identity(3, 2 * n) and m.s == 1
+        keys.add(m.param_key())
+    assert len(keys) == g.p ** (2 * n)  # Inn(G) = G/Z
 
 
 def test_induced_quotient_matrix_is_the_quotient_action(endos_es2_31):
@@ -448,6 +463,98 @@ def test_params_from_generator_images_rejects_bad_input(es2_31, es1_31):
     with pytest.raises(MorphismValidationError):
         params_from_generator_images(
             es2_31, [es2_31.element((1, 0)), es2_31.element((1, 0))])
+
+
+def _params(m):
+    return m.sigma, m.f, m.s
+
+
+def _sampled_morphisms(g, k, seed):
+    """k morphisms (sigma, f, s) of g: s uniform, sigma uniform among the
+    frontier's matrices with that s, f uniform."""
+    rng = np.random.default_rng(seed)
+    by_s = {}
+    for V, cols, s in morphisms._frontier(g, False):  # every block shares one V
+        by_s.setdefault(s, []).append(cols)
+    by_s = {s: np.concatenate(blocks) for s, blocks in by_s.items()}
+    out = []
+    for s in rng.integers(g.p, size=k).tolist():
+        cols = by_s[s]
+        sigma = Mat(g.p, V[cols[rng.integers(len(cols))]].T.tolist())
+        out.append(morphisms.Morphism(g, sigma, tuple(rng.integers(g.p, size=2 * g.n).tolist()), s))
+    return out
+
+
+def test_compose_law_matches_table_composition_on_every_pair(endos_es2_31):
+    # every ordered pair of es2(3,1) endomorphisms against the map whose table
+    # is T1[T2], looked up among the 135 enumerated tables
+    by_table = {m.table().tobytes(): m for m in endos_es2_31}
+    assert len(by_table) == 135
+    carries = 0
+    for m1, m2 in product(endos_es2_31, repeat=2):
+        want = by_table[m1.table()[m2.table()].tobytes()]
+        assert _params(compose(m1, m2)) == _params(want)
+        carries += m1.s * m2.s >= 3
+    assert carries == 729  # s1 = s2 = 2: the pairs that need the carry term
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2])
+def test_compose_law_matches_generator_images_on_sampled_pairs(kind):
+    g = group(kind, 3, 2)
+    ms = _sampled_morphisms(g, 400, seed=28)
+    for m1, m2 in zip(ms[::2], ms[1::2]):
+        got = compose(m1, m2)
+        want = params_from_generator_images(g, [m1.apply(m2.apply(x)) for x in g.generators()])
+        assert _params(got) == _params(want)
+        assert np.array_equal(got.table(), want.table())
+
+
+@pytest.mark.parametrize("kind, p, n", [(ES1, 3, 2), (ES2, 3, 2), (ES2, 5, 1)])
+def test_compose_is_associative_with_a_two_sided_unit(kind, p, n):
+    g = group(kind, p, n)
+    one = morphisms.Morphism(g, Mat.identity(p, 2 * n), (0,) * (2 * n), 1)
+    ms = _sampled_morphisms(g, 300, seed=p * n)
+    for a, b, c in zip(ms[::3], ms[1::3], ms[2::3]):
+        assert _params(compose(compose(a, b), c)) == _params(compose(a, compose(b, c)))
+        assert _params(compose(one, a)) == _params(compose(a, one)) == _params(a)
+
+
+def test_compose_refuses_maps_of_two_groups(endos_es1_31, endos_es2_31):
+    with pytest.raises(ContextError):
+        compose(endos_es1_31[5], endos_es2_31[5])
+    with pytest.raises(ContextError):
+        compose(ident_es1(group(ES1, 5, 1)), endos_es1_31[5])
+
+
+def test_param_key_sees_the_scalar(es2_31):
+    sigma = Mat.identity(3, 2)
+    m = morphisms.Morphism(es2_31, sigma, (0, 0), 1)
+    wrong = morphisms.Morphism(es2_31, sigma, (0, 0), 2)  # unvalidated, s not fixed by sigma
+    assert m != wrong and m.param_key() != wrong.param_key()
+    assert len({m, wrong}) == 2
+
+
+def test_compose_and_inner_read_only_parameters(es1_32, es2_32, monkeypatch):
+    cases = []
+    for g in (es1_32, es2_32):
+        a, b = _sampled_morphisms(g, 2, seed=3)
+        h = g.element(g.coords_at(100))
+        cases.append((a, b, h, _params(compose(a, b)), _params(inner_automorphism(h))))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the parameter law reached a forbidden helper")
+
+    # no element is mapped, no parameters are re-extracted and the group law is unused
+    monkeypatch.setattr(morphisms, "_images", forbidden)
+    monkeypatch.setattr(morphisms, "_validated", forbidden)
+    monkeypatch.setattr(morphisms, "params_from_generator_images", forbidden)
+    monkeypatch.setattr(morphisms.Morphism, "apply", forbidden)
+    monkeypatch.setattr(morphisms.Morphism, "_apply_rows", forbidden)
+    monkeypatch.setattr(Group, "mul", forbidden)
+    monkeypatch.setattr(Group, "inv", forbidden)
+    for a, b, h, composed, inner in cases:
+        assert _params(compose(a, b)) == composed
+        assert _params(inner_automorphism(h)) == inner
 
 
 def test_compose_matches_pointwise(endos_es2_31):
@@ -497,6 +604,13 @@ def test_is_im_phi2_matrix():
     assert not is_im_phi2_matrix(Mat(3, ((0, 0), (1, 1))))  # l = 0
     m4 = Mat(3, ((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 1)))
     assert is_im_phi2_matrix(m4)
+    # at n = 2, on every 8th invertible similitude (the es1(3,2) automorphism
+    # sigmas): the predicate holds exactly on the es2(3,2) automorphism sigmas
+    induced = {sigma for sigma, _ in sigmas(group(ES2, 3, 2), True)}
+    similitudes = [Mat(3, V[c].T.tolist())
+                   for V, cols, _ in morphisms._frontier(group(ES1, 3, 2), True) for c in cols[::8]]
+    hits = {m for m in similitudes if is_im_phi2_matrix(m)}
+    assert hits == induced.intersection(similitudes) and len(hits) > 100
 
 
 def test_to_json_dict_keys(endos_es1_31, endos_es2_31):

@@ -150,7 +150,7 @@ def test_readme_library_example_runs_and_prints_its_comments(capsys):
     block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
-    assert out == ["(1, 1, 1)", "True 1", "432", "729", "252801"]
+    assert out == ["(1, 1, 1)", "True 1", "Mat(3, [[1, 0], [0, 1]]) 1", "432", "729", "252801"]
     # each print's comment states what it prints
     comments = [line.split("#")[1].strip() for line in block.splitlines() if "print(" in line]
     assert all(c.startswith(o) for c, o in zip(comments, out, strict=True))
