@@ -379,7 +379,7 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContextError, DimensionError, MorphismValidationError,
-            CapExceeded) as exc:
+            CapExceeded, AssertionError) as exc:  # AssertionError: a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

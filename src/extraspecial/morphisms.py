@@ -34,7 +34,8 @@ endomorphism or automorphism.  The Morphism constructor is internal.
 
 The quotient matrices are enumerated as a numpy frontier (`_frontier`):
 one int8 pairing table on F_p^2n and every partial column tuple extended at
-once, one boolean mask per Gram entry <<col_i, col_j>> = s Delta_ij.
+once, one boolean mask per Gram entry <<col_i, col_j>> = s Delta_ij.  The
+first column is drawn from {omega . v = s omega_1}, the rest from ker omega.
 `MORPHISM_CAP` is charged for the whole enumeration before any matrix
 reaches a caller, so a refusal computes no image.  The frontier shares no
 code with the oracle's matrix scans, which count the same matrices by an
@@ -325,10 +326,11 @@ def _frontier(g: Group, invertible_only: bool):
     """Yield (V, cols, s): blocks of quotient matrices with scalar s.
 
     Row r of the int16 block cols lists the vector indices of one matrix's
-    columns; its matrix is V[cols[r]].T.  Column j is drawn from the vectors
-    v with omega . v = s omega_j (omega sigma = s omega), each pool with its
-    own columns of the pairing table.  Blocks come grouped by s and, inside
-    one s, in lexicographic order of the column tuples.
+    columns; its matrix is V[cols[r]].T.  omega sigma = s omega draws the
+    first column from {v : omega . v = s omega_1} and every later one from
+    ker omega, one pool built once with its columns of the pairing table.
+    Blocks come grouped by s and, inside one s, in lexicographic order of
+    the column tuples.
     """
     import numpy as np
 
@@ -339,16 +341,10 @@ def _frontier(g: Group, invertible_only: bool):
     T = _pairing_int8(V, p)
     level = V @ np.array(omega, dtype=np.int64) % p  # omega . v
     every = np.arange(len(V), dtype=np.int16)
-    pools = {}
-
-    def pool(c):  # {v : omega . v = c} and its columns of the pairing table
-        if c not in pools:
-            pools[c] = every[level == c], T[:, level == c]
-        return pools[c]
-
+    # omega is 0 or e_1 (Group's central slot), so omega_j = 0 past column 1
+    later = every[level == 0], T[:, level == 0]
     for s in range(1, p) if invertible_only else range(p):
         first = every[level == s * omega[0] % p]
-        later = [pool(s * w % p) for w in omega[1:]]
         for cols in _extend(first[:, None], later, s, n):
             yield V, cols, s
 
@@ -356,12 +352,12 @@ def _frontier(g: Group, invertible_only: bool):
 def _extend(F, later, s: int, n: int):
     """Complete the partial column tuples F (rows of vector indices).
 
-    later[j - 1] is (pool, table) for column j: its candidate vectors and
-    the pairing table restricted to them.  Column j's candidates are masked
-    by one table comparison per earlier column i: <<col_i, col_j>> = s when
-    j = i + n and 0 otherwise, the Gram conditions of
-    sigma^t Delta sigma = s Delta.  F is cut into row slices whose mask has
-    at most FRONTIER_CELLS cells, taken in order.
+    later is (pool, table) for every column after the first: the candidate
+    vectors, ker omega, and the pairing table restricted to them.  Column
+    j's candidates are masked by one table comparison per earlier column i:
+    <<col_i, col_j>> = s when j = i + n and 0 otherwise, the Gram conditions
+    of sigma^t Delta sigma = s Delta.  F is cut into row slices whose mask
+    has at most FRONTIER_CELLS cells, taken in order.
     """
     import numpy as np
 
@@ -369,7 +365,7 @@ def _extend(F, later, s: int, n: int):
     if j == 2 * n:
         yield F
         return
-    pool, T = later[j - 1]
+    pool, T = later
     step = max(1, FRONTIER_CELLS // len(pool))
     for lo in range(0, len(F), step):
         block = F[lo:lo + step]

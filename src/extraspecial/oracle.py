@@ -4,12 +4,12 @@ Three separate recomputation routes:
 
   * generator-image search: assign images to the standard generators one
     at a time on the tuple law, cut every prefix that fails a defining
-    relation of its highest generator, keep the tuples satisfying them all
-    (von Dyck), and rebuild the full map from normal forms.  The relations
-    are read off the group's data (power form, cocycle), not spelled per
-    kind; the spelled ones are their test reference.  A memo per search
-    hands each ordered pair of elements to Group.mul once.  No block
-    matrices, no quadratic correction terms, no batched law.
+    relation of its highest generator, and yield the tuples satisfying them
+    all (von Dyck), one per endomorphism.  The relations are read off the
+    group's data (power form, cocycle), not spelled per kind; the spelled
+    ones are their test reference.  A memo per search hands each ordered
+    pair of elements to Group.mul once.  No block matrices, no quadratic
+    correction terms, no batched law.
   * matrix scans: count the 2x2 or 4x4 matrices N over F_p with
     N^t Delta N = s Delta for one Gram scalar s (s = 0 the zero form), by
     one count over the pairing table rather than the similitude
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -180,34 +180,6 @@ def enumerate_homs_by_generators(g: Group):
                 yield from extend(images)
 
     yield from extend(())
-
-
-def hom_table(g: Group, images: tuple) -> np.ndarray:
-    """Full map table (index -> index) from generator images, via normal forms.
-
-    Every element is the word prod x_i^{u_i} prod y_j^{w_j} z^t with
-    z = [x_1, y_1], a relation of both presentations: (u; w) is its quotient
-    vector and t its central exponent minus <u, w>, the central exponent of
-    the word before z^t.  So the image is the same word in the generator
-    images.  This route never touches the parametrization.
-    """
-    p, n = g.p, g.n
-    presentation(g)  # raises for the tilde kinds, whose words x^u y^w differ
-
-    def powers(x):  # x^0 .. x^(p-1)
-        return list(accumulate([x] * (p - 1), g.mul, initial=(0,) * len(g.ranges)))
-
-    gen_powers = [powers(x) for x in images]
-    zp = powers(g.commutator(images[0], images[n]))
-    table = np.empty(g.size, dtype=np.int64)
-    for idx, c in enumerate(g.elements()):
-        # idx // z_index is the central exponent mod p (z^s adds s * z_index)
-        v = g.quotient_coords(c)
-        acc = zp[(idx // g.z_index - sum(v[i] * v[n + i] for i in range(n))) % p]
-        for x, e in zip(gen_powers, v):
-            acc = g.mul(acc, x[e])  # z^t is central, so it may come first
-        table[idx] = g.index(acc)
-    return table
 
 
 def mult_table(g: Group) -> np.ndarray:

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .config import charge
-from .errors import ContextError
+from .errors import ContextError, check
 from .groups import ES1, ES2, Element, Group, GroupId
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
@@ -203,8 +203,7 @@ def _partition(g: Group, reach) -> list[frozenset]:
     classes = []
     for key, members in partition.items():
         support = set(np.flatnonzero(np.frombuffer(key, dtype=bool)).tolist())
-        if support != set(members):
-            raise AssertionError("image rows do not form a partition")
+        check(support == set(members), "image rows do not form a partition")
         classes.append(frozenset(g.coords_at(i) for i in members))
     return sorted(classes, key=lambda c: (len(c), min(c)))
 
@@ -285,13 +284,12 @@ def partial_order_report(g: Group, verify: bool = True,
     if verify:
         import numpy as np
 
-        if fwd.apply(g1) != g2 or back.apply(g2) != g1:
-            raise AssertionError("witness endomorphisms do not exchange the witness pair")
+        check(fwd.apply(g1) == g2 and back.apply(g2) == g1,
+              "witness endomorphisms do not exchange the witness pair")
         row = np.array([g1.coords], dtype=np.int64)
         target = g.index(g2.coords)
         for _, block in family_images(g, row, True, limit):
-            if (block == target).any():
-                raise AssertionError("witness pair unexpectedly automorphic")
+            check(not (block == target).any(), "witness pair unexpectedly automorphic")
         verified = True
     return DegenerationReport(str(g.gid), NO_PARTIAL_ORDER, (), (g1, g2), (fwd, back), verified)
 
@@ -308,8 +306,8 @@ def _verify_es1_total_order(g: Group, limit: int | None):
     coords = list(g.elements())
     classes = [endo_image_class(Element(g, c)) for c in coords]
     masks = {cls: [image_contains(g, cls, c) for c in coords] for cls in set(classes)}
-    if reach.tolist() != [masks[cls] for cls in classes]:
-        raise AssertionError("brute degeneration disagrees with image classes")
+    check(reach.tolist() == [masks[cls] for cls in classes],
+          "brute degeneration disagrees with image classes")
     # on orbits: reflexive, antisymmetric, total
     partition = _partition(g, auto)
     reps = [g.index(min(c)) for c in partition]
@@ -317,13 +315,10 @@ def _verify_es1_total_order(g: Group, limit: int | None):
         for j, s in enumerate(reps):
             fwd = reach[r, s]
             bwd = reach[s, r]
-            if i == j and not fwd:
-                raise AssertionError("degeneration not reflexive on an orbit")
-            if i != j and fwd and bwd:
-                raise AssertionError("two distinct orbits degenerate onto each other")
-            if not fwd and not bwd:
-                raise AssertionError("two orbits are incomparable; no total order")
+            check(i != j or fwd, "degeneration not reflexive on an orbit")
+            check(i == j or not (fwd and bwd), "two distinct orbits degenerate onto each other")
+            check(fwd or bwd, "two orbits are incomparable; no total order")
     # membership in an orbit never depends on the chosen representative
     for cls, r in zip(partition, reps):
-        if not (reach[[g.index(c) for c in cls]] == reach[r]).all():
-            raise AssertionError("image set varies inside an orbit")
+        check((reach[[g.index(c) for c in cls]] == reach[r]).all(),
+              "image set varies inside an orbit")

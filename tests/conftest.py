@@ -2,12 +2,16 @@
 
 Enumerations at (p, n) = (3, 1) are cheap enough to share session-wide;
 anything larger is built inside the test that needs it.  `sigmas` is the
-tests' reference list of quotient matrices, read off the frontier.
+tests' reference list of quotient matrices, read off the frontier, and
+`hom_table` their reference map of a morphism, read off generator images.
 """
 
+from itertools import accumulate
+
+import numpy as np
 import pytest
 
-from extraspecial import morphisms
+from extraspecial import morphisms, oracle
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat
 from extraspecial.morphisms import enumerate_morphisms
@@ -19,6 +23,34 @@ def sigmas(g, invertible_only=False):
     for V, cols, s in morphisms._frontier(g, invertible_only):
         for c in cols:
             yield Mat(g.p, V[c].T.tolist()), s
+
+
+def hom_table(g, images):
+    """Full map table (index -> index) from generator images, via normal forms.
+
+    Every element is the word prod x_i^{u_i} prod y_j^{w_j} z^t with
+    z = [x_1, y_1], a relation of both presentations: (u; w) is its quotient
+    vector and t its central exponent minus <u, w>, the central exponent of
+    the word before z^t.  So the image is the same word in the generator
+    images.  This route never touches the parametrization.
+    """
+    p, n = g.p, g.n
+    oracle.presentation(g)  # raises for the tilde kinds, whose words x^u y^w differ
+
+    def powers(x):  # x^0 .. x^(p-1)
+        return list(accumulate([x] * (p - 1), g.mul, initial=(0,) * len(g.ranges)))
+
+    gen_powers = [powers(x) for x in images]
+    zp = powers(g.commutator(images[0], images[n]))
+    table = np.empty(g.size, dtype=np.int64)
+    for idx, c in enumerate(g.elements()):
+        # idx // z_index is the central exponent mod p (z^s adds s * z_index)
+        v = g.quotient_coords(c)
+        acc = zp[(idx // g.z_index - sum(v[i] * v[n + i] for i in range(n))) % p]
+        for x, e in zip(gen_powers, v):
+            acc = g.mul(acc, x[e])  # z^t is central, so it may come first
+        table[idx] = g.index(acc)
+    return table
 
 
 @pytest.fixture(scope="session")

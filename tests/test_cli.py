@@ -88,6 +88,14 @@ def test_endo_check_and_apply(capsys):
     assert lines[2] == "es1(3,1):[1|0|1]"
 
 
+def test_endo_check_reports_a_failed_scalar_action(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scalar_action_check", lambda morph: False)
+    code, out, _ = run(capsys, "endo", "es1(3,1)", "A=[1]", "B=[1]", "--check")
+    assert code == 1
+    assert out.strip().splitlines() == ["valid automorphism, l=1",
+                                        "scalar action check FAILED"]
+
+
 def test_endo_check_is_exhaustive_up_to_the_table_cap(capsys):
     # es1(11,1) has 1331 elements: under TABLE_CAP = 2048, over the old limit of 1000
     code, out, _ = run(capsys, "endo", "es1(11,1)", "A=[1]", "B=[1]", "--check")
@@ -321,6 +329,12 @@ def test_orbits_of_a_large_group_build_no_group(capsys, any_int_text, monkeypatc
     assert json.loads(out)[-1]["cardinality_value"] == 3 ** 9201 - 3
 
 
+def test_the_cli_runs_on_a_python_with_no_digit_limit(capsys, monkeypatch):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, err = run(capsys, "count", "--quantity", "sp_order", "-p", "3", "-n", "1")
+    assert (code, err) == (0, "") and json.loads(out)["formula"] == 24
+
+
 def test_the_cli_restores_the_digit_limit(capsys):
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no int <-> text digit limit")
@@ -507,6 +521,31 @@ def test_verify_quick(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(l.startswith("PASS ") for l in lines)
+
+
+def test_verify_stops_at_the_first_failing_check(capsys, monkeypatch):
+    from extraspecial import verifysuite
+
+    def broken():
+        raise AssertionError("planted failure")
+
+    monkeypatch.setattr(verifysuite, "checks", lambda suite: [("first", lambda: None),
+                                                              ("planted", broken),
+                                                              ("never", None)])
+    code, out, err = run(capsys, "verify")
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["PASS first", "FAIL planted: planted failure"]
+
+
+def test_a_failed_check_under_census_oracle_exits_1_without_a_traceback(capsys, monkeypatch):
+    # the closed form loses the centre, so the brute degeneration check fails
+    real = cli.orbits.image_contains
+    monkeypatch.setattr(cli.orbits, "image_contains",
+                        lambda g, cls, c: real(g, "TRIVIAL" if cls == "CENTER" else cls, c))
+    code, out, err = run(capsys, "census", "--quantities", "partial_order", "--p-list", "3",
+                         "--n-list", "1", "--group", "es1", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: brute degeneration disagrees with image classes\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--p-list", "3,x"), ("--n-list", "1,y")])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extraspecial
 from extraspecial.errors import ContextError, ParseError
 from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Group, GroupId,
                                  delta_iso, format_element, group, lambda_iso,
@@ -136,6 +137,14 @@ def test_quotient_and_symplectic_form():
     assert g2.quotient_coords((4, 2)) == (1, 2)
     g1 = group(ES1, 3, 1)
     assert g1.quotient_coords((1, 2, 1)) == (1, 2)
+    assert g2.element((4, 2)).quotient_coords() == (1, 2)
+    # Elements hash by group and coordinates, as they compare
+    x, y = g1.element((1, 2, 1)), g1.element((0, 1, 0))
+    assert {x, g1.element((1, 2, 1))} == {x} and len({x, g2.element((1, 2))}) == 2
+    # the exported symplectic_f reads the group's form on two Elements
+    assert extraspecial.symplectic_f(x, y) == g1.symplectic_f(x.coords, y.coords) == 1
+    with pytest.raises(ContextError):
+        extraspecial.symplectic_f(x, g2.element((1, 2)))
     # f factors through the quotient and is alternating
     for a in g1.elements():
         assert g1.symplectic_f(a, a) == 0

@@ -17,7 +17,7 @@ from extraspecial.morphisms import (build_endo, compose, enumerate_morphisms,
                                     params_from_generator_images, scalar_action_check)
 from extraspecial.symplectic import symp_scalar_test
 
-from conftest import sigmas
+from conftest import hom_table, sigmas
 
 
 def ident_es1(g):
@@ -55,6 +55,8 @@ def test_builder_rejects_wrong_shapes(es1_31, es2_31):
     one = Mat.identity(3, 1)
     with pytest.raises(DimensionError):
         build_endo(es1_31, Mat.identity(3, 2), one, one, one, (0,), (0,))
+    with pytest.raises(TypeError, match="block C must be a Mat"):
+        build_endo(es1_31, one, one, [[1]], one, (0,), (0,))
     with pytest.raises(DimensionError):
         build_endo(es1_31, one, one, one, one, (0, 0), (0,))
     with pytest.raises(DimensionError):
@@ -129,7 +131,7 @@ def test_table_matches_apply(endos_es1_31, endos_es2_31):
         for c in g.elements():
             assert t[g.index(c)] == g.index(m.apply_coords(c))
         images = tuple(m.apply(x).coords for x in g.generators())
-        assert np.array_equal(t, oracle.hom_table(g, images))
+        assert np.array_equal(t, hom_table(g, images))
 
 
 @pytest.mark.parametrize("kind,p", [(ES1, 3), (ES2, 3), (ES2, 5)])
@@ -522,6 +524,8 @@ def test_compose_is_associative_with_a_two_sided_unit(kind, p, n):
 def test_compose_refuses_maps_of_two_groups(endos_es1_31, endos_es2_31):
     with pytest.raises(ContextError):
         compose(endos_es1_31[5], endos_es2_31[5])
+    with pytest.raises(ContextError, match="cannot apply es1\\(3,1\\) endomorphism"):
+        endos_es1_31[5].apply(endos_es2_31[5].group.identity())
     with pytest.raises(ContextError):
         compose(ident_es1(group(ES1, 5, 1)), endos_es1_31[5])
 

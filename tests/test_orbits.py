@@ -287,3 +287,65 @@ def test_orbit_brute_force_keeps_each_kernel_call_within_the_stack(monkeypatch, 
     # central value: the 3 images each family of 81 automorphisms gives it
     assert sum(b.size for b in blocks) == 1_296 * 243 * 3
     assert sorted(len(c) for c in partition) == [1, 2, 3, 3, 72, 162]
+
+
+def test_orbit_partition_check_catches_rows_that_overlap(monkeypatch, es1_31):
+    # the identity also "reaches" z: its row is no longer its orbit's members
+    real = orbits.image_sets
+
+    def leaky(*args):
+        blocks = list(real(*args))
+        blocks[0][1][0, 0, 0] = 1
+        return iter(blocks)
+
+    monkeypatch.setattr(orbits, "image_sets", leaky)
+    with pytest.raises(AssertionError, match="image rows do not form a partition"):
+        orbits_bruteforce(es1_31)
+
+
+def test_es2_witness_check_catches_endos_that_do_not_exchange(monkeypatch, es2_31):
+    real = orbits._es2_witness
+
+    def same_pair(g):  # fwd sends w_1 = 1 to 2, not back to 1
+        g1, _, fwd, back = real(g)
+        return g1, g1, fwd, back
+
+    monkeypatch.setattr(orbits, "_es2_witness", same_pair)
+    with pytest.raises(AssertionError, match="do not exchange the witness pair"):
+        partial_order_report(es2_31)
+
+
+def test_es2_witness_check_catches_an_automorphism_between_the_pair(monkeypatch, es2_31):
+    real = orbits.family_images
+    target = es2_31.index(orbits._es2_witness(es2_31)[1].coords)
+
+    def joined(*args):  # the first automorphism now sends g1 to g2
+        blocks = list(real(*args))
+        blocks[0][1][0, 0] = target
+        return iter(blocks)
+
+    monkeypatch.setattr(orbits, "family_images", joined)
+    with pytest.raises(AssertionError, match="witness pair unexpectedly automorphic"):
+        partial_order_report(es2_31)
+
+
+# es1(3,1) indices: 0 is the identity, 1 and 2 are z and z^2, 26 is no
+# orbit's representative (each is the least member of its orbit)
+@pytest.mark.parametrize("cells,value,message", [
+    ((0, 0), False, "degeneration not reflexive on an orbit"),
+    (0, True, "two distinct orbits degenerate onto each other"),
+    (([1, 2], 0), False, "two orbits are incomparable; no total order"),
+    ((26, 26), False, "image set varies inside an orbit")])
+def test_es1_order_check_catches_each_corrupt_reach_table(monkeypatch, es1_31,
+                                                          cells, value, message):
+    # the closed-form helpers read the corrupted table, so brute and closed
+    # degeneration agree and only the order check on orbits can object
+    reach, auto = orbits._reach_tables(es1_31, False, None)
+    reach[cells] = value
+    monkeypatch.setattr(orbits, "_reach_tables", lambda *args: (reach, auto))
+    monkeypatch.setattr(orbits, "endo_image_class",
+                        lambda e: reach[e.group.index(e.coords)].tobytes())
+    monkeypatch.setattr(orbits, "image_contains",
+                        lambda g, cls, c: bool(np.frombuffer(cls, dtype=bool)[g.index(c)]))
+    with pytest.raises(AssertionError, match=message):
+        partial_order_report(es1_31)

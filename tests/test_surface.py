@@ -1,4 +1,5 @@
-"""The library's surface: every name that src defines, src uses or exports.
+"""The library's surface: every name that src defines, src uses or exports,
+and one check policy, errors.check, the only raise of AssertionError.
 
 Test references (brute-force sets, spelled-out formulas, helper walks) live
 in tests/, next to the tests that read them, so that src holds only what
@@ -11,9 +12,6 @@ from pathlib import Path
 import extraspecial
 
 SRC = Path(extraspecial.__file__).parent
-
-# the independent normal-form route: kept for the tests' cross-checks
-EXEMPT = {"oracle.hom_table"}
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -48,8 +46,7 @@ def test_every_src_name_has_a_src_caller_or_is_exported():
     used = set().union(*map(_names_used, trees.values()))
     unused = [qualified for module, tree in trees.items()
               for qualified, name in _definitions(module, tree)
-              if name not in used and name not in extraspecial.__all__
-              and qualified not in EXEMPT]
+              if name not in used and name not in extraspecial.__all__]
     assert unused == []
 
 
@@ -57,3 +54,26 @@ def test_the_guard_sees_a_name_with_no_caller():
     tree = ast.parse("def used():\n    pass\n\n\ndef orphan():\n    return used()\n")
     names = [name for _, name in _definitions("m", tree) if name not in _names_used(tree)]
     assert names == ["orphan"]
+
+
+def _assertions(tree: ast.Module) -> list:
+    """Line numbers of each assert statement and each raise of AssertionError."""
+    def raised(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or (isinstance(node, ast.Raise) and raised(node.exc))]
+
+
+def test_only_errors_check_raises_assertion_error():
+    # assert vanishes under -O; errors.check is kept
+    found = {path.stem: len(_assertions(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: count for module, count in found.items() if count} == {"errors": 1}
+
+
+def test_the_guard_sees_assert_and_raise():
+    tree = ast.parse("assert x\nraise AssertionError('m')\nraise AssertionError\n"
+                     "raise ValueError('m')\nraise\n")
+    assert _assertions(tree) == [1, 2, 3]
