@@ -8,8 +8,8 @@ environment variable EXTRASPECIAL_<NAME>; the other four are fixed.
     ELEMENT_CAP    10**7   env  group elements enumerated
     MORPHISM_CAP   10**6   env  endomorphisms or automorphisms walked
     HOM_CAP        10**9   env  generator-image candidates, |G|^(2n)
-    SCAN_CAP       10**8   env  matrices in a matrix scan, p^(dim^2), or a
-                                surjection scan, p^(k dim)
+    SCAN_CAP       10**8   env  matrices in a matrix scan, p^(dim^2), or
+                                surjection candidates x lines, p^(k dim) (p^k-1)/(p-1)
     SUBSPACE_CAP   10**7   env  k-subspaces of F_p^dim in a subspace scan
     TABLE_CAP      2048         elements of a group given N x N tables
     PAIRING_CELLS  2**25        cells p^4n of the frontier's pairing table

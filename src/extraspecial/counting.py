@@ -162,7 +162,7 @@ QUANTITIES = {
     "count_X": Quantity(None, lambda p, n, _: count_X(p, n),
         lambda p, n, _: _scans().scan_matrices(2 * n, p, 0)),
     "count_Y": Quantity(None, lambda p, n, _: count_Y(p, n),
-        lambda p, n, _: _scans().scan_matrices(2 * n, p, 0, image_in_v1=True)),
+        lambda p, n, _: _scans().scan_matrices(2 * n, p, 0, es2_constrained=True)),
     "sp_order": Quantity(None, lambda p, n, _: sp_order(n, p),
         lambda p, n, _: _scans().scan_matrices(2 * n, p, 1)),
     "im_phi2_order": Quantity(None, lambda p, n, _: im_phi2_order(n, p),

@@ -21,10 +21,11 @@ read mod p, basis x_1..x_n, y_1..y_n): add the coordinates, add the cocycle
 v_a^T M v_b to the central exponent, and reduce.  Each Group holds the law
 as data, and this module is the only place that knows it: M (`cocycle`) is
 [[0, I], [0, 0]] for es1 and es2 and (1/2)[[0, I], [-I, 0]] for the tilde
-kinds; with `es2_shaped` set the central exponent s lands as p.s in the
-Z/p^2 first coordinate, whose own mod-p^2 sum supplies the carry, otherwise
-in the last coordinate z.  `Group.mul`/`inv` (one tuple) and
-`Group.mul_index` (blocks of rows) read that data, with no branch per kind;
+kinds; the central exponent s lands as p.s in the Z/p^2 first coordinate
+of the es2 shape, whose mod-p^2 sum supplies the carry, and in the last
+coordinate z of the es1 shape, so for both the quotient is the first 2n
+coordinates mod p.  `Group.mul`/`inv` (one tuple) and `Group.mul_index`
+(blocks of rows) read that data, with no branch per kind;
 the per-kind formulas above, spelled out, are their test reference in
 tests/test_groups.py.  The law fixes one more datum, the power form omega
 (`power_form`, x^p = z^(omega . v)): 0 for es1 and e_1 for es2, read off
@@ -107,9 +108,9 @@ class Group:
         self.n = gid.n
         self.size = gid.p ** (2 * gid.n + 1)
         self.half = half(gid.p)
-        self.es2_shaped = gid.kind in (ES2, ES2_TILDE)
+        es2_shaped = gid.kind in (ES2, ES2_TILDE)
         p, n = self.p, self.n
-        if self.es2_shaped:
+        if es2_shaped:
             # (u_1, u_2..u_n, w_1, w_2..w_n): 2n coordinates, first mod p^2
             self.ranges = (p * p,) + (p,) * (2 * n - 1)
             segments = (("u1", 1), ("u", n - 1), ("w1", 1), ("w", n - 1))
@@ -129,7 +130,7 @@ class Group:
         if tilde:
             self._terms += tuple((n + i, i, -self.half % p) for i in range(n))
         # the central generator z: its coordinate slot and its unit there
-        self._z_slot, self._z_unit = (0, p) if self.es2_shaped else (2 * n, 1)
+        self._z_slot, self._z_unit = (0, p) if es2_shaped else (2 * n, 1)
         # the power form, x_i^p = z^omega_i: the cocycle's diagonal is zero, so
         # x_i^p = p e_i, which is 0 unless slot i is z's and p < ranges[i]
         self._omega = tuple(p % r // self._z_unit if i == self._z_slot else 0
@@ -235,9 +236,7 @@ class Group:
 
     def quotient_coords(self, a: tuple) -> tuple:
         """Image in G/Z(G) = F_p^2n, basis (x_1..x_n, y_1..y_n) bar."""
-        if self.es2_shaped:
-            return (a[0] % self.p,) + a[1:]
-        return a[:-1]
+        return tuple(c % self.p for c in a[:2 * self.n])
 
     def symplectic_f(self, a: tuple, b: tuple) -> int:
         """Exponent c with [a, b] = z^c for the central generator z."""
@@ -298,11 +297,7 @@ class Group:
 
     def _quotient_rows(self, A):
         """Quotient vectors (rows of G/Z(G) = F_p^2n) of coordinate rows."""
-        if self.es2_shaped:
-            V = A.copy()
-            V[:, 0] %= self.p
-            return V
-        return A[:, :-1]
+        return A[:, :2 * self.n] % self.p
 
     def __repr__(self):
         return f"Group({self.gid})"

@@ -13,7 +13,7 @@ Three separate recomputation routes:
   * matrix scans: count the 2x2 or 4x4 matrices N over F_p with
     N^t Delta N = s Delta for one Gram scalar s (s = 0 the zero form), by
     one count over the pairing table rather than the similitude
-    parametrization.  Each Gram class (dim, p, s, column restrictions) is
+    parametrization.  Each Gram class (dim, p, s, es2 first-row pin) is
     counted once per process and memoized, so every later scan of it is a
     lookup.
   * subspace scans: one walk over the reduced-echelon cells, in
@@ -210,55 +210,40 @@ def _pairing_table(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return (A[:, :h] @ B[:, h:].T - A[:, h:] @ B[:, :h].T) % p
 
 
-def _column_pools(V: np.ndarray, dim: int, s: int, image_in_v1: bool,
-                  es2_constrained: bool) -> list:
-    base = np.ones(len(V), dtype=bool)
-    if image_in_v1:
-        base = base & (V[:, 0] == 0)
-    pools = [base.copy() for _ in range(dim)]
-    if es2_constrained:
-        # first row of the x-block is (s, 0, ..), first row of the y-block is 0
-        pools[0] = pools[0] & (V[:, 0] == s)
-        for j in range(1, dim):
-            pools[j] = pools[j] & (V[:, 0] == 0)
-    return pools
-
-
-def _count(V: np.ndarray, pools: list, s: int, p: int) -> int:
-    """Matrices with column j in pools[j] and Gram form s * Delta.
+def _count(V: np.ndarray, first: np.ndarray, later: np.ndarray, s: int, p: int) -> int:
+    """Matrices with column 1 in `first`, every later column in `later`, and
+    Gram form s * Delta.
 
     With L = (P == s) and Z = (P == 0) on the pairing table P, dim 2 counts
-    pool0^t L pool1.  Dim 4, columns (c1, c2 | c3, c4), takes one c1 and
-    every c3 with <<c1,c3>> = s at once: m = pool & Z[c1] & Z[c3] masks c2
-    and c4, and ((M2 @ L) * M4).sum() counts the pairs with <<c2,c4>> = s.
+    first^t L later.  Dim 4, columns (c1, c2 | c3, c4), takes one c1 and
+    every c3 with <<c1,c3>> = s at once: m = later & Z[c1] & Z[c3] masks
+    c2 and c4 alike, and ((m @ L) * m).sum() counts their pairs with
+    <<c2,c4>> = s.
     """
-    if len(pools) == 2:
+    if V.shape[1] == 2:
         # row blocks: at dim 2 the table has as many entries as the raw space
-        A, B = V[pools[0]], V[pools[1]]
+        A, B = V[first], V[later]
         return sum(int(np.count_nonzero(_pairing_table(A[rows], B, p) == s))
                    for rows in row_blocks(len(A)))
     P = _pairing_table(V, V, p)
     Z = P == 0
     L = (P == s).astype(np.float64)
     total = 0
-    for c1 in np.flatnonzero(pools[0]):
-        c3 = np.flatnonzero(pools[2] & (P[c1] == s))
-        zero = Z[c1] & Z[c3]
-        M2 = (pools[1] & zero).astype(np.float64)
-        M4 = (pools[3] & zero).astype(np.float64)
+    for c1 in np.flatnonzero(first):
+        c3 = np.flatnonzero(later & (P[c1] == s))
+        m = (later & Z[c1] & Z[c3]).astype(np.float64)
         # float64 is exact: a partial sum counts (c2, c3, c4) triples for
         # one c1, at most p^12 < 2^53 for every p <= 19
-        total += int(((M2 @ L) * M4).sum())
+        total += int(((m @ L) * m).sum())
     return total
 
 
-def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
-                  es2_constrained: bool = False) -> int:
+def scan_matrices(dim: int, p: int, s: int, es2_constrained: bool = False) -> int:
     """Count dim x dim matrices N over F_p with N^t Delta N = s Delta.
 
-    s = 0 is the zero form.  image_in_v1 restricts all columns to the
-    hyperplane v[0] = 0; es2_constrained pins the first row to
-    (s, 0, ..., 0 | 0, ..., 0).
+    s = 0 is the zero form.  es2_constrained pins the first row to
+    (s, 0, ..., 0 | 0, ..., 0), the es2 first-row constraint
+    omega sigma = s omega; at s = 0 that puts every column in V_1.
 
     The cap is charged on the raw space p^(dim^2) on every call; the count
     itself is `_gram_count`, which scans each Gram class once per process,
@@ -267,19 +252,23 @@ def scan_matrices(dim: int, p: int, s: int, image_in_v1: bool = False,
     if dim not in (2, 4):
         raise ContextError(f"matrix scans cover dim 2 and 4, got {dim}")
     charge("SCAN_CAP", p ** (dim * dim), f"matrix scan of {dim}x{dim} matrices over F_{p}")
-    return _gram_count(dim, p, s % p, image_in_v1, es2_constrained)
+    return _gram_count(dim, p, s % p, es2_constrained)
 
 
 @lru_cache(maxsize=None)
-def _gram_count(dim: int, p: int, s: int, image_in_v1: bool, es2_constrained: bool) -> int:
+def _gram_count(dim: int, p: int, s: int, es2_constrained: bool) -> int:
     """Matrices of one Gram class s * Delta, counted once per process.
 
     The key is the whole class, with s reduced mod p by the caller, so s
-    and s + p share one count.  The caller charges the scan cap before
-    every lookup, hit or miss.
+    and s + p share one count.  The free class draws every column from
+    F_p^dim; the pinned class draws column 1 from {v[0] = s} and the later
+    ones from {v[0] = 0}.  The caller charges the scan cap before every
+    lookup, hit or miss.
     """
     V = _vectors(dim, p)
-    return _count(V, _column_pools(V, dim, s, image_in_v1, es2_constrained), s, p)
+    free = np.ones(len(V), dtype=bool)
+    first, later = (V[:, 0] == s, V[:, 0] == 0) if es2_constrained else (free, free)
+    return _count(V, first, later, s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +397,8 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     images c M_trail of all p^t trailing assignments are one table built
     once per scan, and each leading assignment adds only its offset
     -c M_lead: a candidate is dependent iff some line's trailing image
-    equals that line's offset.
+    equals that line's offset.  The cap is charged on that work, p^(k dim)
+    candidates times (p^k - 1)/(p - 1) lines, before any table is built.
     """
     if k < 0 or k > dim:
         # more rows than columns are always dependent; this also keeps the
@@ -417,7 +407,9 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     if k == 0:
         return 1
     cells = k * dim
-    charge("SCAN_CAP", p ** cells, f"surjection scan of {k}x{dim} matrices over F_{p}")
+    n_lines = (p ** k - 1) // (p - 1)
+    charge("SCAN_CAP", p ** cells * n_lines,
+           f"surjection scan of {k}x{dim} matrices over F_{p} against {n_lines} lines")
     t = 0
     while t < cells and p ** (t + 1) <= _SURJECTION_BLOCK:
         t += 1

@@ -104,7 +104,7 @@ def test_c5_counting_formulas_vs_scans():
         for p, n in ((3, 1), (3, 2)):
             dim = 2 * n
             assert counting.count_X(p, n) == oracle.scan_matrices(dim, p, 0)
-            assert counting.count_Y(p, n) == oracle.scan_matrices(dim, p, 0, image_in_v1=True)
+            assert counting.count_Y(p, n) == oracle.scan_matrices(dim, p, 0, es2_constrained=True)
         assert counting.count_X(3, 1) == 33
         assert counting.count_Y(3, 1) == 9
         assert counting.count_X(3, 2) == 252801  # the 3^16 scan

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extraspecial import cli, config, counting
+from extraspecial import cli, config, counting, oracle
 from extraspecial.groups import parse_element
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -282,6 +282,21 @@ def test_count_gamma_k_past_the_dimension_answers_under_any_scan_cap(capsys, mon
     assert code == 0
     doc = json.loads(out)
     assert (doc["formula"], doc["oracle"], doc["match"]) == (0, 0, True)
+
+
+def test_count_gamma_k_refuses_a_surjection_scan_past_the_cap_before_it_starts(
+        capsys, monkeypatch):
+    # 3^16 candidates are under SCAN_CAP, but each is tested against 40 lines
+    monkeypatch.delenv("EXTRASPECIAL_SCAN_CAP", raising=False)
+
+    def forbidden(*_args):
+        raise RuntimeError("the surjection scan started")
+
+    monkeypatch.setattr(oracle, "_projective_lines", forbidden)
+    code, out, err = run(capsys, "count", "--quantity", "gamma_k", "-p", "3", "-n", "2",
+                         "-k", "4", "--oracle")
+    assert (code, out) == (1, "")
+    assert "against 40 lines" in err and "SCAN_CAP" in err
 
 
 def test_count_unknown_quantity_is_a_usage_error(capsys):

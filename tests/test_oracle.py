@@ -229,7 +229,8 @@ def test_scan_matrices_constrained_dim2():
     assert oracle.scan_matrices(2, 3, 1, es2_constrained=True) == 3
     total_units = sum(oracle.scan_matrices(2, 3, s, es2_constrained=True) for s in (1, 2))
     assert total_units == counting.im_phi2_order(1, 3)
-    assert oracle.scan_matrices(2, 3, 0, image_in_v1=True) == 9
+    # at s = 0 the pin puts every column in V_1
+    assert oracle.scan_matrices(2, 3, 0, es2_constrained=True) == 9
 
 
 def _gram_one_by_one(dim, p, s, image_in_v1, es2_constrained):
@@ -252,9 +253,14 @@ def _gram_one_by_one(dim, p, s, image_in_v1, es2_constrained):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_scan_matrices_dim2_matches_per_matrix_gram(p):
-    for s, image_in_v1, es2_constrained in product(range(p), (False, True), (False, True)):
-        args = (2, p, s, image_in_v1, es2_constrained)
-        assert oracle.scan_matrices(*args) == _gram_one_by_one(*args), args
+    pinned_zero = oracle.scan_matrices(2, p, 0, es2_constrained=True)
+    for s in range(p):
+        for es2_constrained in (False, True):
+            assert (oracle.scan_matrices(2, p, s, es2_constrained=es2_constrained)
+                    == _gram_one_by_one(2, p, s, False, es2_constrained)), (s, es2_constrained)
+        # every column in V_1 (count_Y's class) is the pinned class at s = 0,
+        # and empty at s != 0, where the matrices are invertible
+        assert _gram_one_by_one(2, p, s, True, False) == (pinned_zero if s == 0 else 0), s
 
 
 def test_scan_matrices_dim4():
@@ -276,9 +282,9 @@ def _spy_on_count(monkeypatch) -> list:
     runs = []
     real = oracle._count
 
-    def spy(V, pools, s, p):
+    def spy(V, first, later, s, p):
         runs.append(s)
-        return real(V, pools, s, p)
+        return real(V, first, later, s, p)
 
     monkeypatch.setattr(oracle, "_count", spy)
     return runs
@@ -293,13 +299,11 @@ def test_scan_matrices_counts_each_gram_class_once(monkeypatch):
     assert runs == [1, 0]
     assert scan(2, 3, 2) == 24
     assert runs == [1, 0, 2]
-    # the column restrictions never share a class, with each other or with none
-    assert scan(2, 3, 0, image_in_v1=True) == 9
+    # the pinned classes never share a count with the free ones
     assert scan(2, 3, 0, es2_constrained=True) == 9
     assert scan(2, 3, 1, es2_constrained=True) == 3
-    assert scan(2, 3, 1, image_in_v1=True, es2_constrained=True) == 0
-    assert runs == [1, 0, 2, 0, 0, 1, 1]
-    assert oracle._gram_count.cache_info().currsize == 7
+    assert runs == [1, 0, 2, 0, 1]
+    assert oracle._gram_count.cache_info().currsize == 5
 
 
 def test_cached_gram_class_still_charges_the_cap(monkeypatch):
@@ -313,8 +317,9 @@ def test_counting_scans_run_each_gram_class_once(monkeypatch):
     runs = _spy_on_count(monkeypatch)
     for p, n in ((3, 1), (3, 2), (5, 1)):
         verifysuite.check_counting_scans(p, n)
-    # 55 Gram-class lookups over the three grids, 25 of them distinct
-    assert len(runs) == 25
+    # 55 Gram-class lookups over the three grids, 22 of them distinct:
+    # count_Y shares the es2 class at s = 0
+    assert len(runs) == 22
 
 
 def test_scan_subspaces(monkeypatch):
@@ -431,7 +436,8 @@ def test_scan_surjections_past_dim_needs_no_scan(monkeypatch):
 
 
 def test_scan_surjections_cap_and_independence(monkeypatch):
-    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8))
+    # the charge is the work: 5^8 candidates, each against the 6 lines of F_5^2
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8 * 6))
     assert oracle.scan_surjections(4, 5, 2) == 386_880
 
     def forbidden(*_args, **_kwargs):
@@ -441,10 +447,11 @@ def test_scan_surjections_cap_and_independence(monkeypatch):
     monkeypatch.setattr(counting, "gamma_k", forbidden)
     monkeypatch.setattr(modp, "p_binomial", forbidden)
     assert oracle.scan_surjections(4, 3, 2) == (81 - 1) * (81 - 3)
-    # the cap raises before any candidate table is built
+    # the cap raises before the line table or any candidate table is built
+    monkeypatch.setattr(oracle, "_projective_lines", forbidden)
     monkeypatch.setattr(oracle, "_vectors", forbidden)
-    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8 - 1))
-    with pytest.raises(CapExceeded):
+    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", str(5 ** 8 * 6 - 1))
+    with pytest.raises(CapExceeded, match="against 6 lines"):
         oracle.scan_surjections(4, 5, 2)
 
 
@@ -460,7 +467,7 @@ def test_scan_matrices_cap_and_independence(monkeypatch):
             monkeypatch.setattr(counting, name, forbidden)
     monkeypatch.setattr(modp, "p_binomial", forbidden)
     monkeypatch.setattr(morphisms, "_frontier", forbidden)
-    assert oracle.scan_matrices(4, 3, 0, image_in_v1=True) == 26001
+    assert oracle.scan_matrices(4, 3, 0, es2_constrained=True) == 26001
     assert oracle.sigma_scan_count(ES2, 3, 2, invertible_only=True) == 1296
     # the cap raises before the vectors or the pairing table are built
     monkeypatch.setattr(oracle, "_vectors", forbidden)
