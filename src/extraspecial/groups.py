@@ -181,20 +181,23 @@ class Group:
     # -- the group laws ------------------------------------------------------
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self._twisted([x + y for x, y in zip(a, b)], a, b)
+        return self._twisted(list(map(operator.add, a, b)), a, b)
 
     def inv(self, a: tuple) -> tuple:
         # the negated coordinates plus the central term (-v)^T M (-v) = v^T M v,
         # which makes g g^-1 = e
-        return self._twisted([-x for x in a], a, a)
+        return self._twisted(list(map(operator.neg, a)), a, a)
 
     def _twisted(self, coords: list, a: tuple, b: tuple) -> tuple:
         """coords plus z_unit * v_a^T M v_b in the central slot, reduced by ranges.
 
         v_a is a's first 2n coordinates, unreduced: z_unit * p divides the
         central slot's range, so the reduction reads them mod p."""
-        coords[self._z_slot] += self._z_unit * sum(c * a[i] * b[j] for i, j, c in self._terms)
-        return tuple(x % r for x, r in zip(coords, self.ranges))
+        tw = 0
+        for i, j, c in self._terms:
+            tw += c * a[i] * b[j]
+        coords[self._z_slot] += self._z_unit * tw
+        return tuple(map(operator.mod, coords, self.ranges))
 
     def power(self, a: tuple, k: int) -> tuple:
         if k < 0:
@@ -252,7 +255,7 @@ class Group:
         return product(*(range(r) for r in self.ranges))
 
     def index(self, a: tuple) -> int:
-        return sum(c * r for c, r in zip(a, self.radices))
+        return sum(map(operator.mul, a, self.radices))
 
     def coords_at(self, i: int) -> tuple:
         out = []

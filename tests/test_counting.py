@@ -108,13 +108,15 @@ def test_decomposition_identity_all_small_parameters():
 
 
 def test_gamma_is_surjection_count():
-    # gamma_k(p, n, k) = prod_{i<k} (p^{2n} - p^i)
+    # gamma_k(p, n, k) = prod_{i<k} (p^{2n} - p^i) for every k up to 2n, and 0
+    # one past it, where the factor i = 2n vanishes
     for p in (3, 5):
-        for n in (1, 2):
-            for k in range(n + 1):
+        for n in (1, 2, 3, 4):
+            for k in range(2 * n + 2):
                 expected = 1
                 for i in range(k):
                     expected *= p ** (2 * n) - p ** i
+                assert expected == 0 if k == 2 * n + 1 else expected > 0
                 assert counting.gamma_k(p, n, k) == expected
 
 

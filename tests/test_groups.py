@@ -415,6 +415,35 @@ def test_mul_index_matches_tuple_mul_random(data):
     assert g.mul_index(np.array(A), np.array(B)).tolist() == want
 
 
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_tuple_law_matches_spelled_formulas_random(data):
+    # Group.mul/inv/power/index past the exhaustive sizes, p = 101 included
+    g = group(data.draw(st.sampled_from(ALL_KINDS)),
+              *data.draw(st.sampled_from([(7, 2), (3, 3), (101, 2)])))
+    a, b = data.draw(coords_strategy(g)), data.draw(coords_strategy(g))
+    assert g.mul(a, b) == spelled_mul(g, a, b)
+    assert g.inv(a) == spelled_inv(g, a)
+    i = data.draw(st.integers(min_value=0, max_value=g.size - 1))
+    assert g.coords_at(g.index(a)) == a and g.index(g.coords_at(i)) == i
+    k = data.draw(st.integers(min_value=-g.p ** 2, max_value=g.p ** 2))
+    base = a if k >= 0 else spelled_inv(g, a)
+    want = g.identity().coords
+    for _ in range(abs(k)):
+        want = spelled_mul(g, want, base)
+    assert g.power(a, k) == want
+
+
+def test_tuple_law_at_large_n():
+    # the cocycle loop over all n terms, at a size no table reaches
+    g = group(ES1, 3, 2000)
+    a = tuple(range(4001))
+    b = tuple(range(4001, 0, -1))
+    a, b = g.element(a).coords, g.element(b).coords
+    assert g.mul(a, b) == spelled_mul(g, a, b)
+    assert g.inv(a) == spelled_inv(g, a)
+
+
 @pytest.mark.parametrize("kind, p", [(ES1, 3), (ES2, 3), (ES1_TILDE, 3), (ES2_TILDE, 3), (ES2, 5)])
 def test_f_table_matches_symplectic_f(kind, p):
     g = group(kind, p, 1)

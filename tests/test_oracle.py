@@ -151,6 +151,19 @@ def test_pruned_hom_search_matches_blind_reference(kind, monkeypatch):
     assert pairs and max(pairs.values()) == 1
 
 
+@pytest.mark.parametrize("kind, homs", [(ES1, 729), (ES2, 135)])
+def test_hom_search_reads_only_the_tuple_law(kind, homs, monkeypatch):
+    # an independent route: no batched law, no multiplication table and no
+    # endomorphism kernel; the test above pins one Group.mul call per pair
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hom-search read a batched route")
+
+    monkeypatch.setattr(oracle, "mult_table", refuse)
+    monkeypatch.setattr(Group, "mul_index", refuse)
+    monkeypatch.setattr(morphisms, "_images", refuse)
+    assert len(list(oracle.enumerate_homs_by_generators(group(kind, 3, 1)))) == homs
+
+
 @pytest.mark.parametrize("kind,n", [(ES1, 1), (ES2, 1), (ES1, 2), (ES2, 2)])
 def test_hom_search_checks_each_relation_at_its_highest_generator(kind, n, monkeypatch):
     g = group(kind, 3, n)
