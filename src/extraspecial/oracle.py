@@ -22,8 +22,8 @@ Three separate recomputation routes:
     certifies from the same walk that each isotropic count is a polynomial
     in p with non-negative coefficients, one p^d per cell.  The surjection
     scan tests every k x dim matrix for full rank against every line of
-    F_p^k: the trailing cells' line images are one table per scan, and
-    each assignment of the leading cells adds only its offset.
+    F_p^k: the trailing cells' line images are one table per scan, each
+    leading assignment adds its offset, and coordinates compare in place.
 
 Caps guard every scan: config.charge refuses before work starts when the
 search space is out of reach.
@@ -397,7 +397,8 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     images c M_trail of all p^t trailing assignments are one table built
     once per scan, and each leading assignment adds only its offset
     -c M_lead: a candidate is dependent iff some line's trailing image
-    equals that line's offset.  The cap is charged on that work, p^(k dim)
+    equals that line's offset, coordinate by coordinate ANDed in place on
+    views of the table.  The cap is charged on that work, p^(k dim)
     candidates times (p^k - 1)/(p - 1) lines, before any table is built.
     """
     if k < 0 or k > dim:
@@ -423,8 +424,10 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
     for prefix in product(range(p), repeat=lead):
         head[:lead] = prefix
         offset = -(lines @ head.reshape(k, dim)) % p
-        dependent = (trail == offset).all(axis=2).any(axis=1)
-        total += len(trail) - int(np.count_nonzero(dependent))
+        hit = trail[:, :, 0] == offset[:, 0]
+        for j in range(1, dim):
+            hit &= trail[:, :, j] == offset[:, j]
+        total += len(trail) - int(np.count_nonzero(hit.any(axis=1)))
     return total
 
 

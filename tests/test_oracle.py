@@ -427,12 +427,16 @@ def _surjections_one_by_one(dim, p, k):
 
 @pytest.mark.parametrize("dim,p,k", [
     (dim, p, k) for dim in (2, 4) for p in (3, 5, 7) for k in range(dim + 2)
-    if p ** (k * dim) <= 10 ** 5])
+    if p ** (k * dim) <= 10 ** 5] + [
+    # odd dims and dim 6: the per-coordinate test runs over dim != 2, 4
+    (dim, p, k) for dim in (3, 5, 6) for p in (3, 5) for k in range(dim + 1)
+    if p ** (k * dim) <= 2 * 10 ** 4])
 def test_scan_surjections_matches_per_matrix_rank(dim, p, k):
     assert oracle.scan_surjections(dim, p, k) == _surjections_one_by_one(dim, p, k)
 
 
-@pytest.mark.parametrize("dim,p,k", [(2, 3, 1), (2, 3, 2), (4, 3, 2), (2, 5, 2), (2, 7, 2)])
+@pytest.mark.parametrize("dim,p,k", [(2, 3, 1), (2, 3, 2), (4, 3, 2), (2, 5, 2), (2, 7, 2),
+                                     (3, 3, 2), (3, 5, 1), (5, 3, 1), (6, 3, 1)])
 def test_scan_surjections_is_split_invariant(monkeypatch, dim, p, k):
     # blocks of 1, p, ..., p^(k dim) candidates: the prefix runs from every
     # cell down to none (a single empty prefix)
