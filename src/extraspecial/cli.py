@@ -28,7 +28,7 @@ from . import counting, orbits
 from .config import charge
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
-from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group,
+from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group, integer,
                      parse_element, parse_group_id, parse_group_spec, parse_ints)
 from .modp import Mat
 from .morphisms import build_endo, scalar_action_check
@@ -75,7 +75,7 @@ def _endo_call(g, tokens: list) -> dict:
             raise ParseError(f"parameter {key!r} given twice")
         if key == "a":
             try:
-                params[key] = int(val)
+                params[key] = integer(val)
             except ValueError:
                 raise ParseError(f"a wants an integer, got {val!r}") from None
         else:
@@ -327,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("count", help="one counting quantity, formula vs oracle")
     pq.add_argument("--quantity", choices=tuple(counting.QUANTITIES), required=True)
-    pq.add_argument("-p", "--p", type=int, required=True)
-    pq.add_argument("-n", "--n", type=int, required=True)
-    pq.add_argument("-k", "--k", type=int, default=None)
+    pq.add_argument("-p", "--p", type=integer, required=True)
+    pq.add_argument("-n", "--n", type=integer, required=True)
+    pq.add_argument("-k", "--k", type=integer, default=None)
     pq.add_argument("--group", choices=(ES1, ES2), default=None)
     pq.add_argument("--oracle", action="store_true")
     pq.set_defaults(fn=cmd_count)

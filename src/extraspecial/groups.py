@@ -399,12 +399,21 @@ def delta_iso(e: Element) -> Element:
 # is canonical; parsing accepts optional whitespace around tokens.
 
 
-def parse_group_spec(text: str, offset: int = 0) -> Group:
-    gid = parse_group_id(text, offset)
+def integer(text: str) -> int:
+    """An optional sign and the ASCII digits 0-9, with whitespace around them.
+    int() alone would also take 1_0 and non-ASCII digits; it rejects a doubled sign."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def parse_group_spec(text: str) -> Group:
+    gid = parse_group_id(text)
     return group(gid.kind, gid.p, gid.n)
 
 
-def parse_group_id(text: str, offset: int = 0) -> GroupId:
+def parse_group_id(text: str) -> GroupId:
     """The validated (kind, p, n) of a group spec, with no group built."""
     s = text.strip()
     try:
@@ -413,16 +422,16 @@ def parse_group_id(text: str, offset: int = 0) -> GroupId:
         if tail.strip():
             raise ValueError
         ps, ns = body.split(",")
-        p, n = int(ps), int(ns)
+        p, n = integer(ps), integer(ns)
     except ValueError:
-        raise ParseError(f"expected group spec like es1(3,1), got {text!r}", offset) from None
+        raise ParseError(f"expected group spec like es1(3,1), got {text!r}", 0) from None
     kind = kind.strip()
     if kind not in (ES1, ES2):
-        raise ParseError(f"unknown group kind {kind!r}", offset)
+        raise ParseError(f"unknown group kind {kind!r}", 0)
     try:
         return GroupId(kind, p, n)
     except ContextError as exc:
-        raise ParseError(str(exc), offset) from None
+        raise ParseError(str(exc), 0) from None
 
 
 def parse_ints(text: str, what: str, offset: int = 0, skip_empty: bool = False) -> tuple:
@@ -433,7 +442,7 @@ def parse_ints(text: str, what: str, offset: int = 0, skip_empty: bool = False) 
     for tok in text.split(",") if text.strip() else ():
         if tok.strip() or not skip_empty:
             try:
-                out.append(int(tok))
+                out.append(integer(tok))
             except ValueError:
                 raise ParseError(f"{what} has a non-integer entry {tok.strip()!r}",
                                  pos + len(tok) - len(tok.lstrip())) from None

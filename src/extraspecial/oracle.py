@@ -41,7 +41,7 @@ import numpy as np
 from .config import charge
 from .errors import ContextError, check
 from .groups import ES1, ES2, Group, row_blocks
-from .modp import inv_mod
+from .modp import inv_mod, p_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +54,6 @@ class PresentationSpec:
     A word is a tuple of (generator index, exponent) tokens; generator i
     is x_{i+1} for i < n and y_{i-n+1} for i >= n.
     """
-    kind: str
-    p: int
-    n: int
     gen_orders: tuple
     relations: tuple
 
@@ -90,7 +87,7 @@ def presentation(g: Group) -> PresentationSpec:
     rels += [(z + ((i, 1),) + z_inv + ((i, -1),), ()) for i in range(gens)]
     rels.append((z * p, ()))
     orders = tuple(p * p if w else p for w in omega)
-    return PresentationSpec(g.kind, p, n, orders, tuple(r for r in rels if r[0] != r[1]))
+    return PresentationSpec(orders, tuple(r for r in rels if r[0] != r[1]))
 
 
 def eval_word(g: Group, images: tuple, word: tuple, power=None, mul=None) -> tuple:
@@ -302,8 +299,6 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = 
     so the walk visits p_binomial(dim, k, p) matrices, charged to
     SUBSPACE_CAP before any block is built.
     """
-    from .modp import p_binomial
-
     if not 0 <= k <= dim:
         return
     if dim % 2 and (isotropic or inside_v1):
@@ -314,10 +309,6 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = 
         order = _flag_order(dim // 2)
         delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
         form = delta[np.ix_(order, order)]  # the Gram matrix of the flag basis
-        # form is a signed permutation: column j of M @ form is sign[j] times
-        # column src[j] of M
-        src = np.abs(form).argmax(axis=0)
-        sign = form[src, range(dim)]
         v1 = order.index(0)
     rows = max(1, _CELL_BLOCK // max(1, k * dim))
     for pivots in combinations(range(dim), k):
@@ -335,8 +326,9 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = 
             M = M.reshape(len(idx), k, dim)
             keep = np.ones(len(M), dtype=bool)
             if isotropic:
-                # int64 is exact: a Gram entry sums dim products of size below p^2
-                keep &= ~(M[:, :, src] * sign @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
+                # int64 is exact: form's entries are 0 and +-1, so a Gram entry
+                # sums dim products of size below p^2
+                keep &= ~(M @ form @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
             if inside_v1:
                 keep &= ~M[:, :, v1].any(axis=1)
             count += int(np.count_nonzero(keep))

@@ -300,9 +300,14 @@ def test_count_gamma_k_refuses_a_surjection_scan_past_the_cap_before_it_starts(
 
 
 def test_count_unknown_quantity_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count", "--quantity", "nonsense", "--p", "3", "--n", "1"])
-    assert exc.value.code == 2
+    for argv in (["--quantity", "nonsense", "--p", "3", "--n", "1"],
+                 # argparse reads -p, -n and -k with the one integer grammar
+                 ["--quantity", "alpha_k", "-p", "1_1", "-n", "1", "-k", "1"],
+                 ["--quantity", "alpha_k", "-p", "3", "-n", "\u0661", "-k", "1"],
+                 ["--quantity", "alpha_k", "-p", "3", "-n", "1", "-k", "0_1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", *argv])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -563,7 +568,8 @@ def test_a_failed_check_under_census_oracle_exits_1_without_a_traceback(capsys, 
     assert err == "error: brute degeneration disagrees with image classes\n"
 
 
-@pytest.mark.parametrize("flag,value", [("--p-list", "3,x"), ("--n-list", "1,y")])
+@pytest.mark.parametrize("flag,value", [("--p-list", "3,x"), ("--n-list", "1,y"),
+                                        ("--p-list", "1_1"), ("--n-list", "1,\u0663")])
 def test_census_bad_list_is_a_parse_error(capsys, flag, value):
     code, _, err = run(capsys, "census", flag, value)
     assert code == 2
@@ -575,6 +581,10 @@ def test_census_bad_list_is_a_parse_error(capsys, flag, value):
     (["census", "--n-list", "1, 2,x"], 5, "x"),
     (["endo", "es1(3,1)", "A=[1]", "B=[1]", "alpha=[-1,-]"], 4, "-"),
     (["endo", "es1(3,1)", "A=[ 1 ,y]"], 5, "y"),
+    (["order", "es1(3,1):[1_0|0|0]"], 10, "1_0"),
+    (["classify", "es2(3,1):[\u0663|1]"], 10, "\u0663"),
+    (["census", "--p-list", "3,1_1"], 2, "1_1"),
+    (["endo", "es1(3,1)", "A=[+1_0]"], 1, "+1_0"),
 ])
 def test_parse_errors_name_the_bad_entrys_own_position(capsys, argv, position, entry):
     code, out, err = run(capsys, *argv)
@@ -588,6 +598,8 @@ def test_parse_errors_name_the_bad_entrys_own_position(capsys, argv, position, e
     ["endo", "es1(3,1)", "Q=[1]"],
     ["endo", "es1(3,1)", "A=[1]", "A=[2]"],
     ["endo", "es2(3,1)", "a=x"],
+    ["endo", "es2(3,1)", "A=[1]", "B=[1]", "a=1_1"],
+    ["endo", "es2(3,1)", "A=[1]", "B=[1]", "a=\u0663"],
     ["endo", "es1(3,1)", "A=[1,0]"],
     ["endo", "es1(3,1)", "A=1"],
     ["endo", "es1(3,1)", "beta=[0,0]"],

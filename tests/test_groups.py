@@ -266,7 +266,8 @@ def test_parse_group_spec():
     g = parse_group_spec("es2( 3 , 2 )")
     assert g.kind == ES2 and g.p == 3 and g.n == 2
     assert parse_group_spec("es1(3,1)") is group(ES1, 3, 1)  # cached identity
-    for bad in ("es3(3,1)", "es1(4,1)", "es1(3)", "es1 3 1", "es1(3,1)x"):
+    for bad in ("es3(3,1)", "es1(4,1)", "es1(3)", "es1 3 1", "es1(3,1)x",
+                "es1(1_1,1)", "es2(3,\u0661)"):
         with pytest.raises(ParseError):
             parse_group_spec(bad)
 
@@ -298,8 +299,9 @@ def test_parse_element_errors_carry_position():
     assert exc.value.position is not None
     with pytest.raises(ParseError):
         parse_element("es2(3,2):[1|2|3]")  # wrong segment count
-    with pytest.raises(ParseError):
-        parse_element("es1(3,1):[1|x|0]")
+    for bad in ("es1(3,1):[1|x|0]", "es1(3,1):[1_0|0|0]", "es2(3,1):[\u0663|1]"):
+        with pytest.raises(ParseError):
+            parse_element(bad)
 
 
 @pytest.mark.parametrize("text", [

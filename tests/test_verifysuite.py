@@ -138,6 +138,33 @@ def test_polynomial_rows_compare_the_twins_with_the_echelon_cells(monkeypatch):
         verifysuite.check_polynomials(1)
 
 
+QUICK_ROWS = [
+    "group-laws-es1(3,1)", "group-laws-es2(3,1)", "group-laws-es1~(3,1)",
+    "group-laws-es2~(3,1)", "lambda-iso-(3,1)", "delta-iso-(3,1)",
+    "hom-search-es1(3,1)", "hom-search-es2(3,1)", "endo-count-es1(3,1)",
+    "endo-count-es2(3,1)", "aut-count-es1(3,1)", "aut-count-es2(3,1)",
+    "orbits-es1(3,1)", "orbits-es2(3,1)", "degeneration-order-es1(3,1)",
+    "degeneration-order-es2(3,1)", "counting-scans-(3,1)", "counting-polynomials-n1",
+    "im-phi2-(3,1)", "scalar-action-es1(3,1)", "scalar-action-es2(3,1)",
+]
+FULL_ONLY_ROWS = {
+    "lambda-iso-(5,1)", "delta-iso-(5,1)", "lambda-iso-(3,2)", "delta-iso-(3,2)",
+    "hom-search-es1(5,1)", "hom-search-es2(5,1)", "endo-count-es1(5,1)",
+    "endo-count-es2(5,1)", "aut-count-es2(3,2)", "orbits-es2(3,2)",
+    "degeneration-order-es2(3,2)", "counting-scans-(3,2)", "counting-scans-(5,1)",
+    "counting-polynomials-n2", "counting-polynomials-n3",
+}
+
+
+def test_battery_row_names_are_pinned():
+    quick = [name for name, _ in verifysuite.checks("quick")]
+    full = [name for name, _ in verifysuite.checks("full")]
+    assert quick == QUICK_ROWS
+    assert full[:len(quick)] == quick
+    assert len(full) == len(set(full)) == 36
+    assert set(full) == set(QUICK_ROWS) | FULL_ONLY_ROWS
+
+
 @pytest.mark.parametrize("suite", ["quick", "full"])
 def test_readme_states_each_suite_size(suite):
     text = " ".join((ROOT / "README.md").read_text().split())
