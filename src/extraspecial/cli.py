@@ -25,11 +25,11 @@ import sys
 from collections import Counter
 
 from . import counting, orbits
-from .config import charge
+from .config import charge, integer
 from .errors import (CapExceeded, ContextError, DimensionError,
                      MorphismValidationError, ParseError)
-from .groups import (ES1, ES2, TABLE_CAP, Element, format_element, group, integer,
-                     parse_element, parse_group_id, parse_group_spec, parse_ints)
+from .groups import (PLAIN_KINDS, TABLE_CAP, Element, format_element, group, parse_element,
+                     parse_group_id, parse_group_spec, parse_ints)
 from .modp import Mat
 from .morphisms import build_endo, scalar_action_check
 
@@ -210,16 +210,14 @@ def _count_row(q, p, n, k, kind, oracle):
 
 def _partial_order_row(kind, p, n, oracle):
     g = group(kind, p, n)
-    row = {"quantity": "partial_order", "group": kind, "p": p, "n": n, "k": None}
+    row = {"quantity": "partial_order", "group": kind, "p": p, "n": n, "k": None,
+           "formula": orbits.partial_order_report(g, verify=False).verdict}
     if not oracle:
-        row["formula"] = orbits.partial_order_report(g, verify=False).verdict
         return _skipped(row, _NO_ORACLE)
     try:
         rep = orbits.partial_order_report(g, verify=True)
     except CapExceeded as exc:
-        row["formula"] = orbits.partial_order_report(g, verify=False).verdict
         return _skipped(row, str(exc))
-    row["formula"] = rep.verdict
     if rep.witness is not None:
         row["oracle"] = "witness " + " <-> ".join(str(w) for w in rep.witness)
     else:
@@ -254,7 +252,7 @@ def cmd_census(args) -> int:
                 raise ParseError(f"unknown quantity {q!r}")
     kinds = [t.strip() for t in args.group.split(",") if t.strip()]
     for kind in kinds:
-        if kind not in (ES1, ES2):
+        if kind not in PLAIN_KINDS:
             raise ParseError(f"unknown group kind {kind!r}")
     # an empty list would print a bare header, a repeated entry repeated rows:
     # both silent answers
@@ -330,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("-p", "--p", type=integer, required=True)
     pq.add_argument("-n", "--n", type=integer, required=True)
     pq.add_argument("-k", "--k", type=integer, default=None)
-    pq.add_argument("--group", choices=(ES1, ES2), default=None)
+    pq.add_argument("--group", choices=PLAIN_KINDS, default=None)
     pq.add_argument("--oracle", action="store_true")
     pq.set_defaults(fn=cmd_count)
 
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p-list", default="3")
     ps.add_argument("--n-list", default="1")
     ps.add_argument("--quantities", default="all")
-    ps.add_argument("--group", default=f"{ES1},{ES2}")
+    ps.add_argument("--group", default=",".join(PLAIN_KINDS))
     ps.add_argument("--oracle", action="store_true")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default=None)

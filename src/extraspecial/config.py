@@ -2,8 +2,8 @@
 
 Each limit guards a potentially exponential loop or a large allocation; the
 defaults cover the desk scales of the test suite, (p, n) in {(3,1), (5,1),
-(3,2)}.  The five caps marked env may be overridden by the integer
-environment variable EXTRASPECIAL_<NAME>; the other four are fixed.
+(3,2)}.  The five caps marked env may be overridden by a count (an
+`integer` >= 0) in EXTRASPECIAL_<NAME>; the other four are fixed.
 
     ELEMENT_CAP    10**7   env  group elements enumerated
     MORPHISM_CAP   10**6   env  endomorphisms or automorphisms walked
@@ -42,17 +42,29 @@ LIMITS = {
 }
 
 
+def integer(text: str) -> int:
+    """An optional sign and the ASCII digits 0-9, with whitespace around them.
+    int() alone would also take 1_0 and non-ASCII digits; it rejects a doubled sign."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def cap(name):
     """The ceiling of one limit, or its EXTRASPECIAL_<name> override where the
-    table allows one; a malformed override raises ParseError (CLI exit 2)."""
+    table allows one; an override that is no count raises ParseError (exit 2)."""
     default, overridable = LIMITS[name]
     raw = os.environ.get(f"EXTRASPECIAL_{name}") if overridable else None
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = integer(raw)
+        if value >= 0:
+            return value
     except ValueError:
-        raise ParseError(f"EXTRASPECIAL_{name} wants an integer, got {raw!r}") from None
+        pass
+    raise ParseError(f"EXTRASPECIAL_{name} wants a count, got {raw!r}")
 
 
 def charge(name, amount, what, ceiling=None):

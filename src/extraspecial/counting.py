@@ -33,7 +33,7 @@ from math import prod
 from typing import Callable
 
 from .errors import ContextError, check
-from .groups import ES1, ES2, validate_p_n
+from .groups import ES1, ES2, PLAIN_KINDS, require_plain, validate_p_n
 from .polyz import ZERO, X, Poly
 
 
@@ -118,19 +118,17 @@ def count_Y(p, n: int):
 
 
 def aut_order(kind: str, p, n: int):
+    require_plain(kind, "automorphism counts")
     if kind == ES1:
         return p ** (2 * n) * (p - 1) * sp_order(n, p)
-    if kind == ES2:
-        return p ** (2 * n) * im_phi2_order(n, p)
-    raise ContextError(f"automorphism count covers es1/es2, got {kind!r}")
+    return p ** (2 * n) * im_phi2_order(n, p)
 
 
 def end_order(kind: str, p, n: int):
+    require_plain(kind, "endomorphism counts")
     if kind == ES1:
         return aut_order(kind, p, n) + p ** (2 * n) * count_X(p, n)
-    if kind == ES2:
-        return aut_order(kind, p, n) + p ** (2 * n) * count_Y(p, n)
-    raise ContextError(f"endomorphism count covers es1/es2, got {kind!r}")
+    return aut_order(kind, p, n) + p ** (2 * n) * count_Y(p, n)
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,9 @@ def _scans():
 # every route looks its functions up when called, so a patched one is what runs
 QUANTITIES = {
     "alpha_k": Quantity("k", lambda p, n, k: alpha_k(p, n, k),
-        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k, isotropic=True)),
+        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k)),
     "beta_k": Quantity("k", lambda p, n, k: beta_k(p, n, k),
-        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k, isotropic=True, inside_v1=True)),
+        lambda p, n, k: _scans().scan_subspaces(2 * n, p, k, inside_v1=True)),
     "gamma_k": Quantity("k", lambda p, n, k: gamma_k(p, n, k),
         lambda p, n, k: _scans().scan_surjections(2 * n, p, k)),
     "count_X": Quantity(None, lambda p, n, _: count_X(p, n),
@@ -174,7 +172,7 @@ QUANTITIES = {
 }
 
 
-def row_args(quantity: str, n: int, kinds=(ES1, ES2)) -> list:
+def row_args(quantity: str, n: int, kinds=PLAIN_KINDS) -> list:
     """(k, group kind) per row of quantity at n: k in 0..n, kind in kinds, or neither."""
     arg = QUANTITIES[quantity].arg
     if arg == "k":
@@ -217,7 +215,7 @@ def validate_request(quantity: str | None, p: int, n: int, k: int | None = None,
     arg = QUANTITIES[quantity].arg
     if arg == "k" and (k is None or k < 0):
         raise ContextError(f"{quantity} needs a subspace dimension k >= 0, got {k}")
-    if arg == "group" and group_kind not in (ES1, ES2):
+    if arg == "group" and group_kind not in PLAIN_KINDS:
         raise ContextError(f"{quantity} needs a group kind es1 or es2")
     for name, value in (("k", k), ("group", group_kind)):
         if value is not None and arg != name:

@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 import operator
 from itertools import accumulate, product
 
-from .config import LIMITS, charge
+from .config import LIMITS, charge, integer
 from .errors import ContextError, DimensionError, ParseError, check
 from .modp import half, is_odd_prime
 
@@ -55,6 +55,7 @@ ES1_TILDE = "es1~"
 ES2_TILDE = "es2~"
 
 _KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
+PLAIN_KINDS = (ES1, ES2)
 
 # rows per Group.mul_index call when a caller sweeps a whole N x N table:
 # memory stays at a few ROW_BLOCK x N arrays
@@ -75,6 +76,13 @@ def validate_p_n(p: int, n: int):
         raise ContextError(f"p must be an odd prime, got {p}")
     if not isinstance(n, int) or n < 1:
         raise ContextError(f"n must be a positive integer, got {n}")
+
+
+def require_plain(kind: str, what: str):
+    """Raise ContextError unless kind is es1 or es2, the kinds the paper
+    parametrizes; `what` names what the caller computes for them."""
+    if kind not in PLAIN_KINDS:
+        raise ContextError(f"{what} cover es1/es2 only, got {kind}")
 
 
 @dataclass(frozen=True)
@@ -399,15 +407,6 @@ def delta_iso(e: Element) -> Element:
 # is canonical; parsing accepts optional whitespace around tokens.
 
 
-def integer(text: str) -> int:
-    """An optional sign and the ASCII digits 0-9, with whitespace around them.
-    int() alone would also take 1_0 and non-ASCII digits; it rejects a doubled sign."""
-    digits = text.strip().lstrip("+-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def parse_group_spec(text: str) -> Group:
     gid = parse_group_id(text)
     return group(gid.kind, gid.p, gid.n)
@@ -426,7 +425,7 @@ def parse_group_id(text: str) -> GroupId:
     except ValueError:
         raise ParseError(f"expected group spec like es1(3,1), got {text!r}", 0) from None
     kind = kind.strip()
-    if kind not in (ES1, ES2):
+    if kind not in PLAIN_KINDS:
         raise ParseError(f"unknown group kind {kind!r}", 0)
     try:
         return GroupId(kind, p, n)

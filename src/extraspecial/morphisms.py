@@ -66,7 +66,7 @@ from operator import mul
 
 from .config import charge
 from .errors import ContextError, DimensionError, MorphismValidationError, check
-from .groups import ES1, ES2, TABLE_CAP, Element, Group, row_blocks
+from .groups import TABLE_CAP, Element, Group, require_plain, row_blocks
 from .modp import Mat, inv_mod
 from .symplectic import all_vectors, symp_scalar_test
 
@@ -171,11 +171,6 @@ class Morphism:
         return f"Morphism({self.group.gid}, {self.scalar_name}={self.scalar})"
 
 
-def _check_kind(g: Group):
-    if g.kind not in (ES1, ES2):
-        raise ContextError(f"endomorphism parameters exist for es1/es2 only, got {g.gid}")
-
-
 def _validated(g: Group, sigma: Mat, f) -> Morphism:
     """The morphism (sigma, f, s), once sigma respects both forms on G/Z.
 
@@ -185,7 +180,7 @@ def _validated(g: Group, sigma: Mat, f) -> Morphism:
     sigma at omega's first nonzero coefficient.  Every f is allowed.  The
     twisted presentations have no parameters: ContextError.
     """
-    _check_kind(g)
+    require_plain(g.kind, "endomorphism parameters")
     p, n = g.p, g.n
     omega = g.power_form()
     image = [sum(w * x for w, x in zip(omega, col)) % p for col in zip(*sigma.rows)]
@@ -291,7 +286,7 @@ def inner_automorphism(h: Element) -> Morphism:
     x z^f_h(v), f_h(v) = v_h^t (M - M^t) v.  Inn(G) is the kernel of (sigma, f,
     s) -> sigma (D. L. Winter, Rocky Mountain J. Math. 2, 1972)."""
     g = h.group
-    _check_kind(g)
+    require_plain(g.kind, "endomorphism parameters")
     v, M = g.quotient_coords(h.coords), g.cocycle
     f = tuple((sum(map(mul, v, c)) - sum(map(mul, v, r))) % g.p for c, r in zip(zip(*M), M))
     return Morphism(g, Mat.identity(g.p, 2 * g.n), f, 1)
@@ -334,7 +329,7 @@ def _frontier(g: Group, invertible_only: bool):
     """
     import numpy as np
 
-    _check_kind(g)
+    require_plain(g.kind, "endomorphism parameters")
     p, n, omega = g.p, g.n, g.power_form()
     charge("PAIRING_CELLS", p ** (4 * n), f"pairing table for the quotient of {g.gid}")
     V = np.array(all_vectors(2 * n, p), dtype=np.int64)
@@ -434,14 +429,12 @@ def image_sets(g: Group, E, invertible_only: bool = False, limit: int | None = N
     Yields (s, block), one (sigmas x rows x p) block of sigmas of one frontier
     block (see STACK_CELLS) per kernel call.  `_images` reads a member only
     through its value F[r, j] on row r, so row r needs one column per value
-    F[r, :] takes, padded with F[r, 0]."""
+    F[r, :] takes: all p of them where v != 0, and only 0 at v = 0."""
     import numpy as np
 
     W, F = _walk_inputs(g, E, _functionals(g, limit))
-    values = np.arange(g.p, dtype=F.dtype) * g._z_unit
-    seen = np.stack([(F == c).any(1) for c in values], 1)
     k = max(1, STACK_CELLS // (len(E) * F.shape[1]))
-    F = np.where(seen, values, F[:, :1])
+    F = np.where(F.any(1)[:, None], np.arange(g.p, dtype=F.dtype) * g._z_unit, 0)
     for V, cols, s in _charged(g, invertible_only, limit):
         for lo in range(0, len(cols), k):
             yield s, _images(g, V[cols[lo:lo + k]].transpose(0, 2, 1), s, E, W, F)

@@ -16,9 +16,9 @@ Three separate recomputation routes:
     parametrization.  Each Gram class (dim, p, s, es2 first-row pin) is
     counted once per process and memoized, so every later scan of it is a
     lookup.
-  * subspace scans: one walk over the reduced-echelon cells, in
-    coordinates along the isotropic flag, tests isotropy and V_1
-    membership on numpy blocks of echelon matrices; cell_polynomial
+  * subspace scans: count isotropic subspaces, inside V_1 if asked, by
+    one walk over the reduced-echelon cells, in coordinates along the
+    isotropic flag, on numpy blocks of echelon matrices; cell_polynomial
     certifies from the same walk that each isotropic count is a polynomial
     in p with non-negative coefficients, one p^d per cell.  The surjection
     scan tests every k x dim matrix for full rank against every line of
@@ -32,7 +32,6 @@ search space is out of reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 
@@ -40,30 +39,21 @@ import numpy as np
 
 from .config import charge
 from .errors import ContextError, check
-from .groups import ES1, ES2, Group, row_blocks
+from .groups import ES2, Group, require_plain, row_blocks
 from .modp import inv_mod, p_binomial
 
 
 # ---------------------------------------------------------------------------
 # presentations and generator-image homomorphism search
 
-@dataclass(frozen=True)
-class PresentationSpec:
-    """Generators with orders plus relation word pairs (lhs = rhs).
-
-    A word is a tuple of (generator index, exponent) tokens; generator i
-    is x_{i+1} for i < n and y_{i-n+1} for i >= n.
-    """
-    gen_orders: tuple
-    relations: tuple
-
-
 def _comm(a: int, b: int) -> tuple:
     return ((a, 1), (b, 1), (a, -1), (b, -1))
 
 
-def presentation(g: Group) -> PresentationSpec:
-    """The defining relations, read off the group's data.
+def presentation(g: Group) -> tuple:
+    """The defining relations as (lhs, rhs) word pairs, read off the group's
+    data.  A word is (generator index, exponent) tokens, generator i being
+    x_{i+1} for i < n and y_{i-n+1} after.
 
     With the power form omega and the cocycle M of the group law, and z the
     central generator:
@@ -75,8 +65,7 @@ def presentation(g: Group) -> PresentationSpec:
     z central and of order p make the presented group class 2 of order
     p^(2n+1), so relation-checking is sufficient.
     """
-    if g.kind not in (ES1, ES2):
-        raise ContextError(f"presentations cover es1/es2, got {g.gid}")
+    require_plain(g.kind, "presentations")
     p, n, omega, M = g.p, g.n, g.power_form(), g.cocycle
     gens = 2 * n
     z = ((0, p * inv_mod(omega[0], p)),) if omega[0] else _comm(0, n)
@@ -86,8 +75,7 @@ def presentation(g: Group) -> PresentationSpec:
     z_inv = tuple((gi, -e) for gi, e in reversed(z))
     rels += [(z + ((i, 1),) + z_inv + ((i, -1),), ()) for i in range(gens)]
     rels.append((z * p, ()))
-    orders = tuple(p * p if w else p for w in omega)
-    return PresentationSpec(orders, tuple(r for r in rels if r[0] != r[1]))
+    return tuple(r for r in rels if r[0] != r[1])
 
 
 def eval_word(g: Group, images: tuple, word: tuple, power=None, mul=None) -> tuple:
@@ -102,27 +90,23 @@ def eval_word(g: Group, images: tuple, word: tuple, power=None, mul=None) -> tup
     return reduce(mul or g.mul, [power(images[gi], e) for gi, e in word])
 
 
-def satisfies_relations(g: Group, pres: PresentationSpec, images: tuple,
-                        relations: tuple | None = None, power=None, mul=None) -> bool:
-    """Whether images satisfy every relation of pres, or only the given ones.
-
-    images may be a prefix: it needs an image for each generator the
-    checked relations use.
-    """
-    for lhs, rhs in pres.relations if relations is None else relations:
+def satisfies_relations(g: Group, relations: tuple, images: tuple, power=None, mul=None) -> bool:
+    """Whether images satisfy every given relation.  images may be a prefix:
+    it needs an image for each generator the relations use."""
+    for lhs, rhs in relations:
         if eval_word(g, images, lhs, power, mul) != eval_word(g, images, rhs, power, mul):
             return False
     return True
 
 
-def _relation_levels(pres: PresentationSpec) -> list:
-    """levels[i]: the relations whose highest generator is i.
+def _relation_levels(relations: tuple, gens: int) -> list:
+    """levels[i]: the relations whose highest generator is i, for i < gens.
 
     Once images of generators 0..i are fixed, levels[i] is decided; every
     relation sits at exactly one level.
     """
-    levels = [[] for _ in pres.gen_orders]
-    for rel in pres.relations:
+    levels = [[] for _ in range(gens)]
+    for rel in relations:
         levels[max(gi for word in rel for gi, _ in word)].append(rel)
     return [tuple(level) for level in levels]
 
@@ -141,7 +125,7 @@ def enumerate_homs_by_generators(g: Group):
     which holds at most |G|^2 products.  The search stays within reach of
     the desk-scale groups only.
     """
-    pres = presentation(g)
+    rels = presentation(g)
     gens = 2 * g.n
     charge("HOM_CAP", g.size ** gens, f"homomorphism search of {g.gid}")
     products = {}
@@ -155,13 +139,13 @@ def enumerate_homs_by_generators(g: Group):
 
     elems = list(g.elements())
     identity = (0,) * len(g.ranges)
-    exponents = {e for rel in pres.relations for word in rel for _, e in word}
+    exponents = {e for rel in rels for word in rel for _, e in word}
     # x^e as a chain of products through the memo: g.power calls g.mul
     # directly and would repeat pairs the memo already holds
     powers = {e: {x: reduce(mul, [g.inv(x) if e < 0 else x] * abs(e), identity)
                   for x in elems}
               for e in exponents}
-    levels = _relation_levels(pres)
+    levels = _relation_levels(rels, gens)
 
     def power(x, e):
         return powers[e][x]
@@ -173,7 +157,7 @@ def enumerate_homs_by_generators(g: Group):
         relations = levels[len(prefix)]
         for x in elems:
             images = prefix + (x,)
-            if satisfies_relations(g, pres, images, relations, power, mul):
+            if satisfies_relations(g, relations, images, power, mul):
                 yield from extend(images)
 
     yield from extend(())
@@ -287,29 +271,28 @@ def _flag_order(n: int) -> list:
     return list(range(n, 2 * n)) + list(range(n - 1, -1, -1))
 
 
-def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = False):
+def _cells(dim: int, p: int, k: int, inside_v1: bool = False):
     """Yield (pivots, count) for every reduced-echelon cell of k x dim matrices.
 
     A cell is a pivot set; its echelon matrices have a 1 at each pivot,
     zeros left of it and in the other pivot columns, and free entries
     elsewhere.  Every assignment of the free entries is built, a numpy
     block at a time, and count keeps those whose rows span an isotropic
-    subspace (zero Gram matrix) or one inside V_1, as asked.  Coordinates
-    run along _flag_order.  Every subspace has exactly one echelon basis,
-    so the walk visits p_binomial(dim, k, p) matrices, charged to
+    subspace (zero Gram matrix), inside V_1 if asked.  Coordinates run
+    along _flag_order.  Every subspace has exactly one echelon basis, so
+    the walk visits p_binomial(dim, k, p) matrices, charged to
     SUBSPACE_CAP before any block is built.
     """
     if not 0 <= k <= dim:
         return
-    if dim % 2 and (isotropic or inside_v1):
-        raise ContextError(f"isotropic and V_1 scans need an even dim, got {dim}")
+    if dim % 2:
+        raise ContextError(f"isotropic scans need an even dim, got {dim}")
     charge("SUBSPACE_CAP", p_binomial(dim, k, p),
            f"subspace scan of {k}-subspaces of F_{p}^{dim}")
-    if isotropic or inside_v1:
-        order = _flag_order(dim // 2)
-        delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
-        form = delta[np.ix_(order, order)]  # the Gram matrix of the flag basis
-        v1 = order.index(0)
+    order = _flag_order(dim // 2)
+    delta = np.kron([[0, 1], [-1, 0]], np.eye(dim // 2, dtype=np.int64))
+    form = delta[np.ix_(order, order)]  # the Gram matrix of the flag basis
+    v1 = order.index(0)
     rows = max(1, _CELL_BLOCK // max(1, k * dim))
     for pivots in combinations(range(dim), k):
         base = np.zeros((k, dim), dtype=np.int64)
@@ -324,22 +307,19 @@ def _cells(dim: int, p: int, k: int, isotropic: bool = False, inside_v1: bool = 
             M = np.tile(base.reshape(1, -1), (len(idx), 1))
             M[:, free] = idx[:, None] // radix % p
             M = M.reshape(len(idx), k, dim)
-            keep = np.ones(len(M), dtype=bool)
-            if isotropic:
-                # int64 is exact: form's entries are 0 and +-1, so a Gram entry
-                # sums dim products of size below p^2
-                keep &= ~(M @ form @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
+            # int64 is exact: form's entries are 0 and +-1, so a Gram entry
+            # sums dim products of size below p^2
+            keep = ~(M @ form @ M.transpose(0, 2, 1) % p).any(axis=(1, 2))
             if inside_v1:
                 keep &= ~M[:, :, v1].any(axis=1)
             count += int(np.count_nonzero(keep))
         yield pivots, count
 
 
-def scan_subspaces(dim: int, p: int, k: int, isotropic: bool = False,
-                   inside_v1: bool = False) -> int:
-    """Count k-dim subspaces of F_p^dim, optionally isotropic or inside V_1,
-    by walking the echelon cells."""
-    return sum(count for _, count in _cells(dim, p, k, isotropic, inside_v1))
+def scan_subspaces(dim: int, p: int, k: int, inside_v1: bool = False) -> int:
+    """Count isotropic k-dim subspaces of F_p^dim, optionally inside V_1, by
+    walking the echelon cells."""
+    return sum(count for _, count in _cells(dim, p, k, inside_v1))
 
 
 def cell_polynomial(n: int, k: int, inside_v1: bool = False, primes=(3, 5)) -> tuple:
@@ -352,7 +332,7 @@ def cell_polynomial(n: int, k: int, inside_v1: bool = False, primes=(3, 5)) -> t
     """
     if len(set(primes)) < 2:
         raise ContextError(f"the cell certificate compares two or more primes, got {primes}")
-    walks = [dict(_cells(2 * n, p, k, True, inside_v1)) for p in primes]
+    walks = [dict(_cells(2 * n, p, k, inside_v1)) for p in primes]
     coeffs = []
     for pivots in walks[0]:
         counts = [walk[pivots] for walk in walks]
@@ -433,7 +413,6 @@ def sigma_scan_count(kind: str, p: int, n: int, invertible_only: bool) -> int:
     full aut/end counts follow by the p^{2n} multiplier for the central
     parameters, which the caller applies.
     """
-    if kind not in (ES1, ES2):
-        raise ContextError(f"sigma counts cover es1/es2, got {kind!r}")
+    require_plain(kind, "sigma counts")
     return sum(scan_matrices(2 * n, p, s, es2_constrained=kind == ES2)
                for s in (range(1, p) if invertible_only else range(p)))

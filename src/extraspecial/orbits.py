@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .config import charge
 from .errors import ContextError, check
-from .groups import ES1, ES2, Element, Group, GroupId
+from .groups import ES1, ES2, Element, Group, GroupId, require_plain
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
 
@@ -89,8 +89,7 @@ ORBIT_TABLE = {
 
 def _plain_only(g: Group | GroupId) -> tuple:
     """g's rows of ORBIT_TABLE; ContextError for the kinds it does not cover."""
-    if g.kind not in ORBIT_TABLE:
-        raise ContextError(f"orbit classification covers es1/es2 only, got {g.kind}")
+    require_plain(g.kind, "orbit tables")
     return ORBIT_TABLE[g.kind]
 
 

@@ -2,11 +2,13 @@
 
 Enumerations at (p, n) = (3, 1) are cheap enough to share session-wide;
 anything larger is built inside the test that needs it.  `sigmas` is the
-tests' reference list of quotient matrices, read off the frontier, and
-`hom_table` their reference map of a morphism, read off generator images.
+tests' reference list of quotient matrices, read off the frontier,
+`hom_table` their reference map of a morphism, read off generator images,
+and `subspaces_by_tuples` their reference subspace counts, deduplicated by
+`rref`.
 """
 
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from extraspecial import morphisms, oracle
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat
 from extraspecial.morphisms import enumerate_morphisms
+from extraspecial.symplectic import pairing
 
 
 def sigmas(g, invertible_only=False):
@@ -51,6 +54,38 @@ def hom_table(g, images):
             acc = g.mul(acc, x[e])  # z^t is central, so it may come first
         table[idx] = g.index(acc)
     return table
+
+
+def rref(rows, p):
+    """Reduced row echelon rows over F_p, zero rows dropped: the canonical
+    basis of the row space, so two lists span the same subspace iff their
+    rref coincide."""
+    rows = [[x % p for x in r] for r in rows]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next((r for r in rows if r[col]), None)
+        if sel is None:
+            continue
+        rows.remove(sel)
+        sel = [x * pow(sel[col], -1, p) % p for x in sel]
+        rows, out = ([[(x - r[col] * y) % p for x, y in zip(r, sel)] for r in part]
+                     for part in (rows, out))
+        out.append(sel)
+    return tuple(map(tuple, out))
+
+
+def subspaces_by_tuples(dim, p, isotropic, inside_v1):
+    """The tuple reference: counts per k of the subspaces spanned by k-tuples
+    of vectors, each new vector orthogonal to the earlier ones if isotropic
+    and with first coordinate 0 if inside_v1, deduplicated by rref rows."""
+    vecs = [v for v in product(range(p), repeat=dim) if not (inside_v1 and v[0])]
+    level, counts = {()}, [1]
+    for k in range(1, dim + 1):
+        level = {rref(span + (v,), p) for span in level for v in vecs
+                 if not (isotropic and any(pairing(u, v, p) for u in span))}
+        level = {span for span in level if len(span) == k}
+        counts.append(len(level))
+    return counts
 
 
 @pytest.fixture(scope="session")

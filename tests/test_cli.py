@@ -631,10 +631,13 @@ def test_census_repeated_entry_is_a_parse_error(capsys, flag, value, entry):
 
 
 def test_malformed_cap_override_is_a_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "abc")
-    code, _, err = run(capsys, "census", "--quantities", "sp_order", "--oracle")
-    assert code == 2
-    assert "EXTRASPECIAL_SCAN_CAP" in err
+    # an override is a count: 1_0, the Arabic-Indic zero and -1 once each set a
+    # cap, so the scan was skipped and the census exited 0
+    for raw in ("abc", "1_0", "\u0660", "-1"):
+        monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", raw)
+        code, out, err = run(capsys, "census", "--quantities", "sp_order", "--oracle")
+        assert (code, out) == (2, "")
+        assert err == f"error: EXTRASPECIAL_SCAN_CAP wants a count, got {raw!r}\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -48,9 +48,12 @@ def test_one_message_format(monkeypatch):
         config.charge("TABLE_CAP", 2049, "a table")
     with pytest.raises(CapExceeded, match=r": 6 > MORPHISM_CAP = 5 \(limit=\)$"):
         config.charge("MORPHISM_CAP", 6, "a walk", 5)
-    monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", "ten")
-    with pytest.raises(ParseError, match="EXTRASPECIAL_SCAN_CAP"):
-        config.charge("SCAN_CAP", 1, "a scan")
+    # an override is a count in the one integer grammar: int() would take 1_0
+    # and the Arabic-Indic zero
+    for raw in ("ten", "1_0", "\u0660", "-1"):
+        monkeypatch.setenv("EXTRASPECIAL_SCAN_CAP", raw)
+        with pytest.raises(ParseError, match="EXTRASPECIAL_SCAN_CAP"):
+            config.charge("SCAN_CAP", 1, "a scan")
 
 
 def _fail(what):

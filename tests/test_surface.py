@@ -1,5 +1,7 @@
 """The library's surface: every name that src defines, src uses or exports,
-and one check policy, errors.check, the only raise of AssertionError.
+one check policy, errors.check, the only raise of AssertionError, and one
+guard, groups.require_plain, for the entry points that cover es1 and es2
+only.
 
 Test references (brute-force sets, spelled-out formulas, helper walks) live
 in tests/, next to the tests that read them, so that src holds only what
@@ -7,9 +9,16 @@ its callers need.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import extraspecial
+from extraspecial import counting, morphisms, oracle, orbits
+from extraspecial.errors import ContextError
+from extraspecial.groups import ES1_TILDE, ES2_TILDE, GroupId, group
+from extraspecial.modp import Mat
 
 SRC = Path(extraspecial.__file__).parent
 
@@ -77,3 +86,49 @@ def test_the_guard_sees_assert_and_raise():
     tree = ast.parse("assert x\nraise AssertionError('m')\nraise AssertionError\n"
                      "raise ValueError('m')\nraise\n")
     assert _assertions(tree) == [1, 2, 3]
+
+
+def _plain_kind_tuples(tree: ast.Module) -> list:
+    """Line numbers of each tuple spelled (ES1, ES2)."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+            and [getattr(e, "id", None) for e in node.elts] == ["ES1", "ES2"]]
+
+
+def test_only_groups_spells_the_plain_kinds_and_their_refusal():
+    # groups.PLAIN_KINDS and groups.require_plain; every other module reads them
+    found = {path.stem: (bool(_plain_kind_tuples(ast.parse(path.read_text()))),
+                         "es1/es2 only" in path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: seen for module, seen in found.items() if any(seen)} == {
+        "groups": (True, True)}
+
+
+def test_the_guard_sees_the_plain_kind_tuple():
+    tree = ast.parse("k in (ES1, ES2)\nt = (ES1, ES2, ES1_TILDE)\nu = ES1, ES2\nv = (ES2, ES1)\n")
+    assert sorted(_plain_kind_tuples(tree)) == [1, 3]
+
+
+_ONE = Mat.identity(3, 1)
+
+# (entry point, a call of it on es1~ or es2~, the kind it names)
+PLAIN_ONLY = [
+    ("enumerate_morphisms", lambda: next(morphisms.enumerate_morphisms(group(ES1_TILDE, 3, 1))),
+     ES1_TILDE),
+    ("inner_automorphism", lambda: morphisms.inner_automorphism(group(ES2_TILDE, 3, 1).identity()),
+     ES2_TILDE),
+    ("build_endo", lambda: morphisms.build_endo(group(ES1_TILDE, 3, 1), _ONE, _ONE, _ONE, _ONE,
+                                                (0,), (0,)), ES1_TILDE),
+    ("presentation", lambda: oracle.presentation(group(ES2_TILDE, 3, 1)), ES2_TILDE),
+    ("sigma_scan_count", lambda: oracle.sigma_scan_count(ES1_TILDE, 3, 1, True), ES1_TILDE),
+    ("classify", lambda: orbits.classify(group(ES2_TILDE, 3, 1).identity()), ES2_TILDE),
+    ("orbit_labels", lambda: orbits.orbit_labels(GroupId(ES1_TILDE, 3, 1)), ES1_TILDE),
+    ("aut_order", lambda: counting.aut_order(ES2_TILDE, 3, 1), ES2_TILDE),
+    ("end_order", lambda: counting.end_order(ES1_TILDE, 3, 1), ES1_TILDE),
+]
+
+
+@pytest.mark.parametrize("name,call,kind", PLAIN_ONLY, ids=[row[0] for row in PLAIN_ONLY])
+def test_plain_only_entry_points_refuse_the_tilde_kinds_in_one_format(name, call, kind):
+    with pytest.raises(ContextError) as exc:
+        call()
+    assert re.fullmatch(rf"[a-z ]+ cover es1/es2 only, got {re.escape(kind)}", str(exc.value))
