@@ -221,8 +221,8 @@ def _partial_order_row(kind, p, n, oracle):
     if rep.witness is not None:
         row["oracle"] = "witness " + " <-> ".join(str(w) for w in rep.witness)
     else:
-        row["oracle"] = "chain " + " < ".join(r.tag for r in orbits.ORBIT_TABLE[kind])
-    row.update(match="yes", reason=None)
+        row["oracle"] = "chain " + " < ".join(r.tag for r in orbits.orbit_rows(g))
+    row.update(match=True, reason=None)
     return row
 
 

@@ -30,8 +30,8 @@ the per-kind formulas above, spelled out, are their test reference in
 tests/test_groups.py.  The law fixes one more datum, the power form omega
 (`power_form`, x^p = z^(omega . v)): 0 for es1 and e_1 for es2, read off
 the ranges once per group (the cocycle's zero diagonal makes x_i^p = p e_i).
-The endomorphism parameters (morphisms) and the defining relations
-(oracle.presentation) are built from these data alone.
+With A(., v) = (M - M^t) v (`commutator_functional`), the endomorphism
+parameters, the defining relations and the orbits read these data alone.
 
 Element order, centrality, commutators, and the commutator form f (valued in
 the exponent of the central generator) are all computed from the group law
@@ -79,8 +79,8 @@ def validate_p_n(p: int, n: int):
 
 
 def require_plain(kind: str, what: str):
-    """Raise ContextError unless kind is es1 or es2, the kinds the paper
-    parametrizes; `what` names what the caller computes for them."""
+    """Raise ContextError unless kind is es1 or es2, for results keyed by
+    isomorphism type (the counting formulas); `what` names the result."""
     if kind not in PLAIN_KINDS:
         raise ContextError(f"{what} cover es1/es2 only, got {kind}")
 
@@ -242,6 +242,15 @@ class Group:
         """omega on G/Z, x^p = z^(omega . v) for x over v: all 0 for the es1
         shape (exponent p), e_1 for the es2 one (x_1 has order p^2)."""
         return self._omega
+
+    def commutator_functional(self, v) -> tuple:
+        """A(., v) = (M - M^t) v mod p for a quotient vector v: [x, y] = z^(A(u, v))
+        for x over u and y over v.  O(n), from the cocycle's nonzero terms."""
+        a = [0] * (2 * self.n)
+        for i, j, c in self._terms:
+            a[i] += c * v[j]
+            a[j] -= c * v[i]
+        return tuple(x % self.p for x in a)
 
     # -- quotient by the center ---------------------------------------------
 

@@ -28,9 +28,9 @@ central functional, f = (alpha; beta) for es1 and (t; alpha; beta) with
 a = s + p t for es2.  sigma respects the pairing, sigma^t Delta sigma =
 s Delta, and the power form omega of `Group.power_form` (0 for es1, e_1 for
 es2): phi(x^p) = phi(x)^p reads omega sigma = s omega, the first-row
-constraint.  One builder, `build_endo`, serves both kinds and reads the
-rest off omega, and one enumeration, `enumerate_morphisms`, yields every
-endomorphism or automorphism.  The Morphism constructor is internal.
+constraint.  One builder, `build_endo`, serves all four kinds (es1~ and
+es2~ share omega and M - M^t with es1 and es2) and reads the rest off omega;
+`enumerate_morphisms` yields every endomorphism or automorphism.
 
 The quotient matrices are enumerated as a numpy frontier (`_frontier`):
 one int8 pairing table on F_p^2n and every partial column tuple extended at
@@ -66,7 +66,7 @@ from operator import mul
 
 from .config import charge
 from .errors import ContextError, DimensionError, MorphismValidationError, check
-from .groups import TABLE_CAP, Element, Group, require_plain, row_blocks
+from .groups import TABLE_CAP, Element, Group, row_blocks
 from .modp import Mat, inv_mod
 from .symplectic import all_vectors, symp_scalar_test
 
@@ -177,10 +177,8 @@ def _validated(g: Group, sigma: Mat, f) -> Morphism:
     First omega sigma = s omega, column by column (for es2 the first-row
     constraints, named after the first offending column), then
     sigma^t Delta sigma = s Delta.  Where omega != 0, s is read off omega
-    sigma at omega's first nonzero coefficient.  Every f is allowed.  The
-    twisted presentations have no parameters: ContextError.
+    sigma at omega's first nonzero coefficient.  Every f is allowed.
     """
-    require_plain(g.kind, "endomorphism parameters")
     p, n = g.p, g.n
     omega = g.power_form()
     image = [sum(w * x for w, x in zip(omega, col)) % p for col in zip(*sigma.rows)]
@@ -283,12 +281,11 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
 
 def inner_automorphism(h: Element) -> Morphism:
     """Conjugation g -> h g h^-1 as (Id, f_h, 1): for the cocycle M, h x h^-1 =
-    x z^f_h(v), f_h(v) = v_h^t (M - M^t) v.  Inn(G) is the kernel of (sigma, f,
-    s) -> sigma (D. L. Winter, Rocky Mountain J. Math. 2, 1972)."""
+    x z^f_h(v), f_h(v) = v_h^t (M - M^t) v, so f_h = -A(., v_h).  Inn(G) is
+    the kernel of (sigma, f, s) -> sigma (D. L. Winter, Rocky Mountain J.
+    Math. 2, 1972)."""
     g = h.group
-    require_plain(g.kind, "endomorphism parameters")
-    v, M = g.quotient_coords(h.coords), g.cocycle
-    f = tuple((sum(map(mul, v, c)) - sum(map(mul, v, r))) % g.p for c, r in zip(zip(*M), M))
+    f = tuple(-a % g.p for a in g.commutator_functional(g.quotient_coords(h.coords)))
     return Morphism(g, Mat.identity(g.p, 2 * g.n), f, 1)
 
 
@@ -329,7 +326,6 @@ def _frontier(g: Group, invertible_only: bool):
     """
     import numpy as np
 
-    require_plain(g.kind, "endomorphism parameters")
     p, n, omega = g.p, g.n, g.power_form()
     charge("PAIRING_CELLS", p ** (4 * n), f"pairing table for the quotient of {g.gid}")
     V = np.array(all_vectors(2 * n, p), dtype=np.int64)

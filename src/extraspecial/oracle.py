@@ -65,7 +65,6 @@ def presentation(g: Group) -> tuple:
     z central and of order p make the presented group class 2 of order
     p^(2n+1), so relation-checking is sufficient.
     """
-    require_plain(g.kind, "presentations")
     p, n, omega, M = g.p, g.n, g.power_form(), g.cocycle
     gens = 2 * n
     z = ((0, p * inv_mod(omega[0], p)),) if omega[0] else _comm(0, n)

@@ -1,37 +1,41 @@
-"""Automorphism orbits, endomorphism images, and the degeneration relation.
+"""Automorphism orbits, endomorphism images, and the degeneration relation,
+read off the group law: the power form omega (Group.power_form, x^p =
+z^(omega . v) for x over v) and the commutator functional A(., v) =
+(M - M^t) v (Group.commutator_functional).  H is the preimage of ker omega
+and R = ker omega ∩ (ker omega)^⊥ under A, whose preimage is K = Z(H).
 
-For es1 the orbits under the automorphism group are {e}, Z(G)\\{e}, and
-G\\Z(G); the endomorphism image of an element is correspondingly {e}, Z(G),
-or G, and "lies in the image of" is a total order on the three orbits.
+Where omega = 0 (es1, es1~) H = G and R = 0: the automorphism orbits are
+{e}, Z(G)\\{e} and G\\Z(G), with endomorphism images {e}, Z(G) and G, and
+"lies in the image of" is a total order on the three orbits.
 
-For es2 write H for the index-p subgroup of p-th powers' preimages
-(first coordinate divisible by p) and K = Z(H) (u and w blocks zero).
-The orbits are {e}, Z(G)\\{e}, one orbit O_b = pZ/p^2 x {0} x {b} x {0}
-for each b != 0, all of G\\H, and (when n > 1) H\\K.  Elements of
-H\\Z(G) share the endomorphism image H even though they fall into p
-distinct orbits, which kills any partial order on orbits: two different
-O_b orbits degenerate onto each other without being automorphic.
+Where omega != 0 (es2, es2~) H has index p and R is a line.  The orbits are
+{e}, Z(G)\\{e}, G\\H, one orbit O_b of size p for each b != 0 (the elements
+over the v in R with A(., v) = b omega: b = A(x_omega, v) for the generator
+with omega . x_omega = 1), and (when n > 1) H\\K.  Elements of H\\Z(G) share
+the endomorphism image H although they fall into p distinct orbits, which
+kills any partial order on orbits: two different O_b orbits degenerate onto
+each other without being automorphic.
 
-ORBIT_TABLE writes this inventory once: per kind, one row per orbit tag
-with its size (as text and at (p, n)) and image class, in the order of the
-es1 chain and of the es2 orbit sizes.  The orbit labels and sizes, the
-image classes, the es1 chain and the CLI's `orbits` command all read it.
+ORBIT_TABLE writes this inventory once, per case: each orbit tag's size (as
+text and at (p, n)) and image class.  The labels and sizes, the image
+classes, the chain and the CLI's `orbits` command all read it.
 
 orbits_bruteforce recomputes the partition by applying every automorphism
-to every element, so the closed-form classifier above can be checked
-against it wholesale; it and the es1 order check read each family's image
-set of every element, stacked over quotient matrices (morphisms.image_sets).
+to every element, so the closed-form classifier can be checked against it
+wholesale; it and the chain check read each family's image set of every
+element, stacked over quotient matrices (morphisms.image_sets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .config import charge
 from .errors import ContextError, check
-from .groups import ES1, ES2, Element, Group, GroupId, require_plain
+from .groups import Element, Group, GroupId, group
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
 
@@ -54,12 +58,10 @@ NO_PARTIAL_ORDER = "NO_PARTIAL_ORDER"
 @dataclass(frozen=True)
 class OrbitLabel:
     tag: str
-    b: int | None = None  # the w_1 value for ES2_OB orbits
+    b: int | None = None  # A(x_omega, v) for ES2_OB orbits
 
     def __str__(self):
-        if self.b is not None:
-            return f"{self.tag}({self.b})"
-        return self.tag
+        return self.tag if self.b is None else f"{self.tag}({self.b})"
 
 
 def ob_label(b: int) -> OrbitLabel:
@@ -75,11 +77,11 @@ class OrbitRow(NamedTuple):
 
 _CENTRE_ROWS = (OrbitRow(IDENTITY, "1", lambda p, n: 1, TRIVIAL),
                 OrbitRow(CENTRAL_NONID, "p-1", lambda p, n: p - 1, CENTER))
-# the ES2_OB row stands for the p - 1 orbits O_b, b = 1..p-1, each of size p
+# keyed by any(omega); the ES2_OB row stands for the p - 1 orbits O_b, each of size p
 ORBIT_TABLE = {
-    ES1: _CENTRE_ROWS + (
+    False: _CENTRE_ROWS + (
         OrbitRow(ES1_NONCENTRAL, "p^(2n+1)-p", lambda p, n: p ** (2 * n + 1) - p, WHOLE_GROUP),),
-    ES2: _CENTRE_ROWS + (
+    True: _CENTRE_ROWS + (
         OrbitRow(ES2_OB, "p", lambda p, n: p, SUBGROUP_H),
         OrbitRow(ES2_H_MINUS_K, "p^(2n)-p^2", lambda p, n: p ** (2 * n) - p * p, SUBGROUP_H),
         OrbitRow(ES2_ORDER_P2, "p^(2n+1)-p^(2n)", lambda p, n: p ** (2 * n + 1) - p ** (2 * n),
@@ -87,48 +89,50 @@ ORBIT_TABLE = {
 }
 
 
-def _plain_only(g: Group | GroupId) -> tuple:
-    """g's rows of ORBIT_TABLE; ContextError for the kinds it does not cover."""
-    require_plain(g.kind, "orbit tables")
-    return ORBIT_TABLE[g.kind]
+def orbit_rows(g: Group | GroupId) -> tuple:
+    """g's rows of ORBIT_TABLE, by whether its power form (e_1 or 0 at every n)
+    is zero; a GroupId reads it off its kind's group at n = 1, not at g's size."""
+    law = g if isinstance(g, Group) else group(g.kind, g.p, 1)
+    return ORBIT_TABLE[any(law.power_form())]
 
 
 def orbit_row(g: Group | GroupId, tag: str) -> OrbitRow:
     """The row of one orbit tag in g's table."""
-    row = next((r for r in _plain_only(g) if r.tag == tag), None)
+    row = next((r for r in orbit_rows(g) if r.tag == tag), None)
     if row is None:
         raise ContextError(f"{tag} is no orbit tag of {g.kind}({g.p},{g.n})")
     return row
 
 
 def classify(e: Element) -> OrbitLabel:
-    """Closed-form automorphism-orbit label of an element."""
+    """Closed-form automorphism-orbit label of an element, from omega and A."""
     g = e.group
-    _plain_only(g)
     if e.is_identity():
         return OrbitLabel(IDENTITY)
     if e.is_central():
         return OrbitLabel(CENTRAL_NONID)
-    if g.kind == ES1:
-        return OrbitLabel(ES1_NONCENTRAL)
-    c, n = e.coords, g.n
-    if c[0] % g.p:  # outside H: first coordinate not in pZ
+    omega, v = g.power_form(), e.quotient_coords()
+    if sum(map(mul, omega, v)) % g.p:  # outside H
         return OrbitLabel(ES2_ORDER_P2)
-    if not any(c[1:n]) and not any(c[n + 1:]):  # in K = Z(H): u and w blocks zero
-        return ob_label(c[n])  # w_1 != 0 here, else e would be central
+    if not any(omega):
+        return OrbitLabel(ES1_NONCENTRAL)
+    a = g.commutator_functional(v)
+    b = a[omega.index(1)]  # A(x_omega, v): omega = e_i for x_omega = x_i
+    if a == tuple(b * w for w in omega):  # v in R
+        return ob_label(b)  # b != 0: A is nondegenerate and e is not central
     return OrbitLabel(ES2_H_MINUS_K)
 
 
 def orbit_labels(g: Group | GroupId) -> list[OrbitLabel]:
     """All orbit labels of g in table order, identity first, largest orbit last;
-    g's kind, p and n are all that is read."""
-    return [OrbitLabel(r.tag, b) for r in _plain_only(g) if r.size(g.p, g.n)
+    g's power form, p and n are all that is read."""
+    return [OrbitLabel(r.tag, b) for r in orbit_rows(g) if r.size(g.p, g.n)
             for b in (range(1, g.p) if r.tag == ES2_OB else (None,))]
 
 
 def label_count(g: Group | GroupId) -> int:
     """len(orbit_labels(g)), without listing them."""
-    return sum(g.p - 1 if r.tag == ES2_OB else 1 for r in _plain_only(g) if r.size(g.p, g.n))
+    return sum(g.p - 1 if r.tag == ES2_OB else 1 for r in orbit_rows(g) if r.size(g.p, g.n))
 
 
 def orbit_cardinality(label: OrbitLabel, g: Group | GroupId) -> int:
@@ -152,8 +156,8 @@ def image_contains(g: Group, image_class: str, coords: tuple) -> bool:
         return all(c == 0 for c in coords)
     if image_class == CENTER:
         return g.is_central(coords)
-    if image_class == SUBGROUP_H:
-        return coords[0] % g.p == 0
+    if image_class == SUBGROUP_H:  # omega . v = 0
+        return not sum(map(mul, g.power_form(), g.quotient_coords(coords))) % g.p
     if image_class == WHOLE_GROUP:
         return True
     raise ContextError(f"unknown image class {image_class}")
@@ -216,7 +220,6 @@ def orbits_bruteforce(g: Group) -> list[frozenset]:
     are precisely the orbits.  Rows of members are asserted identical before
     returning.
     """
-    _plain_only(g)
     return _partition(g, _reach_tables(g, True, None)[0])
 
 
@@ -224,7 +227,7 @@ def orbits_bruteforce(g: Group) -> list[frozenset]:
 class DegenerationReport:
     group: str
     verdict: str
-    order_chains: tuple  # strict (lower, higher) label-string pairs, es1 only
+    order_chains: tuple  # strict (lower, higher) label-string pairs, omega = 0 only
     witness: tuple | None  # (Element, Element) in distinct mutually-degenerate orbits
     witness_endos: tuple | None  # morphisms sending witness[0]->witness[1] and back
     verified: bool
@@ -241,45 +244,35 @@ class DegenerationReport:
 
 
 def _es2_witness(g: Group):
-    """O_1 and O_2 representatives plus explicit endomorphisms between them.
-
-    With A = C = D = 0, a = 0 the parametrization degenerates to
-    (u_1, u, w_1, w) -> (p beta(wtilde), 0, B wtilde); taking beta = 0 and
-    B = c Id moves w_1 = 1 to w_1 = c, so c = 2 and c = inv(2) swap the
-    representatives.
-    """
+    """y_1 and y_1^2, in O_1 and O_2, and endomorphisms between them: (sigma, 0, 0)
+    with sigma c Id on the y_j and 0 on the x_i sends y_1 to y_1^c (M vanishes on
+    the y block), so c = 2 and c = inv(2) swap the representatives."""
     p, n = g.p, g.n
     zero = Mat.zeros(p, n, n)
-    g1 = g.element((0,) * n + (1,) + (0,) * (n - 1))
-    g2 = g.element((0,) * n + (2,) + (0,) * (n - 1))
-    fwd = build_endo(g, zero, Mat.identity(p, n).scale(2), zero, zero,
-                     (0,) * (n - 1), (0,) * n, 0)
-    back = build_endo(g, zero, Mat.identity(p, n).scale(inv_mod(2, p)), zero, zero,
-                      (0,) * (n - 1), (0,) * n, 0)
-    return g1, g2, fwd, back
+    g1 = g.generators()[n]
+    fwd, back = (build_endo(g, zero, Mat.identity(p, n).scale(c), zero, zero,
+                            (0,) * (n - 1), (0,) * n) for c in (2, inv_mod(2, p)))
+    return g1, g1 * g1, fwd, back
 
 
 def partial_order_report(g: Group, verify: bool = True,
                          limit: int | None = None) -> DegenerationReport:
-    """Does degeneration order the orbits?  Yes for es1, no for es2.
+    """Does degeneration order the orbits?  Yes where the power form is zero
+    (es1, es1~), no where it is not (es2, es2~).
 
-    With verify=True the verdict is checked at desk scale: for es1 the brute
-    orbit partition and brute image sets must realize the stated total chain;
-    for es2 the witness pair must be exchanged by the exhibited endomorphisms
-    yet lie in different orbits of the full automorphism group.  Both checks
-    apply every morphism: es1 through morphisms.image_sets, es2 through
+    With verify=True the verdict is checked at desk scale: for a chain the
+    brute orbit partition and brute image sets must realize it; otherwise the
+    witness pair must be exchanged by the exhibited endomorphisms yet lie in
+    different orbits of the full automorphism group.  Both checks apply every
+    morphism: the chain through morphisms.image_sets, the witness through
     family_images on the first witness's row, a 1 x p^2n block per sigma.
     """
-    rows = _plain_only(g)
-    if g.kind == ES1:
-        chains = tuple(combinations((r.tag for r in rows), 2))  # the rows' order
-        verified = False
-        if verify:
+    if not any(g.power_form()):
+        chains = tuple(combinations((r.tag for r in orbit_rows(g)), 2))  # the rows' order
+        if verify:  # a failed check raises
             _verify_es1_total_order(g, limit)
-            verified = True
-        return DegenerationReport(str(g.gid), PARTIAL_ORDER, chains, None, None, verified)
+        return DegenerationReport(str(g.gid), PARTIAL_ORDER, chains, None, None, verify)
     g1, g2, fwd, back = _es2_witness(g)
-    verified = False
     if verify:
         import numpy as np
 
@@ -289,12 +282,11 @@ def partial_order_report(g: Group, verify: bool = True,
         target = g.index(g2.coords)
         for _, block in family_images(g, row, True, limit):
             check(not (block == target).any(), "witness pair unexpectedly automorphic")
-        verified = True
-    return DegenerationReport(str(g.gid), NO_PARTIAL_ORDER, (), (g1, g2), (fwd, back), verified)
+    return DegenerationReport(str(g.gid), NO_PARTIAL_ORDER, (), (g1, g2), (fwd, back), verify)
 
 
 def _verify_es1_total_order(g: Group, limit: int | None):
-    """Exhaustively confirm the degeneration chain on a desk-scale es1 group.
+    """Exhaustively confirm the degeneration chain on a desk-scale group.
 
     One walk over the endomorphisms fills both the degeneration table and,
     from its invertible blocks, the automorphism table of the orbits.

@@ -4,8 +4,9 @@ Enumerations at (p, n) = (3, 1) are cheap enough to share session-wide;
 anything larger is built inside the test that needs it.  `sigmas` is the
 tests' reference list of quotient matrices, read off the frontier,
 `hom_table` their reference map of a morphism, read off generator images,
-and `subspaces_by_tuples` their reference subspace counts, deduplicated by
-`rref`.
+`subspaces_by_tuples` their reference subspace counts, deduplicated by
+`rref`, and `spelled_classify` and `spelled_image_contains` the orbit
+classifier and image test spelled on the es1 and es2 coordinate slots.
 """
 
 from itertools import accumulate, product
@@ -13,7 +14,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
-from extraspecial import morphisms, oracle
+from extraspecial import morphisms, orbits
 from extraspecial.groups import ES1, ES2, group
 from extraspecial.modp import Mat
 from extraspecial.morphisms import enumerate_morphisms
@@ -32,13 +33,13 @@ def hom_table(g, images):
     """Full map table (index -> index) from generator images, via normal forms.
 
     Every element is the word prod x_i^{u_i} prod y_j^{w_j} z^t with
-    z = [x_1, y_1], a relation of both presentations: (u; w) is its quotient
-    vector and t its central exponent minus <u, w>, the central exponent of
-    the word before z^t.  So the image is the same word in the generator
-    images.  This route never touches the parametrization.
+    z = [x_1, y_1], a relation of all four presentations: (u; w) is its
+    quotient vector and t its central exponent minus u^t M_uw w, the central
+    exponent of the word before z^t (the cocycle M vanishes inside the u and
+    w blocks).  So the image is the same word in the generator images.  This
+    route never touches the parametrization.
     """
     p, n = g.p, g.n
-    oracle.presentation(g)  # raises for the tilde kinds, whose words x^u y^w differ
 
     def powers(x):  # x^0 .. x^(p-1)
         return list(accumulate([x] * (p - 1), g.mul, initial=(0,) * len(g.ranges)))
@@ -49,7 +50,8 @@ def hom_table(g, images):
     for idx, c in enumerate(g.elements()):
         # idx // z_index is the central exponent mod p (z^s adds s * z_index)
         v = g.quotient_coords(c)
-        acc = zp[(idx // g.z_index - sum(v[i] * v[n + i] for i in range(n))) % p]
+        acc = zp[(idx // g.z_index - sum(m * v[i] * v[j] for i, j, m in g._terms
+                                          if i < n <= j)) % p]
         for x, e in zip(gen_powers, v):
             acc = g.mul(acc, x[e])  # z^t is central, so it may come first
         table[idx] = g.index(acc)
@@ -86,6 +88,36 @@ def subspaces_by_tuples(dim, p, isotropic, inside_v1):
         level = {span for span in level if len(span) == k}
         counts.append(len(level))
     return counts
+
+
+def spelled_classify(e):
+    """The orbit label of an es1 or es2 element, read off its coordinate slots:
+    es2's first coordinate mod p (H) and its u and w blocks (K = Z(H))."""
+    g = e.group
+    if e.is_identity():
+        return orbits.OrbitLabel(orbits.IDENTITY)
+    if e.is_central():
+        return orbits.OrbitLabel(orbits.CENTRAL_NONID)
+    if g.kind == ES1:
+        return orbits.OrbitLabel(orbits.ES1_NONCENTRAL)
+    c, n = e.coords, g.n
+    if c[0] % g.p:  # outside H: first coordinate not in pZ
+        return orbits.OrbitLabel(orbits.ES2_ORDER_P2)
+    if not any(c[1:n]) and not any(c[n + 1:]):  # in K = Z(H): u and w blocks zero
+        return orbits.ob_label(c[n])  # w_1 != 0 here, else e would be central
+    return orbits.OrbitLabel(orbits.ES2_H_MINUS_K)
+
+
+def spelled_image_contains(g, image_class, coords):
+    """Does the image class hold the element coords?  SUBGROUP_H, an image
+    class of es2 only, is es2's first coordinate divisible by p."""
+    if image_class == orbits.TRIVIAL:
+        return all(c == 0 for c in coords)
+    if image_class == orbits.CENTER:
+        return g.is_central(coords)
+    if image_class == orbits.SUBGROUP_H:
+        return coords[0] % g.p == 0
+    return image_class == orbits.WHOLE_GROUP
 
 
 @pytest.fixture(scope="session")

@@ -429,7 +429,7 @@ def test_census_partial_order_rows(capsys):
     es1_row = next(l for l in lines if l.startswith("partial_order,es1"))
     es2_row = next(l for l in lines if l.startswith("partial_order,es2"))
     assert es1_row.endswith(
-        ",PARTIAL_ORDER,chain IDENTITY < CENTRAL_NONID < ES1_NONCENTRAL,yes,")
+        ",PARTIAL_ORDER,chain IDENTITY < CENTRAL_NONID < ES1_NONCENTRAL,True,")
     assert "NO_PARTIAL_ORDER" in es2_row and "witness" in es2_row
     # witness serialization swaps commas so the CSV stays 9 columns wide
     assert all(len(l.split(",")) == 9 for l in lines[1:])
@@ -482,7 +482,7 @@ def test_census_oracle_grid_is_pinned(capsys, monkeypatch):
     assert len(rows) == 70
     assert sum(r["oracle"] == "skipped" for r in rows) == 11
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "561a352d045187e73d7f91cb23a753c7f216f4c35574ce1e262e1e474c9e0335")
+        "5462ed05ea29ab670478be17b766ac2b5486b8c5fcf5a629982752eee1312ac6")
 
 
 def test_census_json_format(capsys):

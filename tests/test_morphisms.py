@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from extraspecial import morphisms, oracle
+from extraspecial import counting, morphisms, oracle
 from extraspecial.errors import (CapExceeded, ContextError, DimensionError,
                                  MorphismValidationError)
 from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, TABLE_CAP, Group,
@@ -64,14 +64,17 @@ def test_builder_rejects_wrong_shapes(es1_31, es2_31):
     # alpha covers the x_i outside the power form's support: none of es2(3,1)'s
     with pytest.raises(DimensionError):
         build_endo(es2_31, one, one, one, one, (0,), (0,))
-    # a lift only where the power form is nonzero; no parameters for es1~, es2~
+    # a lift only where the power form is nonzero
     with pytest.raises(ContextError):
         build_endo(es1_31, one, one, one, one, (0,), (0,), 1)
-    for kind, alpha in ((ES1_TILDE, (0,)), (ES2_TILDE, ())):
-        with pytest.raises(ContextError):
-            build_endo(group(kind, 3, 1), one, one, one, one, alpha, (0,))
-    with pytest.raises(ContextError):
-        inner_automorphism(group(ES1_TILDE, 3, 1).element((1, 0, 0)))
+    # es1~ and es2~ share omega and M - M^t with es1 and es2: the same answers
+    m = build_endo(group(ES1_TILDE, 3, 1), one, one, one, one, (0,), (0,))
+    assert (m.sigma, m.f, m.s) == (Mat(3, ((1, 1), (1, 1))), (0, 0), 0)
+    with pytest.raises(MorphismValidationError) as exc:
+        build_endo(group(ES2_TILDE, 3, 1), one, one, one, one, (), (0,))
+    assert "c_{1j}=0" in str(exc.value)
+    m = inner_automorphism(group(ES1_TILDE, 3, 1).element((1, 0, 0)))
+    assert (m.sigma, m.f, m.s) == (Mat.identity(3, 2), (0, 1), 1)
 
 
 def test_es2_first_row_constraints():
@@ -179,6 +182,27 @@ def test_enumeration_counts(endos_es1_31, endos_es2_31, autos_es1_31, autos_es2_
     assert len({m.param_key() for m in endos_es2_31}) == 135
     auto_keys = {m.param_key() for m in autos_es2_31}
     assert auto_keys == {m.param_key() for m in endos_es2_31 if m.is_automorphism}
+
+
+@pytest.mark.parametrize("kind,partner", [(ES1_TILDE, ES1), (ES2_TILDE, ES2)])
+@pytest.mark.parametrize("p", [3, 5])
+def test_tilde_counts_are_the_partner_counts(kind, partner, p):
+    g = group(kind, p, 1)
+    assert sum(1 for _ in enumerate_morphisms(g)) == counting.end_order(partner, p, 1)
+    assert sum(1 for _ in enumerate_morphisms(g, True)) == counting.aut_order(partner, p, 1)
+
+
+@pytest.mark.parametrize("kind", [ES1_TILDE, ES2_TILDE])
+def test_tilde_maps_are_the_homomorphisms_of_the_generator_search(kind):
+    # 729 and 135 maps, each a homomorphism: its table is the normal-form map
+    g = group(kind, 3, 1)
+    found = []
+    for i, m in enumerate(enumerate_morphisms(g)):
+        images = tuple(m.apply(x).coords for x in g.generators())
+        found.append(images)
+        if i % 7 == 0:
+            assert np.array_equal(m.table(), hom_table(g, images))
+    assert sorted(found) == sorted(oracle.enumerate_homs_by_generators(g))
 
 
 def test_build_endo_rebuilds_every_enumerated_morphism(endos_es1_31, endos_es2_31, es2_51):
@@ -420,7 +444,7 @@ def test_inner_automorphisms(es1_31, es2_31):
             assert composed == inner_automorphism(g.element(g.mul(h1, h2)))
 
 
-@pytest.mark.parametrize("kind", [ES1, ES2])
+@pytest.mark.parametrize("kind", [ES1, ES2, ES1_TILDE, ES2_TILDE])
 @pytest.mark.parametrize("n", [1, 2])
 def test_inner_automorphism_tables_are_conjugation(kind, n):
     g = group(kind, 3, n)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extraspecial import morphisms, orbits
 from extraspecial.errors import CapExceeded, ContextError
-from extraspecial.groups import ES1, ES2, GroupId, group
+from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, GroupId, delta_iso, group,
+                                 lambda_iso)
 from extraspecial.morphisms import family_images
 from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  ES2_H_MINUS_K, ES2_OB, ES2_ORDER_P2, IDENTITY,
@@ -13,7 +15,9 @@ from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  TRIVIAL, WHOLE_GROUP, OrbitLabel, classify,
                                  degeneration, endo_image_class, image_contains,
                                  label_count, ob_label, orbit_cardinality, orbit_labels,
-                                 orbits_bruteforce, partial_order_report)
+                                 orbit_rows, orbits_bruteforce, partial_order_report)
+
+from conftest import spelled_classify, spelled_image_contains
 
 
 def test_classify_frozen(es1_31, es2_31, es2_32):
@@ -30,10 +34,22 @@ def test_classify_frozen(es1_31, es2_31, es2_32):
     assert str(classify(es2_32.element((2, 0, 0, 0)))) == "ES2_ORDER_P2"
 
 
-def test_classify_rejects_tilde_kinds():
-    gt = group("es1~", 3, 1)
-    with pytest.raises(ContextError):
-        classify(gt.identity())
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_law_classify_equals_the_spelled_slots(data):
+    # sparse draws, leaning on the x_1, y_1 and last slots, reach the identity,
+    # the centre, K and the O_b orbits
+    g = group(*data.draw(st.sampled_from([(kind, p, n) for kind in (ES1, ES2)
+                                          for p, n in ((101, 2), (7, 4), (3, 50))])))
+    width, p = len(g.ranges), g.p
+    slot = st.one_of(st.sampled_from((0, g.n, width - 1)), st.integers(0, width - 1))
+    support = data.draw(st.one_of(st.just(range(width)), st.sets(slot, max_size=3)))
+    coords = [data.draw(st.one_of(st.integers(0, r - 1), st.integers(0, p - 1).map(
+        lambda k, r=r: k * p % r))) if i in support else 0 for i, r in enumerate(g.ranges)]
+    e = g.element(coords)
+    assert classify(e) == spelled_classify(e)
+    for image in {r.image for r in orbit_rows(g)}:
+        assert image_contains(g, image, e.coords) == spelled_image_contains(g, image, e.coords)
 
 
 def test_orbit_labels(es1_31, es2_31, es2_32):
@@ -218,6 +234,30 @@ def test_partial_order_report_unverified_mode(es2_51):
     assert rep.verdict == NO_PARTIAL_ORDER and not rep.verified
     fwd, _ = rep.witness_endos
     assert fwd.apply(rep.witness[0]) == rep.witness[1]
+
+
+@pytest.mark.parametrize("kind,iso,p,n", [
+    (ES1_TILDE, lambda_iso, 3, 1), (ES1_TILDE, lambda_iso, 5, 1),
+    (ES2_TILDE, delta_iso, 3, 1), (ES2_TILDE, delta_iso, 5, 1), (ES2_TILDE, delta_iso, 3, 2)])
+def test_tilde_orbits_are_partner_orbits(kind, iso, p, n):
+    g = group(kind, p, n)
+    tilde = orbits_bruteforce(g)
+    partner = orbits_bruteforce(iso(g.identity()).group)
+    assert [len(c) for c in tilde] == [len(c) for c in partner]
+    images = []
+    for cls in tilde:
+        elements = [g.element(c) for c in cls]
+        assert len({classify(e) for e in elements}) == 1
+        assert {classify(iso(e)) for e in elements} == {classify(elements[0])}
+        images.append(frozenset(iso(e).coords for e in elements))
+    assert set(images) == set(partner)
+
+
+@pytest.mark.parametrize("kind,verdict", [(ES1_TILDE, PARTIAL_ORDER),
+                                          (ES2_TILDE, NO_PARTIAL_ORDER)])
+def test_tilde_verdicts_are_verified(kind, verdict):
+    rep = partial_order_report(group(kind, 3, 1))
+    assert (rep.verdict, rep.verified) == (verdict, True)
 
 
 def _reach_per_sigma(g, invertible_only):

@@ -1,7 +1,8 @@
 """The library's surface: every name that src defines, src uses or exports,
 one check policy, errors.check, the only raise of AssertionError, and one
-guard, groups.require_plain, for the entry points that cover es1 and es2
-only.
+guard, groups.require_plain, for the results keyed by isomorphism type
+(the counting formulas); every other entry point reads the law's data and
+answers es1~ and es2~ as their partners es1 and es2.
 
 Test references (brute-force sets, spelled-out formulas, helper walks) live
 in tests/, next to the tests that read them, so that src holds only what
@@ -17,7 +18,7 @@ import pytest
 import extraspecial
 from extraspecial import counting, morphisms, oracle, orbits
 from extraspecial.errors import ContextError
-from extraspecial.groups import ES1_TILDE, ES2_TILDE, GroupId, group
+from extraspecial.groups import ES1, ES1_TILDE, ES2, ES2_TILDE, GroupId, group
 from extraspecial.modp import Mat
 
 SRC = Path(extraspecial.__file__).parent
@@ -112,16 +113,7 @@ _ONE = Mat.identity(3, 1)
 
 # (entry point, a call of it on es1~ or es2~, the kind it names)
 PLAIN_ONLY = [
-    ("enumerate_morphisms", lambda: next(morphisms.enumerate_morphisms(group(ES1_TILDE, 3, 1))),
-     ES1_TILDE),
-    ("inner_automorphism", lambda: morphisms.inner_automorphism(group(ES2_TILDE, 3, 1).identity()),
-     ES2_TILDE),
-    ("build_endo", lambda: morphisms.build_endo(group(ES1_TILDE, 3, 1), _ONE, _ONE, _ONE, _ONE,
-                                                (0,), (0,)), ES1_TILDE),
-    ("presentation", lambda: oracle.presentation(group(ES2_TILDE, 3, 1)), ES2_TILDE),
     ("sigma_scan_count", lambda: oracle.sigma_scan_count(ES1_TILDE, 3, 1, True), ES1_TILDE),
-    ("classify", lambda: orbits.classify(group(ES2_TILDE, 3, 1).identity()), ES2_TILDE),
-    ("orbit_labels", lambda: orbits.orbit_labels(GroupId(ES1_TILDE, 3, 1)), ES1_TILDE),
     ("aut_order", lambda: counting.aut_order(ES2_TILDE, 3, 1), ES2_TILDE),
     ("end_order", lambda: counting.end_order(ES1_TILDE, 3, 1), ES1_TILDE),
 ]
@@ -132,3 +124,60 @@ def test_plain_only_entry_points_refuse_the_tilde_kinds_in_one_format(name, call
     with pytest.raises(ContextError) as exc:
         call()
     assert re.fullmatch(rf"[a-z ]+ cover es1/es2 only, got {re.escape(kind)}", str(exc.value))
+
+
+def _params(m):
+    return m.sigma.rows, m.f, m.s
+
+
+# (entry point, its answer on a group of a kind at (3, 1), a tilde kind)
+LAW_ONLY = [
+    ("enumerate_morphisms",
+     lambda k: [_params(m) for m in morphisms.enumerate_morphisms(group(k, 3, 1))], ES1_TILDE),
+    ("inner_automorphism",
+     lambda k: _params(morphisms.inner_automorphism(group(k, 3, 1).element((1, 0)))), ES2_TILDE),
+    ("build_endo", lambda k: _params(morphisms.build_endo(group(k, 3, 1), _ONE, _ONE, _ONE, _ONE,
+                                                          (0,), (0,))), ES1_TILDE),
+    ("presentation", lambda k: oracle.presentation(group(k, 3, 1)), ES2_TILDE),
+    ("classify", lambda k: [orbits.classify(group(k, 3, 1).element(c))
+                            for c in group(k, 3, 1).elements()], ES2_TILDE),
+    ("orbit_labels", lambda k: orbits.orbit_labels(GroupId(k, 3, 1)), ES1_TILDE),
+]
+
+
+@pytest.mark.parametrize("name,answer,kind", LAW_ONLY, ids=[row[0] for row in LAW_ONLY])
+def test_law_entry_points_answer_tilde_as_partner(name, answer, kind):
+    # the tilde kinds share the power form and M - M^t with their partners
+    assert answer(kind) == answer({ES1_TILDE: ES1, ES2_TILDE: ES2}[kind])
+
+
+_KIND_NAMES = {"ES1", "ES2", "ES1_TILDE", "ES2_TILDE", "PLAIN_KINDS"}
+
+
+def _kind_reads(tree: ast.Module) -> list:
+    """Line numbers of each import of a kind constant and of each comparison
+    with, or lookup by, an attribute `.kind`."""
+    def is_kind(node):
+        return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & _KIND_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(map(is_kind, [node.left, *node.comparators])):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and is_kind(node.slice):
+            found.append(node.lineno)
+    return found
+
+
+def test_orbits_reads_no_kind():
+    # orbits picks every row and label off the power form and A, not the kind
+    assert _kind_reads(ast.parse((SRC / "orbits.py").read_text())) == []
+
+
+def test_the_guard_sees_kind_imports_comparisons_and_lookups():
+    tree = ast.parse("from .groups import ES1, group\nfrom .groups import Group\n"
+                     "if g.kind == 'es1': pass\nx = 'es2' != e.group.kind\n"
+                     "rows = TABLE[g.kind]\nname = f'{g.kind}'\n")
+    assert sorted(_kind_reads(tree)) == [1, 3, 4, 5]
