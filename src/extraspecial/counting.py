@@ -33,7 +33,7 @@ from math import prod
 from typing import Callable
 
 from .errors import ContextError, check
-from .groups import ES1, ES2, PLAIN_KINDS, require_plain, validate_p_n
+from .groups import ES2, PLAIN_KINDS, omega_nonzero, validate_p_n
 from .polyz import ZERO, X, Poly
 
 
@@ -118,23 +118,21 @@ def count_Y(p, n: int):
 
 
 def aut_order(kind: str, p, n: int):
-    require_plain(kind, "automorphism counts")
-    if kind == ES1:
-        return p ** (2 * n) * (p - 1) * sp_order(n, p)
-    return p ** (2 * n) * im_phi2_order(n, p)
+    """|Aut| of kind: es2's count where its power form is nonzero, else es1's."""
+    if omega_nonzero(kind):
+        return p ** (2 * n) * im_phi2_order(n, p)
+    return p ** (2 * n) * (p - 1) * sp_order(n, p)
 
 
 def end_order(kind: str, p, n: int):
-    require_plain(kind, "endomorphism counts")
-    if kind == ES1:
-        return aut_order(kind, p, n) + p ** (2 * n) * count_X(p, n)
-    return aut_order(kind, p, n) + p ** (2 * n) * count_Y(p, n)
+    count = count_Y if omega_nonzero(kind) else count_X
+    return aut_order(kind, p, n) + p ** (2 * n) * count(p, n)
 
 
 @dataclass(frozen=True)
 class Quantity:
     """Routes formula(p, n, arg) and oracle(p, n, arg); arg is "k" (a
-    subspace dimension), "group" (es1 or es2) or None."""
+    subspace dimension), "group" (a group kind) or None."""
     arg: str | None
     formula: Callable
     oracle: Callable
@@ -203,20 +201,22 @@ class CountReport:
 
 def validate_request(quantity: str | None, p: int, n: int, k: int | None = None,
                      group_kind: str | None = None):
-    """Raise ContextError for an invalid (p, n), an unknown quantity, a
-    missing or negative k, a missing group kind, or a k or group kind the
-    quantity does not take; return the argument its routes take.  k > n is
-    valid: those counts are 0."""
+    """Raise ContextError for an invalid (p, n) or group kind, an unknown
+    quantity, a missing or negative k, a missing group kind, or a k or group
+    kind the quantity does not take; return the argument its routes take.
+    k > n is valid: those counts are 0."""
     validate_p_n(p, n)
-    if quantity is None:  # (p, n) alone
+    if group_kind is not None:
+        omega_nonzero(group_kind)  # an unknown kind raises
+    if quantity is None:  # (p, n) and the kind alone
         return None
     if quantity not in QUANTITIES:
         raise ContextError(f"unknown quantity {quantity!r}")
     arg = QUANTITIES[quantity].arg
     if arg == "k" and (k is None or k < 0):
         raise ContextError(f"{quantity} needs a subspace dimension k >= 0, got {k}")
-    if arg == "group" and group_kind not in PLAIN_KINDS:
-        raise ContextError(f"{quantity} needs a group kind es1 or es2")
+    if arg == "group" and group_kind is None:
+        raise ContextError(f"{quantity} needs a group kind")
     for name, value in (("k", k), ("group", group_kind)):
         if value is not None and arg != name:
             raise ContextError(f"{quantity} takes no {name}, got {value}")

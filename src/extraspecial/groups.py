@@ -54,7 +54,10 @@ ES2 = "es2"
 ES1_TILDE = "es1~"
 ES2_TILDE = "es2~"
 
-_KINDS = (ES1, ES2, ES1_TILDE, ES2_TILDE)
+# whether each kind's power form omega is nonzero (exponent p^2, the es2 shape):
+# a tilde kind shares it, and M - M^t, with its partner, so it is that group
+KIND_LAWS = {ES1: False, ES2: True, ES1_TILDE: False, ES2_TILDE: True}
+# the two kinds the paper parametrizes, the default rows of a census
 PLAIN_KINDS = (ES1, ES2)
 
 # rows per Group.mul_index call when a caller sweeps a whole N x N table:
@@ -78,11 +81,11 @@ def validate_p_n(p: int, n: int):
         raise ContextError(f"n must be a positive integer, got {n}")
 
 
-def require_plain(kind: str, what: str):
-    """Raise ContextError unless kind is es1 or es2, for results keyed by
-    isomorphism type (the counting formulas); `what` names the result."""
-    if kind not in PLAIN_KINDS:
-        raise ContextError(f"{what} cover es1/es2 only, got {kind}")
+def omega_nonzero(kind: str) -> bool:
+    """KIND_LAWS[kind]; ContextError for an unknown kind."""
+    if kind not in KIND_LAWS:
+        raise ContextError(f"unknown group kind {kind!r}")
+    return KIND_LAWS[kind]
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,7 @@ class GroupId:
     n: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ContextError(f"unknown group kind {self.kind!r}")
+        omega_nonzero(self.kind)
         validate_p_n(self.p, self.n)
 
     def __str__(self):
@@ -116,7 +118,7 @@ class Group:
         self.n = gid.n
         self.size = gid.p ** (2 * gid.n + 1)
         self.half = half(gid.p)
-        es2_shaped = gid.kind in (ES2, ES2_TILDE)
+        es2_shaped = omega_nonzero(gid.kind)
         p, n = self.p, self.n
         if es2_shaped:
             # (u_1, u_2..u_n, w_1, w_2..w_n): 2n coordinates, first mod p^2
@@ -176,15 +178,16 @@ class Group:
                 f"{self.gid} elements have {len(self.ranges)} coordinates, got {len(coords)}")
         return Element(self, tuple(c % r for c, r in zip(coords, self.ranges)))
 
-    def generators(self) -> list:
-        """Standard generators x_1..x_n, y_1..y_n in that order.
+    def generator(self, i: int) -> "Element":
+        """Standard generator i, x_{i+1} for i < n and y_{i-n+1} after: slot i in
+        both shapes (for es2 x_1 is the Z/p^2 slot, so it has order p^2)."""
+        coords = [0] * len(self.ranges)
+        coords[i] = 1
+        return Element(self, tuple(coords))
 
-        In both coordinate shapes x_i is slot i and y_i slot n + i (for es2
-        x_1 is the Z/p^2 slot, so it has order p^2).
-        """
-        width = len(self.ranges)
-        return [self.element(tuple(int(k == i) for k in range(width)))
-                for i in range(2 * self.n)]
+    def generators(self) -> list:
+        """Standard generators x_1..x_n, y_1..y_n in that order."""
+        return [self.generator(i) for i in range(2 * self.n)]
 
     # -- the group laws ------------------------------------------------------
 
@@ -433,11 +436,8 @@ def parse_group_id(text: str) -> GroupId:
         p, n = integer(ps), integer(ns)
     except ValueError:
         raise ParseError(f"expected group spec like es1(3,1), got {text!r}", 0) from None
-    kind = kind.strip()
-    if kind not in PLAIN_KINDS:
-        raise ParseError(f"unknown group kind {kind!r}", 0)
     try:
-        return GroupId(kind, p, n)
+        return GroupId(kind.strip(), p, n)
     except ContextError as exc:
         raise ParseError(str(exc), 0) from None
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import charge
 from .errors import ContextError, check
-from .groups import ES2, Group, require_plain, row_blocks
+from .groups import Group, omega_nonzero, row_blocks
 from .modp import inv_mod, p_binomial
 
 
@@ -408,10 +408,10 @@ def scan_surjections(dim: int, p: int, k: int) -> int:
 def sigma_scan_count(kind: str, p: int, n: int, invertible_only: bool) -> int:
     """Number of admissible quotient matrices, by pairing-table scans.
 
-    es1 admits every similitude; es2 additionally pins the first row.  The
-    full aut/end counts follow by the p^{2n} multiplier for the central
-    parameters, which the caller applies.
+    es1 admits every similitude; a nonzero power form (es2) pins the first
+    row.  The full aut/end counts follow by the p^{2n} multiplier for the
+    central parameters, which the caller applies.
     """
-    require_plain(kind, "sigma counts")
-    return sum(scan_matrices(2 * n, p, s, es2_constrained=kind == ES2)
+    constrained = omega_nonzero(kind)
+    return sum(scan_matrices(2 * n, p, s, constrained)
                for s in (range(1, p) if invertible_only else range(p)))

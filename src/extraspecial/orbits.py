@@ -249,7 +249,7 @@ def _es2_witness(g: Group):
     the y block), so c = 2 and c = inv(2) swap the representatives."""
     p, n = g.p, g.n
     zero = Mat.zeros(p, n, n)
-    g1 = g.generators()[n]
+    g1 = g.generator(n)
     fwd, back = (build_endo(g, zero, Mat.identity(p, n).scale(c), zero, zero,
                             (0,) * (n - 1), (0,) * n) for c in (2, inv_mod(2, p)))
     return g1, g1 * g1, fwd, back

@@ -245,6 +245,25 @@ def test_count_json(capsys):
     assert doc["formula"] == 729 and doc["oracle"] == 729 and doc["match"] is True
 
 
+@pytest.mark.parametrize("tilde,kind,coords", [("es1~", "es1", "[1,0|2,0|1]"),
+                                               ("es2~", "es2", "[3|0|2|0]")])
+def test_tilde_kinds_answer_as_their_partners(capsys, tilde, kind, coords):
+    # es1~ is es1 and es2~ is es2, written another way: every command takes them
+    def answer(k, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return out.replace(k, "<kind>")
+
+    for argv in (["count", "--quantity", "end_order", "--group", "{}", "-p", "3", "-n", "2",
+                  "--oracle"],
+                 ["census", "--group", "{}", "--quantities", "aut_order,partial_order",
+                  "--oracle"],
+                 ["orbits", "{}(5,2)"], ["classify", "--json", "{}(3,2):" + coords],
+                 ["order", "{}(3,2):" + coords]):
+        assert answer(tilde, *(a.format(tilde) for a in argv)) == answer(
+            kind, *(a.format(kind) for a in argv))
+
+
 def test_count_missing_k_or_group_exit_2(capsys):
     # a usage error, as an invalid (p, n) is; both once exited 1
     code, out, err = run(capsys, "count", "--quantity", "alpha_k", "--p", "3", "--n", "1")

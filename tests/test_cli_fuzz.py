@@ -24,7 +24,7 @@ any_p = st.one_of(primes, st.sampled_from(NON_PRIMES), st.integers(-5, 2 ** 64 -
 good_n = st.integers(1, 10 ** 4)
 any_n = st.integers(-1, 10 ** 4)
 small_n = st.integers(1, 20)
-kinds = st.sampled_from(["es1", "es2"])
+kinds = st.sampled_from(["es1", "es2", "es1~", "es2~"])
 any_kind = st.sampled_from(["es1", "es2", "es3", "es1~", ""])
 # a deliberate flaw in an element text
 flaws = st.sampled_from(["segment", "entry", "bracket", "colon"])
@@ -48,7 +48,7 @@ def call(argv):
 def element_text(kind, p, n, value, flaw=None, spec=True):
     """An element of kind(p, n) in its [u|w|z] or [u1|u|w1|w] layout, the
     coordinates value, value + 1, ..., with at most one flaw."""
-    widths = [n, n, 1] if kind != "es2" else [w for w in (1, n - 1, 1, n - 1) if w]
+    widths = [n, n, 1] if kind not in ("es2", "es2~") else [w for w in (1, n - 1, 1, n - 1) if w]
     if flaw == "segment":
         widths.append(1)
     body = "|".join(",".join(str(value + i) for i in range(max(w, 0))) for w in widths)

@@ -12,7 +12,7 @@ import pytest
 
 from extraspecial import cli, counting, oracle, verifysuite
 from extraspecial.errors import ContextError
-from extraspecial.groups import ES1, ES2
+from extraspecial.groups import ES1, ES1_TILDE, ES2, ES2_TILDE
 from extraspecial.modp import is_odd_prime, p_binomial
 from extraspecial.polyz import ZERO, X, Poly
 
@@ -63,8 +63,14 @@ def test_aut_end_frozen():
     assert counting.end_order(ES2, 5, 1) == 1125
     assert counting.end_order(ES1, 3, 2) == 28874961
     assert counting.end_order(ES2, 3, 2) == 2211057
-    with pytest.raises(ContextError):
-        counting.aut_order("es1~", 3, 1)
+    # a presentation answers as its partner, over Z and Z[x]; an unknown kind raises
+    for tilde, kind in ((ES1_TILDE, ES1), (ES2_TILDE, ES2)):
+        for count in (counting.aut_order, counting.end_order):
+            for p, n in ((3, 1), (5, 1), (3, 2)):
+                assert count(tilde, p, n) == count(kind, p, n)
+                assert count(tilde, X, n).coeffs == count(kind, X, n).coeffs
+    with pytest.raises(ContextError, match="unknown group kind 'es3'"):
+        counting.aut_order("es3", 3, 1)
 
 
 def test_end_es1_31_is_the_free_count():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from extraspecial import morphisms, orbits
 from extraspecial.errors import CapExceeded, ContextError
-from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, GroupId, delta_iso, group,
-                                 lambda_iso)
+from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Group, GroupId, delta_iso,
+                                 group, lambda_iso)
 from extraspecial.morphisms import family_images
 from extraspecial.orbits import (CENTER, CENTRAL_NONID, ES1_NONCENTRAL,
                                  ES2_H_MINUS_K, ES2_OB, ES2_ORDER_P2, IDENTITY,
@@ -34,19 +34,30 @@ def test_classify_frozen(es1_31, es2_31, es2_32):
     assert str(classify(es2_32.element((2, 0, 0, 0)))) == "ES2_ORDER_P2"
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-def test_law_classify_equals_the_spelled_slots(data):
-    # sparse draws, leaning on the x_1, y_1 and last slots, reach the identity,
-    # the centre, K and the O_b orbits
-    g = group(*data.draw(st.sampled_from([(kind, p, n) for kind in (ES1, ES2)
-                                          for p, n in ((101, 2), (7, 4), (3, 50))])))
+@st.composite
+def sparse_elements(draw):
+    """Elements of es1 and es2 at three (p, n), drawn on every slot, on some
+    of the x_1, y_1 and last slots, or on at most three slots, so that they
+    reach the identity, the centre, K and the O_b orbits.  One draw gives the
+    support's values, each any residue or a multiple of p."""
+    g = group(*draw(st.sampled_from([(kind, p, n) for kind in (ES1, ES2)
+                                     for p, n in ((101, 2), (7, 4), (3, 50))])))
     width, p = len(g.ranges), g.p
-    slot = st.one_of(st.sampled_from((0, g.n, width - 1)), st.integers(0, width - 1))
-    support = data.draw(st.one_of(st.just(range(width)), st.sets(slot, max_size=3)))
-    coords = [data.draw(st.one_of(st.integers(0, r - 1), st.integers(0, p - 1).map(
-        lambda k, r=r: k * p % r))) if i in support else 0 for i, r in enumerate(g.ranges)]
-    e = g.element(coords)
+    support = sorted(draw(st.one_of(st.just(range(width)),
+                                    st.sets(st.sampled_from((0, g.n, width - 1))),
+                                    st.sets(st.integers(0, width - 1), max_size=3))))
+    value = st.one_of(st.integers(0, p * p - 1), st.integers(0, p - 1).map(lambda k: k * p))
+    coords = [0] * width
+    for i, c in zip(support, draw(st.lists(value, min_size=len(support),
+                                           max_size=len(support)))):
+        coords[i] = c
+    return g.element(coords)  # reduced by the ranges
+
+
+@given(sparse_elements())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_law_classify_equals_the_spelled_slots(e):
+    g = e.group
     assert classify(e) == spelled_classify(e)
     for image in {r.image for r in orbit_rows(g)}:
         assert image_contains(g, image, e.coords) == spelled_image_contains(g, image, e.coords)
@@ -234,6 +245,20 @@ def test_partial_order_report_unverified_mode(es2_51):
     assert rep.verdict == NO_PARTIAL_ORDER and not rep.verified
     fwd, _ = rep.witness_endos
     assert fwd.apply(rep.witness[0]) == rep.witness[1]
+
+
+@pytest.mark.parametrize("kind", [ES1, ES2, ES2_TILDE])
+def test_unverified_report_builds_no_generator_list(monkeypatch, kind):
+    # the witness is y_1 alone: the list of all 2n generators, each 2n + 1 wide,
+    # is O(n^2) and was most of an unverified report at n = 400
+    def forbidden(self):
+        raise AssertionError("generators() called")
+
+    monkeypatch.setattr(Group, "generators", forbidden)
+    g = group(kind, 3, 40)
+    rep = partial_order_report(g, verify=False)
+    if rep.witness is not None:
+        assert rep.witness[0].coords == tuple(int(i == g.n) for i in range(len(g.ranges)))
 
 
 @pytest.mark.parametrize("kind,iso,p,n", [

@@ -1,8 +1,8 @@
 """The library's surface: every name that src defines, src uses or exports,
 one check policy, errors.check, the only raise of AssertionError, and one
-guard, groups.require_plain, for the results keyed by isomorphism type
-(the counting formulas); every other entry point reads the law's data and
-answers es1~ and es2~ as their partners es1 and es2.
+map from a group kind to its law, groups.omega_nonzero, the only refusal of
+an unknown kind; every entry point, the counts keyed by isomorphism type
+among them, answers es1~ and es2~ as their partners es1 and es2.
 
 Test references (brute-force sets, spelled-out formulas, helper walks) live
 in tests/, next to the tests that read them, so that src holds only what
@@ -10,7 +10,6 @@ its callers need.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from extraspecial import counting, morphisms, oracle, orbits
 from extraspecial.errors import ContextError
 from extraspecial.groups import ES1, ES1_TILDE, ES2, ES2_TILDE, GroupId, group
 from extraspecial.modp import Mat
+from extraspecial.polyz import X
 
 SRC = Path(extraspecial.__file__).parent
 
@@ -96,9 +96,10 @@ def _plain_kind_tuples(tree: ast.Module) -> list:
 
 
 def test_only_groups_spells_the_plain_kinds_and_their_refusal():
-    # groups.PLAIN_KINDS and groups.require_plain; every other module reads them
+    # groups.PLAIN_KINDS and groups.omega_nonzero, which refuses an unknown
+    # kind; every other module reads them
     found = {path.stem: (bool(_plain_kind_tuples(ast.parse(path.read_text()))),
-                         "es1/es2 only" in path.read_text())
+                         "unknown group kind" in path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {module: seen for module, seen in found.items() if any(seen)} == {
         "groups": (True, True)}
@@ -111,19 +112,28 @@ def test_the_guard_sees_the_plain_kind_tuple():
 
 _ONE = Mat.identity(3, 1)
 
-# (entry point, a call of it on es1~ or es2~, the kind it names)
-PLAIN_ONLY = [
-    ("sigma_scan_count", lambda: oracle.sigma_scan_count(ES1_TILDE, 3, 1, True), ES1_TILDE),
-    ("aut_order", lambda: counting.aut_order(ES2_TILDE, 3, 1), ES2_TILDE),
-    ("end_order", lambda: counting.end_order(ES1_TILDE, 3, 1), ES1_TILDE),
+PARTNER = {ES1_TILDE: ES1, ES2_TILDE: ES2}
+
+# (entry point, its answer for a kind at (p, n)): the counts keyed by
+# isomorphism type, the formulas over Z and over Z[x] alike
+BY_TYPE = [
+    ("sigma_scan_count",
+     lambda k, p, n: [oracle.sigma_scan_count(k, p, n, inv) for inv in (True, False)]),
+    ("aut_order", lambda k, p, n: (counting.aut_order(k, p, n),
+                                   counting.aut_order(k, X, n).coeffs)),
+    ("end_order", lambda k, p, n: (counting.end_order(k, p, n),
+                                   counting.end_order(k, X, n).coeffs)),
 ]
 
 
-@pytest.mark.parametrize("name,call,kind", PLAIN_ONLY, ids=[row[0] for row in PLAIN_ONLY])
-def test_plain_only_entry_points_refuse_the_tilde_kinds_in_one_format(name, call, kind):
-    with pytest.raises(ContextError) as exc:
-        call()
-    assert re.fullmatch(rf"[a-z ]+ cover es1/es2 only, got {re.escape(kind)}", str(exc.value))
+@pytest.mark.parametrize("name,answer", BY_TYPE, ids=[row[0] for row in BY_TYPE])
+def test_counts_keyed_by_type_answer_tilde_as_partner(name, answer):
+    # a presentation is a way of writing the group: es1~ is es1, es2~ is es2
+    for kind, partner in PARTNER.items():
+        for p, n in ((3, 1), (5, 1), (3, 2)):
+            assert answer(kind, p, n) == answer(partner, p, n)
+    with pytest.raises(ContextError, match="unknown group kind 'heis'"):
+        answer("heis", 3, 1)
 
 
 def _params(m):
@@ -148,10 +158,10 @@ LAW_ONLY = [
 @pytest.mark.parametrize("name,answer,kind", LAW_ONLY, ids=[row[0] for row in LAW_ONLY])
 def test_law_entry_points_answer_tilde_as_partner(name, answer, kind):
     # the tilde kinds share the power form and M - M^t with their partners
-    assert answer(kind) == answer({ES1_TILDE: ES1, ES2_TILDE: ES2}[kind])
+    assert answer(kind) == answer(PARTNER[kind])
 
 
-_KIND_NAMES = {"ES1", "ES2", "ES1_TILDE", "ES2_TILDE", "PLAIN_KINDS"}
+_KIND_NAMES = {"ES1", "ES2", "ES1_TILDE", "ES2_TILDE", "PLAIN_KINDS", "KIND_LAWS"}
 
 
 def _kind_reads(tree: ast.Module) -> list:
@@ -172,8 +182,12 @@ def _kind_reads(tree: ast.Module) -> list:
 
 
 def test_orbits_reads_no_kind():
-    # orbits picks every row and label off the power form and A, not the kind
-    assert _kind_reads(ast.parse((SRC / "orbits.py").read_text())) == []
+    # orbits picks every row and label off the power form and A, the morphisms
+    # and the presentation read the law's data, and the sigma scan asks groups
+    # for its kind's law: none reads a kind
+    found = {module: _kind_reads(ast.parse((SRC / f"{module}.py").read_text()))
+             for module in ("orbits", "oracle", "morphisms")}
+    assert found == {"orbits": [], "oracle": [], "morphisms": []}
 
 
 def test_the_guard_sees_kind_imports_comparisons_and_lookups():
