@@ -7,9 +7,10 @@ Three separate recomputation routes:
     relation of its highest generator, and yield the tuples satisfying them
     all (von Dyck), one per endomorphism.  The relations are read off the
     group's data (power form, cocycle), not spelled per kind; the spelled
-    ones are their test reference.  A memo per search hands each ordered
-    pair of elements to Group.mul once.  No block matrices, no quadratic
-    correction terms, no batched law.
+    ones are their test reference.  A functools cache of Group.mul per
+    search hands each ordered pair of elements to it once, and powers are
+    computed on first use through that cache.  No block matrices, no
+    quadratic correction terms, no batched law.
   * matrix scans: count the 2x2 or 4x4 matrices N over F_p with
     N^t Delta N = s Delta for one Gram scalar s (s = 0 the zero form), by
     one count over the pairing table rather than the similitude
@@ -116,38 +117,26 @@ def enumerate_homs_by_generators(g: Group):
 
     Images are assigned one generator at a time, and each prefix is checked
     against the relations of its level (_relation_levels), so a prefix that
-    fails is cut with its whole subtree.  Each search keeps a product memo
-    keyed by the ordered pair of element tuples, so g.mul runs at most once
-    per pair; words are products of powers computed once per element and
-    exponent through the same memo.  The charge to HOM_CAP is the full
-    |G|^(2n) candidate space, before any work; it also bounds the memo,
-    which holds at most |G|^2 products.  The search stays within reach of
-    the desk-scale groups only.
+    fails is cut with its whole subtree.  Each search wraps g.mul in its own
+    functools cache, so g.mul runs at most once per ordered pair; words are
+    products of powers, each computed through that cache on first use per
+    element and exponent, and cached too.  The charge to HOM_CAP is the
+    full |G|^(2n) candidate space, before any work; it also bounds the
+    cache, which holds at most |G|^2 products.  The search stays within
+    reach of the desk-scale groups only.
     """
-    rels = presentation(g)
     gens = 2 * g.n
     charge("HOM_CAP", g.size ** gens, f"homomorphism search of {g.gid}")
-    products = {}
-
-    def mul(a, b):
-        key = a, b
-        c = products.get(key)
-        if c is None:
-            c = products[key] = g.mul(a, b)
-        return c
-
+    levels = _relation_levels(presentation(g), gens)
+    mul = lru_cache(maxsize=None)(g.mul)
     elems = list(g.elements())
     identity = (0,) * len(g.ranges)
-    exponents = {e for rel in rels for word in rel for _, e in word}
-    # x^e as a chain of products through the memo: g.power calls g.mul
-    # directly and would repeat pairs the memo already holds
-    powers = {e: {x: reduce(mul, [g.inv(x) if e < 0 else x] * abs(e), identity)
-                  for x in elems}
-              for e in exponents}
-    levels = _relation_levels(rels, gens)
 
+    @lru_cache(maxsize=None)
     def power(x, e):
-        return powers[e][x]
+        # a chain of products through the cache: g.power calls g.mul
+        # directly and would repeat pairs the cache already holds
+        return reduce(mul, [g.inv(x) if e < 0 else x] * abs(e), identity)
 
     def extend(prefix):
         if len(prefix) == gens:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from .config import charge
 from .errors import ContextError, check
-from .groups import Element, Group, GroupId, group
+from .groups import Element, Group, GroupId, omega_nonzero
 from .modp import Mat, inv_mod
 from .morphisms import build_endo, family_images, image_sets
 
@@ -90,10 +90,9 @@ ORBIT_TABLE = {
 
 
 def orbit_rows(g: Group | GroupId) -> tuple:
-    """g's rows of ORBIT_TABLE, by whether its power form (e_1 or 0 at every n)
-    is zero; a GroupId reads it off its kind's group at n = 1, not at g's size."""
-    law = g if isinstance(g, Group) else group(g.kind, g.p, 1)
-    return ORBIT_TABLE[any(law.power_form())]
+    """g's rows of ORBIT_TABLE, by whether its kind's power form (e_1 or 0 at
+    every n) is nonzero, read off KIND_LAWS: no group is built."""
+    return ORBIT_TABLE[omega_nonzero(g.kind)]
 
 
 def orbit_row(g: Group | GroupId, tag: str) -> OrbitRow:

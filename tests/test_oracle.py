@@ -6,6 +6,7 @@ against per-matrix references that live only here, not against the
 formulas themselves.
 """
 
+import hashlib
 from collections import Counter
 from itertools import product
 
@@ -124,6 +125,18 @@ def test_pruned_hom_search_matches_blind_reference(kind, monkeypatch):
     monkeypatch.undo()
     assert found == blind
     assert pairs and max(pairs.values()) == 1
+
+
+@pytest.mark.parametrize("kind, p, digest", [
+    (ES1, 3, "9a4a0169fb4eed852f57e325dee25d89ec7ac8c6293590f0ba4538c2197c948f"),
+    (ES2, 3, "14a361e035b9ae7d8d5273c0a0cce8fcbd79ca2f90003d575ad6c666ccfb3334"),
+    (ES2, 5, "ce79c4fe3ec6b427c95f6219477c9667f9676078e8a36ff0ac49cca6ca687e93"),
+])
+def test_hom_search_order_is_pinned(kind, p, digest):
+    # the itertools.product order the docstring promises, as a digest: how
+    # the search caches its products and powers must not move it
+    found = list(oracle.enumerate_homs_by_generators(group(kind, p, 1)))
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind, homs", [(ES1, 729), (ES2, 135)])

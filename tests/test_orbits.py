@@ -96,6 +96,25 @@ def test_labels_and_sizes_read_only_kind_p_and_n(es2_32):
         orbit_cardinality(ob_label(1009), big)
 
 
+@pytest.mark.parametrize("kind", [ES1, ES2, ES1_TILDE, ES2_TILDE])
+def test_group_id_answers_build_no_group(kind, monkeypatch):
+    def refuse(self, gid):
+        raise AssertionError(f"built {gid}")
+
+    forms = [(group(kind, p, n), GroupId(kind, p, n)) for p, n in ((3, 1), (5, 2))]
+    monkeypatch.setattr(Group, "__init__", refuse)
+    for p, n in ((3, 1), (10007, 1), (10007, 3)):  # p = 10007 is built nowhere
+        gid = GroupId(kind, p, n)
+        labels = orbit_labels(gid)
+        assert label_count(gid) == len(labels)
+        assert sum(orbit_cardinality(l, gid) for l in labels) == p ** (2 * n + 1)
+    for g, gid in forms:  # the Group form reads the same rows
+        assert orbit_labels(gid) == orbit_labels(g)
+        assert label_count(gid) == label_count(g)
+        assert ([orbit_cardinality(l, gid) for l in orbit_labels(g)]
+                == [orbit_cardinality(l, g) for l in orbit_labels(g)])
+
+
 def test_orbit_cardinality_domain_errors(es1_31, es2_31):
     with pytest.raises(ContextError):
         orbit_cardinality(OrbitLabel(ES1_NONCENTRAL), es2_31)

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from extraspecial import oracle, verifysuite
-from extraspecial.groups import ES1, ES2, ES2_TILDE, Group, GroupId, group
+from extraspecial.errors import CapExceeded
+from extraspecial.groups import (ES1, ES1_TILDE, ES2, ES2_TILDE, Element, Group, GroupId,
+                                 group, lambda_iso)
 from extraspecial.morphisms import f_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +75,38 @@ def test_iso_check_rejects_the_identity_coordinate_map():
     # es2~ and es2 share coordinates but not the cocycle
     with pytest.raises(AssertionError, match="not a homomorphism"):
         verifysuite._check_iso(group(ES2_TILDE, 3, 2), group(ES2, 3, 2), lambda c: c)
+
+
+def test_iso_check_rejects_a_bijection_that_is_not_a_homomorphism():
+    gt, g = group(ES1_TILDE, 3, 1), group(ES1, 3, 1)
+    swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}  # two non-central elements
+
+    def phi(c):
+        image = lambda_iso(Element(gt, c)).coords
+        return swap.get(image, image)
+
+    verifysuite._check_iso(gt, g, lambda c: lambda_iso(Element(gt, c)).coords)
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        verifysuite._check_iso(gt, g, phi)
+
+
+def test_iso_check_reads_the_cached_tables(monkeypatch):
+    verifysuite.check_delta_iso(3, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the iso check swept the law again")
+
+    monkeypatch.setattr(Group, "mul_index", refuse)
+    verifysuite.check_delta_iso(3, 1)
+
+
+def test_iso_check_refuses_past_the_table_cap_before_mapping(monkeypatch):
+    def refuse(e):
+        raise AssertionError("mapped an element")
+
+    monkeypatch.setattr(verifysuite, "lambda_iso", refuse)
+    with pytest.raises(CapExceeded, match="TABLE_CAP"):
+        verifysuite.check_lambda_iso(3, 3)
 
 
 def test_f_table_rejects_a_non_central_commutator(monkeypatch):
